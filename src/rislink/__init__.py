@@ -18,14 +18,13 @@ from .numerics import ConvergenceError, QuadratureSpec
 from .ops import (AmplitudeChf, ber_ops_bdpsk, ber_ops_coherent, chf_cascade,
                   chf_direct, diversity_order_ops, gamma_c_cdf, gamma_c_moment,
                   gamma_c_moment_multinomial, nakagami_moment, op_ops)
-from .rps import (DoubleNakagami, HankelProduct, IntegrabilityError,
-                  Modulation, ber_rps, ber_rps_asymptotic, ec_taylor,
-                  gamma_q_moment, gamma_r_cdf, gamma_r_moment, gamma_r_pdf,
-                  hankel_cascade, hankel_direct, op_rps,
-                  quantized_phase_factors, x_moment)
-from .scenario import (LinkGeometry, NakagamiParams, PhaseDesign,
-                       ScenarioConfig, config_from_mapping, derive,
-                       pathloss_omega, quantized, ricean_k_to_m)
+from .rps import (HankelProduct, IntegrabilityError, Modulation, ber_rps,
+                  ber_rps_asymptotic, ec_taylor, gamma_q_moment, gamma_r_cdf,
+                  gamma_r_moment, gamma_r_pdf, hankel_cascade, hankel_direct,
+                  op_rps, quantized_phase_factors, x_moment)
+from .scenario import (DoubleNakagami, LinkGeometry, NakagamiParams,
+                       PhaseDesign, ScenarioConfig, config_from_mapping,
+                       derive, pathloss_omega, quantized, ricean_k_to_m)
 
 __version__ = "0.1.0"
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .rps import DoubleNakagami, Modulation, x_moment
-from .scenario import NakagamiParams, ScenarioConfig, derive
+from .rps import Modulation, x_moment
+from .scenario import DoubleNakagami, ScenarioConfig, link_parts
 
 LN2 = math.log(2.0)
 
@@ -29,14 +29,20 @@ def zt_stats(dn: DoubleNakagami) -> tuple:
     return mean, max(variance, 0.0)
 
 
-def _cascade_of(config: ScenarioConfig) -> DoubleNakagami:
-    d = derive(config)
-    return DoubleNakagami(NakagamiParams(config.m_h, d.omega_h),
-                          NakagamiParams(config.m_g, d.omega_g))
+class _LargeNModel:
+    """``from_scenario`` of both models, which cover the RIS sum only."""
+
+    @classmethod
+    def from_scenario(cls, config: ScenarioConfig):
+        if config.geometry.direct_link:
+            raise ValueError("large-N models cover the RIS sum only; "
+                             "use the exact path for direct-link scenarios")
+        d, element, _ = link_parts(config)
+        return cls.from_element(element, config.n_elements, d.rho)
 
 
 @dataclass(frozen=True)
-class LargeNRps:
+class LargeNRps(_LargeNModel):
     """Exponential SNR model: gamma ~ Exp(mean 2 sigma1_sq)."""
 
     sigma1_sq: float
@@ -46,12 +52,10 @@ class LargeNRps:
             raise ValueError(f"sigma1_sq must be positive, got {self.sigma1_sq}")
 
     @classmethod
-    def from_scenario(cls, config: ScenarioConfig) -> "LargeNRps":
-        if config.geometry.direct_link:
-            raise ValueError("large-N models cover the RIS sum only; "
-                             "use the exact path for direct-link scenarios")
-        d = derive(config)
-        return cls(0.5 * config.n_elements * d.rho * d.omega_h * d.omega_g)
+    def from_element(cls, element: DoubleNakagami, n_elements: int,
+                     rho: float) -> "LargeNRps":
+        """Model of ``n_elements`` copies of ``element`` at SNR scale rho."""
+        return cls(0.5 * n_elements * rho * element.mean_power)
 
     @property
     def mean(self) -> float:
@@ -59,7 +63,7 @@ class LargeNRps:
 
 
 @dataclass(frozen=True)
-class LargeNOps:
+class LargeNOps(_LargeNModel):
     """Noncentral-chi-square SNR model: s*gamma ~ chi2_1(noncentrality xi)."""
 
     xi: float
@@ -72,17 +76,14 @@ class LargeNOps:
             raise ValueError(f"scale s must be positive, got {self.s}")
 
     @classmethod
-    def from_scenario(cls, config: ScenarioConfig) -> "LargeNOps":
-        if config.geometry.direct_link:
-            raise ValueError("large-N models cover the RIS sum only; "
-                             "use the exact path for direct-link scenarios")
-        d = derive(config)
-        mean, variance = zt_stats(_cascade_of(config))
+    def from_element(cls, element: DoubleNakagami, n_elements: int,
+                     rho: float) -> "LargeNOps":
+        """Model of ``n_elements`` copies of ``element`` at SNR scale rho."""
+        mean, variance = zt_stats(element)
         if variance <= 0.0:
             raise ValueError("degenerate summand: zero variance")
-        n = float(config.n_elements)
-        return cls(xi=n * mean * mean / variance,
-                   s=1.0 / (d.rho * n * variance))
+        return cls(xi=n_elements * mean * mean / variance,
+                   s=1.0 / (rho * n_elements * variance))
 
     @property
     def mean(self) -> float:

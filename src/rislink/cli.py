@@ -14,22 +14,23 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO
+from typing import List, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import asymptotic as la
 from . import montecarlo as mc
 from . import ops, rps
-from .rps import DoubleNakagami, Modulation
-from .scenario import (NakagamiParams, ScenarioConfig, config_from_mapping,
-                       derive, ricean_k_to_m)
+from .rps import Modulation
+from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig,
+                       config_from_mapping, link_parts, ricean_k_to_m)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
+_METRICS = ("op", "ber", "ec")
 _METHOD_ORDER = ("exact", "asymptotic", "mc")
 _CSV_HEADER = "param,value,metric,method,estimate,std_error"
 
@@ -114,89 +115,124 @@ def parse_sweep(text: str) -> Sweep:
 # metric evaluation
 # ---------------------------------------------------------------------
 
+class _Link(NamedTuple):
+    """A scenario as the analytic engines read it: its link_parts, with
+    the transform and large-N models built from them."""
+
+    config: ScenarioConfig
+    rho: float
+    element: DoubleNakagami
+    direct: Optional[NakagamiParams]
+
+    def hankel(self) -> rps.HankelProduct:
+        return rps.HankelProduct([self.element] * self.config.n_elements,
+                                 self.direct)
+
+    def chf(self) -> ops.AmplitudeChf:
+        return ops.AmplitudeChf([self.element] * self.config.n_elements,
+                                self.direct)
+
+    def largen(self, model):
+        return model.from_element(self.element, self.config.n_elements,
+                                  self.rho)
+
+
+def _rps_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
+    hp = link.hankel()
+    return rps.ec_taylor(rps.gamma_r_moment(hp, 1, link.rho),
+                         rps.gamma_r_moment(hp, 2, link.rho))
+
+
+def _ops_ber(link: _Link, gamma_th: float, modulation: Modulation) -> float:
+    if modulation.coherent:
+        return ops.ber_ops_coherent(link.chf(), link.rho, modulation)
+    return ops.ber_ops_bdpsk(link.chf(), link.rho)
+
+
+def _ops_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
+    chf = link.chf()
+    return rps.ec_taylor(link.rho * chf.amplitude_moment(2),
+                         link.rho ** 2 * chf.amplitude_moment(4))
+
+
+def _quantized_ec(link: _Link, gamma_th: float,
+                  modulation: Modulation) -> float:
+    n, bits = link.config.n_elements, link.config.phase_design.bits
+    return rps.ec_taylor(
+        rps.gamma_q_moment(link.element, n, link.rho, bits, 1),
+        rps.gamma_q_moment(link.element, n, link.rho, bits, 2))
+
+
+# (design, metric, method) -> (engine, RIS sum only).  An engine maps
+# (link, gamma_th, modulation) to the metric value; a "RIS sum only"
+# engine has no direct-path term, so it is not offered when the scenario
+# has one.  The simulator ("mc") covers every combination.
+_ENGINES = {
+    ("rps", "op", "exact"): (
+        lambda link, th, mod: rps.op_rps(link.hankel(), th, link.rho), False),
+    ("rps", "ber", "exact"): (
+        lambda link, th, mod: rps.ber_rps(link.hankel(), link.rho, mod), False),
+    ("rps", "ec", "exact"): (_rps_ec, False),
+    ("ops", "op", "exact"): (
+        lambda link, th, mod: ops.op_ops(link.chf(), th, link.rho), False),
+    ("ops", "ber", "exact"): (_ops_ber, False),
+    ("ops", "ec", "exact"): (_ops_ec, False),
+    ("quantized", "ec", "exact"): (_quantized_ec, True),
+    ("rps", "op", "asymptotic"): (
+        lambda link, th, mod: la.largen_rps_cdf(link.largen(la.LargeNRps), th),
+        True),
+    ("rps", "ber", "asymptotic"): (
+        lambda link, th, mod: la.largen_rps_ber(link.largen(la.LargeNRps), mod),
+        True),
+    ("rps", "ec", "asymptotic"): (
+        lambda link, th, mod: la.largen_rps_ec(link.largen(la.LargeNRps)), True),
+    ("ops", "op", "asymptotic"): (
+        lambda link, th, mod: la.largen_ops_cdf(link.largen(la.LargeNOps), th),
+        True),
+}
+
+
+def _unavailable(config: ScenarioConfig, metric: str, method: str) -> str:
+    return (f"method {method!r} is not available for metric {metric!r} with "
+            f"phase design {config.phase_design.kind!r}"
+            + (" and a direct link" if config.geometry.direct_link else ""))
+
+
+def _engine(config: ScenarioConfig, metric: str, method: str):
+    """The table's engine for this scenario, or None when it lists none."""
+    engine, ris_only = _ENGINES.get(
+        (config.phase_design.kind, metric, method), (None, False))
+    return None if ris_only and config.geometry.direct_link else engine
+
+
 def supported_methods(config: ScenarioConfig, metric: str) -> tuple:
-    """Analytic coverage by design: the simulator covers everything."""
-    design = config.phase_design.kind
-    direct = config.geometry.direct_link
-    out = []
-    if metric == "op":
-        if design in ("rps", "ops"):
-            out.append("exact")
-            if not direct:
-                out.append("asymptotic")
-    elif metric == "ber":
-        if design in ("rps", "ops"):
-            out.append("exact")
-        if design == "rps" and not direct:
-            out.append("asymptotic")
-    elif metric == "ec":
-        if design in ("rps", "ops") or not direct:
-            out.append("exact")
-        if design == "rps" and not direct:
-            out.append("asymptotic")
-    else:
+    """Analytic coverage from the engine table; mc covers everything."""
+    if metric not in _METRICS:
         raise CliError(f"unknown metric {metric!r}")
-    out.append("mc")
-    return tuple(out)
+    return tuple(m for m in _METHOD_ORDER
+                 if m == "mc" or _engine(config, metric, m) is not None)
 
 
-def _scaled_parts(config: ScenarioConfig, lam_scale: float):
-    """Cascade/direct distribution params with the fault-injection knob
-    applied to the analytic cascade spread only (the simulator always
-    consumes the honest config)."""
-    d = derive(config)
-    element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h * lam_scale),
-                             NakagamiParams(config.m_g, d.omega_g))
-    direct = None
-    if config.geometry.direct_link:
-        direct = NakagamiParams(config.m_d, d.omega_d)
-    return d, element, direct
+def _analytic_value(method: str, config: ScenarioConfig, metric: str,
+                    gamma_th: float, modulation: Modulation,
+                    lam_scale: float) -> float:
+    engine = _engine(config, metric, method)
+    if engine is None:
+        raise ValueError(_unavailable(config, metric, method))
+    d, element, direct = link_parts(config, lam_scale)
+    return engine(_Link(config, d.rho, element, direct), gamma_th, modulation)
 
 
 def exact_value(config: ScenarioConfig, metric: str, gamma_th: float,
                 modulation: Modulation, lam_scale: float = 1.0) -> float:
-    d, element, direct = _scaled_parts(config, lam_scale)
-    design = config.phase_design.kind
-    n = config.n_elements
-    if design == "rps":
-        hp = rps.HankelProduct([element] * n, direct)
-        if metric == "op":
-            return rps.op_rps(hp, gamma_th, d.rho)
-        if metric == "ber":
-            return rps.ber_rps(hp, d.rho, modulation)
-        return rps.ec_taylor(rps.gamma_r_moment(hp, 1, d.rho),
-                             rps.gamma_r_moment(hp, 2, d.rho))
-    if design == "ops":
-        chf = ops.AmplitudeChf([element] * n, direct)
-        if metric == "op":
-            return ops.op_ops(chf, gamma_th, d.rho)
-        if metric == "ber":
-            if modulation.coherent:
-                return ops.ber_ops_coherent(chf, d.rho, modulation)
-            return ops.ber_ops_bdpsk(chf, d.rho)
-        return rps.ec_taylor(d.rho * chf.amplitude_moment(2),
-                             d.rho ** 2 * chf.amplitude_moment(4))
-    # quantized: second-order EC only
-    bits = config.phase_design.bits
-    return rps.ec_taylor(rps.gamma_q_moment(element, n, d.rho, bits, 1),
-                         rps.gamma_q_moment(element, n, d.rho, bits, 2))
+    return _analytic_value("exact", config, metric, gamma_th, modulation,
+                           lam_scale)
 
 
 def asymptotic_value(config: ScenarioConfig, metric: str, gamma_th: float,
                      modulation: Modulation, lam_scale: float = 1.0) -> float:
-    d, element, _ = _scaled_parts(config, lam_scale)
-    n = config.n_elements
-    if config.phase_design.kind == "rps":
-        model = la.LargeNRps(0.5 * n * d.rho * element.mean_power)
-        if metric == "op":
-            return la.largen_rps_cdf(model, gamma_th)
-        if metric == "ber":
-            return la.largen_rps_ber(model, modulation)
-        return la.largen_rps_ec(model)
-    mean, var = la.zt_stats(element)
-    model = la.LargeNOps(xi=n * mean * mean / var,
-                         s=1.0 / (d.rho * n * var))
-    return la.largen_ops_cdf(model, gamma_th)
+    return _analytic_value("asymptotic", config, metric, gamma_th,
+                           modulation, lam_scale)
 
 
 def mc_value(config: ScenarioConfig, metric: str, gamma_th: float,
@@ -300,22 +336,29 @@ def _check_run_args(args) -> None:
         raise CliError("--trials must be at least 10000")
     if not 0 <= args.seed < 2 ** 64:
         raise CliError("--seed must be an unsigned 64-bit integer")
+    if args.gamma_th_db is not None and not math.isfinite(args.gamma_th_db):
+        raise CliError("--gamma-th-db must be a finite number")
+    try:
+        mc._thread_count()
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
-def _resolve_methods(config: ScenarioConfig, metric: str, method: str) -> tuple:
+def _resolve_methods(config: ScenarioConfig, metric: str, method) -> tuple:
+    """``method`` is "all", one method name, or a tuple of names; each
+    name asked for must be available.  Methods come in table order."""
     avail = supported_methods(config, metric)
     if method == "all":
         return avail
-    if method not in avail:
-        raise CliError(
-            f"method {method!r} is not available for metric {metric!r} with "
-            f"phase design {config.phase_design.kind!r}"
-            + (" and a direct link" if config.geometry.direct_link else ""))
-    return (method,)
+    wanted = (method,) if isinstance(method, str) else method
+    for use in wanted:
+        if use not in avail:
+            raise CliError(_unavailable(config, metric, use))
+    return tuple(use for use in avail if use in wanted)
 
 
 def _specs_for_curve(param: str, points: Sequence, metrics: Sequence[str],
-                     method: str, gamma_th: float, modulation: Modulation,
+                     method, gamma_th: float, modulation: Modulation,
                      trials: int, seed: int) -> List[RowSpec]:
     specs: List[RowSpec] = []
     for x, config in points:
@@ -356,8 +399,6 @@ def cmd_metric(args) -> int:
         points = [(base.tx_power_dbm, base)]
         param = "tx_power_dbm"
 
-    for metric in metrics:  # fail before computing anything
-        _resolve_methods(points[0][1], metric, args.method)
     specs = _specs_for_curve(param, points, metrics, args.method, gamma_th,
                              modulation, args.trials, args.seed)
     rows = compute_rows(specs)
@@ -411,7 +452,7 @@ def _preset_curves(name: str):
                     tag = "direct" if direct else "nodirect"
                     curves.append((f"fig2_{design}_{tag}_N{n}",
                                    "tx_power_dbm", points, ("ber",),
-                                   "exactmc", 0.0))
+                                   ("exact", "mc"), 0.0))
     elif name == "fig3":
         for design in ("rps", "quantized", "ops"):
             for n in (64, 320):
@@ -425,7 +466,7 @@ def _preset_curves(name: str):
                     points.append((float(r_h),
                                    build_config(_base_mapping(**over))))
                 curves.append((f"fig3_{design}_N{n}", "r_h", points,
-                               ("ec",), "exactmc", 0.0))
+                               ("ec",), ("exact", "mc"), 0.0))
     else:
         raise CliError(f"unknown preset {name!r}")
     return curves
@@ -436,17 +477,9 @@ def _run_preset(args, modulation: Modulation) -> int:
     for suffix, param, points, metrics, method, th_db in \
             _preset_curves(args.preset):
         gamma_db = args.gamma_th_db if args.gamma_th_db is not None else th_db
-        gamma_th = 10.0 ** (gamma_db / 10.0)
-        specs: List[RowSpec] = []
-        for x, config in points:
-            for metric in metrics:
-                methods = (supported_methods(config, metric) if method == "all"
-                           else tuple(m for m in ("exact", "mc")
-                                      if m in supported_methods(config, metric)))
-                for use in methods:
-                    specs.append(RowSpec(param, x, config, metric, use,
-                                         gamma_th, modulation, args.trials,
-                                         args.seed))
+        specs = _specs_for_curve(param, points, metrics, method,
+                                 10.0 ** (gamma_db / 10.0), modulation,
+                                 args.trials, args.seed)
         rows = compute_rows(specs)
         path = f"{args.out}_{suffix}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -462,8 +495,8 @@ def _run_preset(args, modulation: Modulation) -> int:
 
 def cmd_validate(args) -> int:
     _check_run_args(args)
-    if args.lambda_scale <= 0.0:
-        raise CliError("--lambda-scale must be positive")
+    if not 0.0 < args.lambda_scale < math.inf:
+        raise CliError("--lambda-scale must be positive and finite")
     mapping = read_config_mapping(args.config)
     config = build_config(mapping, args.config)
     modulation = Modulation.from_label(args.modulation)

@@ -21,12 +21,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .rps import Modulation
-from .scenario import NakagamiParams, ScenarioConfig, derive
+from .scenario import NakagamiParams, ScenarioConfig, link_parts
 
 LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# RISLINK_THREADS is clamped to this, so no value of it can ask for more
+# operating-system threads
+_MAX_THREADS = 64
 
 
 # ---------------------------------------------------------------------
@@ -63,7 +66,7 @@ def _thread_count() -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"RISLINK_THREADS must be an integer, got {env!r}")
-        return max(1, cap)
+        return max(1, min(cap, _MAX_THREADS))
     return min(8, os.cpu_count() or 1)
 
 
@@ -229,15 +232,10 @@ def _snr_batch(config: ScenarioConfig, model: PhaseModel, count: int,
     """``count`` independent SNR draws.  Draw order is part of the
     determinism contract: hop envelopes, then design-specific phases,
     then the direct-path draws."""
-    d = derive(config)
+    d, element, direct = link_parts(config)
     n = config.n_elements
-    x = (sample_nakagami_envelope(NakagamiParams(config.m_h, d.omega_h),
-                                  rng, (count, n))
-         * sample_nakagami_envelope(NakagamiParams(config.m_g, d.omega_g),
-                                    rng, (count, n)))
-    direct = None
-    if config.geometry.direct_link:
-        direct = NakagamiParams(config.m_d, d.omega_d)
+    x = (sample_nakagami_envelope(element.hop_h, rng, (count, n))
+         * sample_nakagami_envelope(element.hop_g, rng, (count, n)))
     if config.phase_design.kind == "ops":
         amp = np.sum(x, axis=1)
         if direct is not None:
@@ -272,25 +270,36 @@ def _check_run(n_trials: int, seed: int) -> None:
 
 
 def _reduce(config: ScenarioConfig, phase_model: PhaseModel,
-            kernel: Callable[[np.ndarray], np.ndarray],
-            n_trials: int, seed: int) -> McEstimate:
-    """Mean and standard error of ``kernel(gamma)`` over chunked streams."""
+            partial: Callable[[np.ndarray], np.ndarray],
+            n_trials: int, seed: int) -> np.ndarray:
+    """Sum of ``partial(gamma)`` over chunked streams, added in chunk order."""
     cs = _chunk_size(config.n_elements)
     n_chunks = (n_trials + cs - 1) // cs
 
     def run(i: int):
         count = min(cs, n_trials - i * cs)
         rng = RngStream(seed, i).generator()
-        vals = kernel(_snr_batch(config, phase_model, count, rng))
-        return float(np.sum(vals)), float(np.sum(vals * vals))
+        return partial(_snr_batch(config, phase_model, count, rng))
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         parts = list(pool.map(run, range(n_chunks)))
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in parts:  # fixed order: chunk index
-        total += s
-        total_sq += s2
+    total = parts[0]
+    for part in parts[1:]:  # fixed order: chunk index
+        total = total + part
+    return total
+
+
+def _mean_estimate(config: ScenarioConfig, phase_model: PhaseModel,
+                   kernel: Callable[[np.ndarray], np.ndarray],
+                   n_trials: int, seed: int) -> McEstimate:
+    """Mean and standard error of ``kernel(gamma)``."""
+
+    def sums(g):
+        vals = kernel(g)
+        return np.array([np.sum(vals), np.sum(vals * vals)])
+
+    total, total_sq = _reduce(config, phase_model, sums, n_trials,
+                              seed).tolist()
     mean = total / n_trials
     var = max(total_sq / n_trials - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / n_trials),
@@ -316,21 +325,13 @@ def estimate_op_grid(config: ScenarioConfig, phase_model: PhaseModel,
     grid = [float(g) for g in gamma_th_grid]
     if any(g < 0.0 for g in grid):
         raise ValueError("gamma_th must be nonnegative")
-    cs = _chunk_size(config.n_elements)
-    n_chunks = (n_trials + cs - 1) // cs
 
-    def run(i: int):
-        count = min(cs, n_trials - i * cs)
-        rng = RngStream(seed, i).generator()
-        g = _snr_batch(config, phase_model, count, rng)
-        return [int(np.count_nonzero(g <= th)) for th in grid]
+    def hits(g):
+        return np.array([np.count_nonzero(g <= th) for th in grid])
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        parts = list(pool.map(run, range(n_chunks)))
     out = []
-    for j in range(len(grid)):
-        hits = sum(p[j] for p in parts)
-        p_hat = hits / n_trials
+    for count in _reduce(config, phase_model, hits, n_trials, seed):
+        p_hat = int(count) / n_trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
         out.append(McEstimate(value=p_hat, std_error=se,
                               n_trials=n_trials, seed=seed))
@@ -349,12 +350,12 @@ def estimate_ber(config: ScenarioConfig, phase_model: PhaseModel,
     else:
         def kernel(g):
             return 0.5 * np.exp(-g)
-    return _reduce(config, phase_model, kernel, n_trials, seed)
+    return _mean_estimate(config, phase_model, kernel, n_trials, seed)
 
 
 def estimate_ec(config: ScenarioConfig, phase_model: PhaseModel,
                 n_trials: int, seed: int) -> McEstimate:
     """Ergodic capacity: sample mean of log2(1 + gamma)."""
     _check_run(n_trials, seed)
-    return _reduce(config, phase_model, lambda g: np.log1p(g) / LN2,
-                   n_trials, seed)
+    return _mean_estimate(config, phase_model, lambda g: np.log1p(g) / LN2,
+                          n_trials, seed)

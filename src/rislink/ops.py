@@ -15,10 +15,9 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-from .rps import DoubleNakagami, Modulation, x_moment
-from .scenario import NakagamiParams, ScenarioConfig, derive
-
-SQRT_PI = math.sqrt(math.pi)
+from .rps import Modulation, TransformProduct, x_moment
+from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig, derive,
+                       link_parts)
 
 
 def nakagami_moment(params: NakagamiParams, k: int) -> float:
@@ -146,55 +145,24 @@ def _cumulants_to_moments(kap: Sequence[float]) -> List[float]:
     return mom
 
 
-class AmplitudeChf:
+class AmplitudeChf(TransformProduct):
     """Characteristic function of the amplitude sum A = sum X_n + |h_d|.
 
     This is the CHF of the *amplitude*, not of the SNR; every consumer
-    squares/scales accordingly.  Identical elements are collapsed into an
-    integer power, and evaluations are memoized exactly as in the Hankel
-    product (benign-race cache).
+    squares/scales accordingly.
     """
 
-    def __init__(self, elements: Sequence[DoubleNakagami],
-                 direct: Optional[NakagamiParams] = None):
-        self.elements = tuple(elements)
-        self.direct = direct
-        if not self.elements and direct is None:
-            raise ValueError("need at least one cascade element or a direct path")
-        groups: dict = {}
-        for el in self.elements:
-            key = (el.hop_h.m, el.hop_h.omega, el.hop_g.m, el.hop_g.omega)
-            groups[key] = groups.get(key, 0) + 1
-        self._groups = [
-            (DoubleNakagami(NakagamiParams(k[0], k[1]), NakagamiParams(k[2], k[3])), n)
-            for k, n in groups.items()
-        ]
-        self._cache: dict = {}
-        self._moment_cache: dict = {}
-
-    @classmethod
-    def from_scenario(cls, config: ScenarioConfig) -> "AmplitudeChf":
-        d = derive(config)
-        element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h),
-                                 NakagamiParams(config.m_g, d.omega_g))
-        direct = None
-        if config.geometry.direct_link:
-            direct = NakagamiParams(config.m_d, d.omega_d)
-        return cls([element] * config.n_elements, direct)
-
-    @property
-    def tail_exponent(self) -> float:
-        e = sum(2.0 * min(el.hop_h.m, el.hop_g.m) for el in self.elements)
-        if self.direct is not None:
-            e += 2.0 * self.direct.m
-        return e
+    cascade_factor = staticmethod(chf_cascade)
+    direct_factor = staticmethod(chf_direct)
+    scalar = complex
 
     def amplitude_moment(self, k: int) -> float:
         """Raw moment E[A^k], k <= 8, by cumulant accumulation."""
         if k != int(k) or not 0 <= k <= 8:
             raise ValueError(f"amplitude moment order must be in 0..8, got {k}")
         k = int(k)
-        got = self._moment_cache.get(k)
+        key = ("amplitude_moment", k)
+        got = self._derived.get(key)
         if got is None:
             kap = [0.0] * (k + 1)
             for el, count in self._groups:
@@ -207,38 +175,12 @@ class AmplitudeChf:
                 for j, kj in enumerate(_moments_to_cumulants(mom)):
                     kap[j] += kj
             got = _cumulants_to_moments(kap)[k]
-            self._moment_cache[k] = got
+            self._derived[key] = got
         return got
-
-    def __call__(self, t) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        key = arr.tobytes()
-        got = self._cache.get(key)
-        if got is None:
-            got = self._evaluate(arr)
-            if len(self._cache) >= 512:
-                self._cache.clear()
-            self._cache[key] = got
-        return got if np.ndim(t) else complex(got[0])
-
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        out = np.ones(arr.shape, dtype=complex)
-        for el, count in self._groups:
-            fac = np.asarray(chf_cascade(el, arr))
-            out = out * (fac ** count if count > 1 else fac)
-        if self.direct is not None:
-            out = out * np.asarray(chf_direct(self.direct, arr))
-        return out
 
     def value_complex(self, z: np.ndarray) -> np.ndarray:
         """CHF on a horizontal line Im z = const > 0 (damped evaluation)."""
-        out = np.ones(z.shape, dtype=complex)
-        for el, count in self._groups:
-            fac = _chf_cascade_complex(el, z)
-            out = out * (fac ** count if count > 1 else fac)
-        if self.direct is not None:
-            out = out * _chf_direct_complex(self.direct, z)
-        return out
+        return self._product(z, _chf_cascade_complex, _chf_direct_complex)
 
 
 def _kernel_breakpoints(freqs: Sequence[float], span: float) -> np.ndarray:
@@ -364,15 +306,12 @@ def gamma_c_moment_multinomial(config: ScenarioConfig, k: int) -> float:
     if k > 2 and n > 8:
         raise ValueError("multinomial expansion too large for k > 2 with "
                          "N > 8; use gamma_c_moment")
-    d = derive(config)
-    element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h),
-                             NakagamiParams(config.m_g, d.omega_g))
+    d, element, direct = link_parts(config)
     power = 2 * int(k)
     part_moments = [[1.0] + [x_moment(element, j) for j in range(1, power + 1)]
                     for _ in range(n)]
-    if config.geometry.direct_link:
-        dpar = NakagamiParams(config.m_d, d.omega_d)
-        part_moments.append([1.0] + [nakagami_moment(dpar, j)
+    if direct is not None:
+        part_moments.append([1.0] + [nakagami_moment(direct, j)
                                      for j in range(1, power + 1)])
 
     def expand(idx: int, remaining: int) -> float:

@@ -12,14 +12,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-from .scenario import NakagamiParams, ScenarioConfig, derive
+from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig,
+                       link_parts)
 
 LN2 = math.log(2.0)
 
@@ -57,23 +58,6 @@ class Modulation(enum.Enum):
             if mod.label == label.lower():
                 return mod
         raise ValueError(f"unknown modulation {label!r}")
-
-
-@dataclass(frozen=True)
-class DoubleNakagami:
-    """Product X = |h||g| of two independent Nakagami-m envelopes."""
-
-    hop_h: NakagamiParams
-    hop_g: NakagamiParams
-
-    @property
-    def lambda_n(self) -> float:
-        return (self.hop_h.omega * self.hop_g.omega
-                / (self.hop_h.m * self.hop_g.m))
-
-    @property
-    def mean_power(self) -> float:
-        return self.hop_h.omega * self.hop_g.omega
 
 
 def x_moment(dn: DoubleNakagami, k: int) -> float:
@@ -117,14 +101,16 @@ def _direct_series(params: NakagamiParams, order: int) -> list:
     return coeffs
 
 
-class HankelProduct:
-    """H(t): product of the per-element transforms and the optional direct one.
+class TransformProduct:
+    """Product of per-path transforms over the elements and the direct path.
 
     Identical cascade factors are grouped and raised to an integer power,
     so homogeneous surfaces cost one transform evaluation regardless of N.
     Evaluations are memoized by the byte pattern of the queried grid; the
     dict is only ever read/replaced whole under the GIL, so a concurrent
-    race costs at worst a recomputation, never a torn value.
+    race costs at worst a recomputation, never a torn value.  Subclasses
+    name the two factor functions ``(params, t) -> values`` and the
+    scalar type, ``float`` or ``complex``, of the values.
     """
 
     def __init__(self, elements: Sequence[DoubleNakagami],
@@ -135,37 +121,20 @@ class HankelProduct:
             raise ValueError("need at least one cascade element or a direct path")
         groups: dict = {}
         for el in self.elements:
-            key = (el.hop_h.m, el.hop_h.omega, el.hop_g.m, el.hop_g.omega)
-            groups[key] = groups.get(key, 0) + 1
-        self._groups = [
-            (DoubleNakagami(NakagamiParams(k[0], k[1]), NakagamiParams(k[2], k[3])), n)
-            for k, n in groups.items()
-        ]
+            groups[el] = groups.get(el, 0) + 1
+        self._groups = list(groups.items())
         self._cache: dict = {}
-        self._series_cache: dict = {}
-        self._tail_integral: Optional[float] = None
+        # quantities derived from the factors (series, moments, integrals)
+        self._derived: dict = {}
 
     @classmethod
-    def from_scenario(cls, config: ScenarioConfig) -> "HankelProduct":
-        d = derive(config)
-        element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h),
-                                 NakagamiParams(config.m_g, d.omega_g))
-        direct = None
-        if config.geometry.direct_link:
-            direct = NakagamiParams(config.m_d, d.omega_d)
+    def from_scenario(cls, config: ScenarioConfig):
+        _, element, direct = link_parts(config)
         return cls([element] * config.n_elements, direct)
 
     @property
-    def decay_scale(self) -> float:
-        """t-scale on which the fastest factor rolls off from 1."""
-        scales = [2.0 / math.sqrt(el.mean_power) for el in self.elements]
-        if self.direct is not None:
-            scales.append(2.0 / math.sqrt(self.direct.omega))
-        return min(scales)
-
-    @property
     def tail_exponent(self) -> float:
-        """Algebraic decay rate of H: H(t) = O(t^-e) as t grows."""
+        """Algebraic decay rate of the product: O(t^-e) as t grows."""
         e = sum(2.0 * min(el.hop_h.m, el.hop_g.m) for el in self.elements)
         if self.direct is not None:
             e += 2.0 * self.direct.m
@@ -176,30 +145,48 @@ class HankelProduct:
         key = arr.tobytes()
         got = self._cache.get(key)
         if got is None:
-            got = self._evaluate(arr)
+            got = self._product(arr, self.cascade_factor, self.direct_factor)
             if len(self._cache) >= 512:
                 self._cache.clear()
             self._cache[key] = got
-        return got if np.ndim(t) else float(got[0])
+        return got if np.ndim(t) else self.scalar(got[0])
 
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        out = np.ones_like(arr)
+    def _product(self, arr: np.ndarray, cascade, direct) -> np.ndarray:
+        out = np.ones(arr.shape, dtype=self.scalar)
         for el, count in self._groups:
-            fac = np.asarray(hankel_cascade(el, arr))
+            fac = np.asarray(cascade(el, arr))
             out = out * (fac ** count if count > 1 else fac)
         if self.direct is not None:
-            out = out * np.asarray(hankel_direct(self.direct, arr))
+            out = out * np.asarray(direct(self.direct, arr))
         return out
+
+
+class HankelProduct(TransformProduct):
+    """H(t): product of the per-element transforms E[J0(t X)] and the
+    optional direct one."""
+
+    cascade_factor = staticmethod(hankel_cascade)
+    direct_factor = staticmethod(hankel_direct)
+    scalar = float
+
+    @property
+    def decay_scale(self) -> float:
+        """t-scale on which the fastest factor rolls off from 1."""
+        scales = [2.0 / math.sqrt(el.mean_power) for el in self.elements]
+        if self.direct is not None:
+            scales.append(2.0 / math.sqrt(self.direct.omega))
+        return min(scales)
 
     def maclaurin_u(self, order: int) -> np.ndarray:
         """Coefficients of H as a series in u = t^2, through u^order."""
-        got = self._series_cache.get(order)
+        key = ("maclaurin_u", order)
+        got = self._derived.get(key)
         if got is None:
             series = [_cascade_series(el, order) for el in self.elements]
             if self.direct is not None:
                 series.append(_direct_series(self.direct, order))
             got = nm.taylor_coefficients_product(series, order)
-            self._series_cache[order] = got
+            self._derived[key] = got
         return got
 
     def tail_integral(self, spec: Optional[QuadratureSpec] = None) -> float:
@@ -214,7 +201,8 @@ class HankelProduct:
             raise IntegrabilityError(
                 "sum of per-path decay rates is too small: the high-SNR "
                 f"constant diverges (tail exponent {self.tail_exponent:g} <= 2)")
-        if self._tail_integral is None:
+        got = self._derived.get("tail_integral")
+        if got is None:
             base = spec or DEFAULT_QUADRATURE
             eff = replace(base, abs_tol=1e-280)  # scale-free integral
             t_h = self.decay_scale
@@ -234,8 +222,9 @@ class HankelProduct:
                 raise nm.ConvergenceError(
                     "tail of t*H(t) is not in its power-law regime yet",
                     best_estimate=t_h * t_h * body)
-            self._tail_integral = t_h * t_h * (body + tail)
-        return self._tail_integral
+            got = t_h * t_h * (body + tail)
+            self._derived["tail_integral"] = got
+        return got
 
 
 @functools.lru_cache(maxsize=64)

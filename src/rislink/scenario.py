@@ -14,10 +14,6 @@ from typing import Mapping, Optional
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 @dataclass(frozen=True)
 class NakagamiParams:
     """Shape / spread pair of a Nakagami-m envelope."""
@@ -30,6 +26,23 @@ class NakagamiParams:
             raise ValueError(f"Nakagami shape m must be >= 0.5, got {self.m}")
         if not self.omega > 0.0:
             raise ValueError(f"Nakagami spread must be positive, got {self.omega}")
+
+
+@dataclass(frozen=True)
+class DoubleNakagami:
+    """Product X = |h||g| of two independent Nakagami-m envelopes."""
+
+    hop_h: NakagamiParams
+    hop_g: NakagamiParams
+
+    @property
+    def lambda_n(self) -> float:
+        return (self.hop_h.omega * self.hop_g.omega
+                / (self.hop_h.m * self.hop_g.m))
+
+    @property
+    def mean_power(self) -> float:
+        return self.hop_h.omega * self.hop_g.omega
 
 
 @dataclass(frozen=True)
@@ -166,6 +179,21 @@ def derive(config: ScenarioConfig) -> DerivedParams:
                          omega_g=omega_g, lambda_d=lambda_d, omega_d=omega_d)
 
 
+def link_parts(config: ScenarioConfig, lam_scale: float = 1.0) -> tuple:
+    """(derived params, per-element cascade, direct path or None).
+
+    ``lam_scale`` multiplies the cascade spread only; the derived params
+    stay those of the honest config.
+    """
+    d = derive(config)
+    element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h * lam_scale),
+                             NakagamiParams(config.m_g, d.omega_g))
+    direct = None
+    if config.geometry.direct_link:
+        direct = NakagamiParams(config.m_d, d.omega_d)
+    return d, element, direct
+
+
 # --- flat key/value schema -------------------------------------------
 
 _BASE_KEYS = {
@@ -177,9 +205,12 @@ _OPTIONAL_KEYS = {"m_d", "quantizer_bits"}
 
 def _as_float(key: str, value: object) -> float:
     try:
-        return float(value)  # type: ignore[arg-type]
+        f = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise ValueError(f"config field {key!r}: expected a number, got {value!r}") from None
+        f = math.nan
+    if not math.isfinite(f):
+        raise ValueError(f"config field {key!r}: expected a finite number, got {value!r}")
+    return f
 
 
 def _as_int(key: str, value: object) -> int:

@@ -1,11 +1,14 @@
 """Command-line behavior: parsing, schemas, exit codes, determinism."""
 
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from rislink import cli
+from rislink.rps import Modulation
 from rislink.scenario import config_from_mapping
 
 
@@ -170,6 +173,27 @@ def test_supported_methods_matrix(design, direct, metric, expected):
     assert cli.supported_methods(_config(design, direct), metric) == expected
 
 
+@pytest.mark.parametrize("method", ["exact", "asymptotic"])
+@pytest.mark.parametrize("metric", ["op", "ber", "ec"])
+@pytest.mark.parametrize("design,direct", [
+    ("rps", False), ("rps", True), ("ops", False), ("ops", True),
+    ("quantized", False), ("quantized", True),
+])
+def test_engines_agree_with_supported_methods(design, direct, metric,
+                                              method):
+    # a small surface keeps the exact engines quick
+    config = replace(_config(design, direct), n_elements=4)
+    args = (config, metric, 1.0, Modulation.BPSK)
+    engine = cli.exact_value if method == "exact" else cli.asymptotic_value
+    if method not in cli.supported_methods(config, metric):
+        with pytest.raises(ValueError, match="not available"):
+            engine(*args)
+        return
+    value = engine(*args)
+    upper = {"op": 1.0, "ber": 0.5, "ec": math.inf}[metric]
+    assert 0.0 <= value <= upper and math.isfinite(value)
+
+
 def test_method_all_always_resolves():
     for design in ("rps", "ops", "quantized"):
         for direct in (False, True):
@@ -305,6 +329,8 @@ def test_metric_modulation_selects_kernel(tmp_path, capsys):
     ["--trials", "9999"],
     ["--seed", "-1"],
     ["--sweep", "tx_power_dbm=garbage"],
+    ["--gamma-th-db", "nan"],
+    ["--sweep", "tx_power_dbm=0:inf:2"],
 ])
 def test_metric_usage_errors(tmp_path, capsys, extra):
     path = write_cfg(tmp_path)
@@ -312,6 +338,25 @@ def test_metric_usage_errors(tmp_path, capsys, extra):
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert out == "" and err.startswith("rislink:")
+
+
+def test_metric_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, tx_power_dbm="nan")
+    code, out, err = run(["metric", "--config", path], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "tx_power_dbm" in err
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_metric_bad_thread_count_is_usage_error(tmp_path, capsys,
+                                                monkeypatch, method):
+    monkeypatch.setenv("RISLINK_THREADS", "abc")
+    path = write_cfg(tmp_path)
+    code, out, err = run(["metric", "--config", path, "--metric", "op",
+                          "--method", method, "--trials", "10000"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("rislink:")
+    assert "RISLINK_THREADS" in err
 
 
 def test_metric_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -369,7 +414,7 @@ def test_preset_curve_definitions():
     assert {c[0] for c in fig2} == {
         f"fig2_{d}_{t}_N{n}" for d in ("rps", "ops")
         for t in ("nodirect", "direct") for n in (4, 16)}
-    assert all(c[3] == ("ber",) and c[4] == "exactmc" for c in fig2)
+    assert all(c[3] == ("ber",) and c[4] == ("exact", "mc") for c in fig2)
 
     fig3 = cli._preset_curves("fig3")
     assert len(fig3) == 6
@@ -439,6 +484,18 @@ def test_validate_lambda_scale_must_be_positive(tmp_path, capsys):
     code, _, err = run(["validate", "--config", path,
                         "--lambda-scale", "0"], capsys)
     assert code == cli.EXIT_USAGE and "lambda-scale" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--gamma-th-db", "nan"],
+    ["--lambda-scale", "nan"],
+    ["--lambda-scale", "inf"],
+])
+def test_validate_non_finite_input_is_usage_error(tmp_path, capsys, extra):
+    path = write_cfg(tmp_path)
+    code, out, err = run(["validate", "--config", path] + extra, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("rislink:")
 
 
 def test_validate_report_file(tmp_path, capsys):

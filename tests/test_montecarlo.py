@@ -323,3 +323,10 @@ def test_thread_count_invariance(monkeypatch):
     monkeypatch.setenv("RISLINK_THREADS", "bogus")
     with pytest.raises(ValueError):
         mc.estimate_ec(cfg, mc.UNIFORM, 10_000, 3)
+
+
+def test_thread_count_is_capped(monkeypatch):
+    monkeypatch.setenv("RISLINK_THREADS", str(10 ** 9))
+    assert mc._thread_count() == mc._MAX_THREADS
+    monkeypatch.setenv("RISLINK_THREADS", "-3")
+    assert mc._thread_count() == 1

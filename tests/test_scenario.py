@@ -151,6 +151,9 @@ def test_config_from_mapping_roundtrip():
     {"direct_link": "maybe"},
     {"n_elements": "4.5"},
     {"alpha": "not-a-number"},
+    {"tx_power_dbm": "nan"},
+    {"r_h": "inf"},
+    {"n_elements": "inf"},
 ])
 def test_config_from_mapping_rejections(mutate):
     bad = dict(_GOOD, **mutate)
