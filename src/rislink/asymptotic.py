@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .rps import Modulation, x_moment
+from .rps import LN2, Modulation, x_moment
 from .scenario import DoubleNakagami, ScenarioConfig, link_parts
-
-LN2 = math.log(2.0)
 
 
 def zt_stats(dn: DoubleNakagami) -> tuple:

@@ -96,11 +96,14 @@ def parse_sweep(text: str) -> Sweep:
         steps = int(parts[2])
     except ValueError:
         raise CliError(f"bad --sweep {text!r}: start/stop numeric, steps integer")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CliError(f"bad --sweep {text!r}: start and stop must be finite")
     if steps < 1:
-        raise CliError("sweep needs at least one step")
+        raise CliError(f"bad --sweep {text!r}: needs at least one step")
     if len(parts) == 4:
         if start <= 0.0 or stop <= 0.0:
-            raise CliError("log sweeps need positive endpoints")
+            raise CliError(f"bad --sweep {text!r}: log sweeps need positive "
+                           "endpoints")
         values = np.geomspace(start, stop, steps)
     else:
         values = np.linspace(start, stop, steps)
@@ -235,14 +238,25 @@ def asymptotic_value(config: ScenarioConfig, metric: str, gamma_th: float,
                            modulation, lam_scale)
 
 
+# metric -> simulator estimator, called as
+# (config, phase model, gamma_th, modulation, trials, seed)
+_MC_ESTIMATORS = {
+    "op": lambda config, model, th, mod, trials, seed: mc.estimate_op(
+        config, model, th, trials, seed),
+    "ber": lambda config, model, th, mod, trials, seed: mc.estimate_ber(
+        config, model, mod, trials, seed),
+    "ec": lambda config, model, th, mod, trials, seed: mc.estimate_ec(
+        config, model, trials, seed),
+}
+
+
 def mc_value(config: ScenarioConfig, metric: str, gamma_th: float,
              modulation: Modulation, trials: int, seed: int) -> mc.McEstimate:
-    model = mc.default_phase_model(config)
-    if metric == "op":
-        return mc.estimate_op(config, model, gamma_th, trials, seed)
-    if metric == "ber":
-        return mc.estimate_ber(config, model, modulation, trials, seed)
-    return mc.estimate_ec(config, model, trials, seed)
+    estimator = _MC_ESTIMATORS.get(metric)
+    if estimator is None:
+        raise ValueError(f"method 'mc' is not available for metric {metric!r}")
+    return estimator(config, mc.default_phase_model(config), gamma_th,
+                     modulation, trials, seed)
 
 
 # ---------------------------------------------------------------------

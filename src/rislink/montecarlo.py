@@ -20,12 +20,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .rps import Modulation
+from .numerics import _erfc_ufunc
+from .rps import LN2, Modulation
 from .scenario import NakagamiParams, ScenarioConfig, link_parts
 
-LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # RISLINK_THREADS is clamped to this, so no value of it can ask for more
 # operating-system threads
@@ -346,7 +345,7 @@ def estimate_ber(config: ScenarioConfig, phase_model: PhaseModel,
         a = modulation.snr_scale
 
         def kernel(g):
-            return 0.5 * _ERFC(np.sqrt(a * g)).astype(float)
+            return 0.5 * _erfc_ufunc(np.sqrt(a * g)).astype(float)
     else:
         def kernel(g):
             return 0.5 * np.exp(-g)

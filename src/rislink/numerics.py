@@ -29,6 +29,15 @@ large negative reals (Hankel-transform factors) or on the unit circle
   for the remaining exceptional annulus and for nearly-degenerate parameter
   differences where the connection formulas lose precision.
 
+One term recurrence, ``_series``, is the series engine for 1F1 and 2F1:
+it sums the convergent and terminating 1F1 series, the Gauss, Pfaff and
+terminating 2F1 series, the power series of the non-logarithmic
+connection formulas (with their largest term, for the cancellation
+check) and of the logarithmic 1 - z form's head, and the continuation
+anchor (with its z-derivative).  A series that reaches its term budget
+raises `ConvergenceError`; `_series` never returns a truncated sum.  The
+digamma log-sums of the logarithmic forms keep their own loops.
+
 Vectorized callers (characteristic functions on quadrature grids) pass
 ndarray arguments and get ndarrays back; scalars stay scalars.  Integrands
 are expected to be rescaled by the caller so that the significant support
@@ -141,11 +150,6 @@ def digamma(x):
         tail -= coeff * p
         p *= inv2
     return result + math.log(x) - 0.5 / x + tail
-
-
-def _gamma_signed(x):
-    """Gamma for real x away from nonpositive-integer poles (moderate |x|)."""
-    return math.gamma(x)
 
 
 def _rgamma(x):
@@ -338,6 +342,51 @@ def bessel_zeros(order, count):
 
 
 # =====================================================================
+# Hypergeometric series
+# =====================================================================
+
+def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
+            deriv=False):
+    """Sum_k prod (p)_k / (prod (q)_k k!) z^k over the ndarray z.
+
+    Term k+1 is term k times prod(p + k) / ((k + 1) prod(q + k)) times z,
+    with the products formed left to right.  With ``count`` the sum stops
+    after that many ratio steps (terminating series).  Otherwise it stops
+    once the newest term's largest magnitude is at most 1e-17 of the
+    partial sum's, and `ConvergenceError` is raised if ``budget`` steps
+    are not enough.  ``peak`` adds the elementwise largest term magnitude and
+    ``deriv`` the z-derivative to the return value, in that order.
+    """
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    top = np.ones(z.shape) if peak else None
+    slope = np.zeros_like(z) if deriv else None
+    for k in range(budget if count is None else count):
+        num = 1.0
+        for p in nums:
+            num *= p + k
+        den = k + 1.0
+        for q in dens:
+            den *= q + k
+        term = term * (num / den) * z
+        total = total + term
+        if peak:
+            top = np.maximum(top, np.abs(term))
+        if deriv:
+            slope = slope + (k + 1.0) * term / z
+        # ndarray.max skips np.max's Python-level dispatch; same reduction
+        if count is None and np.abs(term).max() \
+                <= 1e-17 * max(np.abs(total).max(), 1e-300):
+            break
+    else:
+        if count is None:
+            raise ConvergenceError("hypergeometric series did not converge",
+                                   best_estimate=total)
+    extras = [x for x in (top, slope) if x is not None]
+    return (total, *extras) if extras else total
+
+
+# =====================================================================
 # Confluent hypergeometric 1F1
 # =====================================================================
 
@@ -348,32 +397,9 @@ def _is_nonpos_int(v, tol=1e-9):
     return v <= tol and abs(v - round(v)) < tol
 
 
-def _hyp1f1_series(a, b, x):
-    """Direct series; `x` is a nonnegative ndarray (no cancellation)."""
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(0, 10000):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
-        total = total + term
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
-            return total
-    raise ConvergenceError("1F1 series did not converge")
-
-
-def _hyp1f1_poly(a, b, x):
-    """Terminating series for nonpositive-integer a."""
-    n = int(round(-a))
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(0, n):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
-        total = total + term
-    return total
-
-
 def _hyp1f1_asym_neg(a, b, big_x):
     """M(a,b,-X) ~ G(b)/G(b-a) X^-a sum_k (a)_k (1+a-b)_k / (k! X^k)."""
-    pref = _gamma_signed(b) / _gamma_signed(b - a)
+    pref = math.gamma(b) / math.gamma(b - a)
     total = np.ones_like(big_x)
     term = np.ones_like(big_x)
     for k in range(0, 60):
@@ -406,14 +432,15 @@ def hyp1f1(a, b, x):
     if a == 0.0:
         out[:] = 1.0
     elif _is_nonpos_int(a):
-        out[:] = _hyp1f1_poly(a, b, flat)
+        out[:] = _series((a,), (b,), flat, count=round(-a))
     elif _is_nonpos_int(b - a):
         # Kummer reflection terminates: M(a,b,x) = e^x M(b-a, b, -x)
-        out[:] = np.exp(flat) * _hyp1f1_poly(b - a, b, -flat)
+        out[:] = np.exp(flat) * _series((b - a,), (b,), -flat,
+                                        count=round(a - b))
     else:
         pos = flat >= 0.0
         if pos.any():
-            out[pos] = _hyp1f1_series(a, b, flat[pos])
+            out[pos] = _series((a,), (b,), flat[pos], budget=10000)
         neg = ~pos
         if neg.any():
             big_x = -flat[neg]
@@ -421,7 +448,8 @@ def hyp1f1(a, b, x):
             moderate = big_x <= _KUMMER_MAX
             if moderate.any():
                 xm = big_x[moderate]
-                sub[moderate] = np.exp(-xm) * _hyp1f1_series(b - a, b, xm)
+                sub[moderate] = np.exp(-xm) * _series((b - a,), (b,), xm,
+                                                      budget=10000)
             if (~moderate).any():
                 sub[~moderate] = _hyp1f1_asym_neg(a, b, big_x[~moderate])
             out[neg] = sub
@@ -439,31 +467,6 @@ _DEGENERATE_BAND = 0.02  # nearly-integer band routed to continuation instead
 _CANCEL_LIMIT = 1e3      # peak-term / result ratio tolerated before rerouting
 
 
-def _poch_ratio_series(a, b, c, z, cap=4000):
-    """Plain Gauss series sum (a)_k (b)_k / ((c)_k k!) z^k over vector z."""
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(cap):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
-        total = total + term
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
-            return total
-    raise ConvergenceError("2F1 series did not converge")
-
-
-def _gauss_series_with_deriv(a, b, c, z):
-    total = np.ones_like(z)
-    deriv = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(4000):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
-        total = total + term
-        deriv = deriv + (k + 1.0) * term / z
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
-            return total, deriv
-    raise ConvergenceError("2F1 series did not converge")
-
-
 def _terminating_series(a, b, c, z):
     """Series that terminates because a and/or b is a nonpositive integer."""
     candidates = []
@@ -475,12 +478,7 @@ def _terminating_series(a, b, c, z):
     if _is_nonpos_int(c) and -round(c) < degree:
         raise ValueError("2F1 singular: nonpositive-integer c reached before "
                          "the series terminates")
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(degree):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
-        total = total + term
-    return total
+    return _series((a, b), (c,), z, count=degree)
 
 
 def _inv_z_two_branch(a, b, c, z):
@@ -494,16 +492,9 @@ def _inv_z_two_branch(a, b, c, z):
     peak = np.zeros(z.shape)
     inv_z = 1.0 / z
     for (p, q) in ((a, b), (b, a)):
-        pref = (_gamma_signed(c) * _gamma_signed(q - p)
-                / (_gamma_signed(q) * _gamma_signed(c - p)))
-        s = np.ones_like(z)
-        term = np.ones_like(z)
-        for n in range(200):
-            term = term * ((p + n) * (1.0 - c + p + n)
-                           / ((1.0 - q + p + n) * (n + 1.0))) * inv_z
-            s = s + term
-            if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(s)), 1e-300):
-                break
+        pref = (math.gamma(c) * math.gamma(q - p)
+                / (math.gamma(q) * math.gamma(c - p)))
+        s = _series((p, 1.0 - c + p), (1.0 - q + p,), inv_z, budget=200)
         branch = pref * np.exp(-p * np.log(-z)) * s
         total = total + branch
         peak = np.maximum(peak, np.abs(branch))
@@ -520,7 +511,7 @@ def _inv_z_log(a, m, c, big_x):
     """
     log_x = np.log(big_x)
     inv_x = 1.0 / big_x
-    gpref = _gamma_signed(c) / _gamma_signed(a + m)
+    gpref = math.gamma(c) / math.gamma(a + m)
 
     head = np.zeros_like(big_x)
     if m >= 1:
@@ -575,30 +566,12 @@ def _inv_z_log(a, m, c, big_x):
 def _one_minus_z_two_term(a, b, c, w):
     """Connection in w = 1 - z for noninteger d = c - a - b."""
     d = c - a - b
-    pre1 = (_gamma_signed(c) * _gamma_signed(d)
-            / (_gamma_signed(c - a) * _gamma_signed(c - b)))
-    pre2 = (_gamma_signed(c) * _gamma_signed(-d)
-            / (_gamma_signed(a) * _gamma_signed(b)))
-    s1 = np.ones_like(w)
-    p1 = np.ones(w.shape)
-    term = np.ones_like(w)
-    for k in range(3000):
-        term = term * ((a + k) * (b + k)
-                       / ((a + b - c + 1.0 + k) * (k + 1.0))) * w
-        s1 = s1 + term
-        p1 = np.maximum(p1, np.abs(term))
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(s1)), 1e-300):
-            break
-    s2 = np.ones_like(w)
-    p2 = np.ones(w.shape)
-    term = np.ones_like(w)
-    for k in range(3000):
-        term = term * ((c - a + k) * (c - b + k)
-                       / ((d + 1.0 + k) * (k + 1.0))) * w
-        s2 = s2 + term
-        p2 = np.maximum(p2, np.abs(term))
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(s2)), 1e-300):
-            break
+    pre1 = (math.gamma(c) * math.gamma(d)
+            / (math.gamma(c - a) * math.gamma(c - b)))
+    pre2 = (math.gamma(c) * math.gamma(-d)
+            / (math.gamma(a) * math.gamma(b)))
+    s1, p1 = _series((a, b), (a + b - c + 1.0,), w, budget=3000, peak=True)
+    s2, p2 = _series((c - a, c - b), (d + 1.0,), w, budget=3000, peak=True)
     wd = np.exp(d * np.log(w))
     peak = abs(pre1) * p1 + abs(pre2) * np.abs(wd) * p2
     return pre1 * s1 + pre2 * wd * s2, peak
@@ -609,16 +582,10 @@ def _one_minus_z_log(a, b, m, w):
     c = a + b + m
     head = np.zeros_like(w)
     if m >= 1:
-        pre_h = (math.gamma(float(m)) * _gamma_signed(c)
-                 / (_gamma_signed(a + m) * _gamma_signed(b + m)))
-        term = np.ones_like(w)
-        head = term.copy()
-        for k in range(m - 1):
-            term = term * ((a + k) * (b + k) / ((k + 1.0) * (1.0 - m + k))) * w
-            head = head + term
-        head = pre_h * head
-    pre_t = ((-1.0) ** m) * _gamma_signed(c) \
-        / (_gamma_signed(a) * _gamma_signed(b))
+        pre_h = (math.gamma(float(m)) * math.gamma(c)
+                 / (math.gamma(a + m) * math.gamma(b + m)))
+        head = pre_h * _series((a, b), (1.0 - m,), w, count=m - 1)
+    pre_t = ((-1.0) ** m) * math.gamma(c) / (math.gamma(a) * math.gamma(b))
     log_w = np.log(w)
     psi_k1 = digamma(1.0)
     psi_km1 = digamma(m + 1.0)
@@ -658,7 +625,7 @@ def _continuation_vec(a, b, c, targets):
     """
     direction = targets / np.abs(targets)
     z0 = 0.5 * direction
-    f, fp = _gauss_series_with_deriv(a, b, c, z0)
+    f, fp = _series((a, b), (c,), z0, deriv=True)
     for _ in range(120):
         rem = targets - z0
         dist_rem = np.abs(rem)
@@ -754,7 +721,7 @@ def hyp2f1(a, b, c, z):
 
     direct = absz <= 0.75
     if direct.any():
-        out[direct] = _poch_ratio_series(a, b, c, zc[direct])
+        out[direct] = _series((a, b), (c,), zc[direct])
         done |= direct
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -764,7 +731,7 @@ def hyp2f1(a, b, c, z):
     if pfaff.any():
         zp = zc[pfaff]
         out[pfaff] = np.exp(-a * np.log(1.0 - zp)) \
-            * _poch_ratio_series(a, c - b, c, w_pfaff[pfaff])
+            * _series((a, c - b), (c,), w_pfaff[pfaff])
         done |= pfaff
 
     d = c - a - b
@@ -781,8 +748,8 @@ def hyp2f1(a, b, c, z):
         if at_one.any():
             if d <= 0:
                 raise ConvergenceError("2F1 diverges at z = 1 for c-a-b <= 0")
-            vals[at_one] = (_gamma_signed(c) * _gamma_signed(d)
-                            / (_gamma_signed(c - a) * _gamma_signed(c - b)))
+            vals[at_one] = (math.gamma(c) * math.gamma(d)
+                            / (math.gamma(c - a) * math.gamma(c - b)))
         off = ~at_one
         if off.any():
             if d_is_int:

@@ -42,28 +42,37 @@ def chf_direct(params: NakagamiParams, t):
     return out if np.ndim(t) else complex(out)
 
 
-def chf_cascade(dn: DoubleNakagami, t):
-    """E[e^{jtX}] for a double-Nakagami envelope.
+def _cascade_closed_form(dn: DoubleNakagami, circle) -> np.ndarray:
+    """Closed form of the double-Nakagami CHF around its 2F1 factor.
 
-    The closed form has a Gauss-hypergeometric factor evaluated on the
-    unit circle at Z = (-jt - c0)/(-jt + c0) with c0 = 2/sqrt(Lambda).
-    The hop shapes are interchangeable, so they are ordered to make the
-    hypergeometric parameter difference nonnegative, the configuration
-    with well-behaved connection formulas.
+    ``circle(c0)`` maps c0 = 2/sqrt(Lambda) to the caller's circle
+    variable Z and the base c0 - jt of the power factor.  The hop shapes
+    are interchangeable, so they are ordered to make the hypergeometric
+    parameter difference nonnegative, the configuration with well-behaved
+    connection formulas.
     """
-    arr = np.asarray(t, dtype=float)
     mh, mg = dn.hop_h.m, dn.hop_g.m
     if mh > mg:
         mh, mg = mg, mh
-    lam = dn.lambda_n
-    c0 = 2.0 / math.sqrt(lam)
-    zden = c0 - 1j * arr
-    z_circ = -np.exp(2j * np.arctan(arr / c0))
+    c0 = 2.0 / math.sqrt(dn.lambda_n)
+    z_circ, zden = circle(c0)
     gauss = nm.hyp2f1(2.0 * mh, mh - mg + 0.5, mh + mg + 0.5, z_circ)
     log_pref = (math.lgamma(mh + 0.5) + math.lgamma(mg + 0.5)
                 - math.lgamma(mh + mg + 0.5) - 0.5 * math.log(math.pi))
     power = np.exp(2.0 * mh * (math.log(2.0 * c0) - np.log(zden)))
-    out = math.exp(log_pref) * power * gauss
+    return math.exp(log_pref) * power * gauss
+
+
+def chf_cascade(dn: DoubleNakagami, t):
+    """E[e^{jtX}] for a double-Nakagami envelope.
+
+    The closed form has a Gauss-hypergeometric factor evaluated on the
+    unit circle at Z = (-jt - c0)/(-jt + c0) with c0 = 2/sqrt(Lambda),
+    computed here as -exp(2j arctan(t/c0)).
+    """
+    arr = np.asarray(t, dtype=float)
+    out = _cascade_closed_form(dn, lambda c0: (
+        -np.exp(2j * np.arctan(arr / c0)), c0 - 1j * arr))
     return out if np.ndim(t) else complex(out)
 
 
@@ -74,20 +83,9 @@ def _chf_cascade_complex(dn: DoubleNakagami, z: np.ndarray) -> np.ndarray:
     definition (no arctan), which maps the upper half-plane strictly
     inside the unit disk.
     """
-    mh, mg = dn.hop_h.m, dn.hop_g.m
-    if mh > mg:
-        mh, mg = mg, mh
-    c0 = 2.0 / math.sqrt(dn.lambda_n)
     minus_jz = -1j * z
-    z_arg = (minus_jz - c0) / (minus_jz + c0)
-    gauss = nm.hyp2f1(2.0 * mh, mh - mg + 0.5, mh + mg + 0.5, z_arg)
-    log_pref = (math.lgamma(mh + 0.5) + math.lgamma(mg + 0.5)
-                - math.lgamma(mh + mg + 0.5) - 0.5 * math.log(math.pi))
-    power = np.exp(2.0 * mh * (math.log(2.0 * c0) - np.log(c0 + minus_jz)))
-    return math.exp(log_pref) * power * gauss
-
-
-_GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
+    return _cascade_closed_form(dn, lambda c0: (
+        (minus_jz - c0) / (minus_jz + c0), c0 + minus_jz))
 
 
 def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
@@ -117,8 +115,8 @@ def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
         edges = np.concatenate([edges, _panel_edges(r_core, r_max, 25.0)[1:]])
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    r = (mid[:, None] + half[:, None] * _GL20_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL20_WEIGHTS[None, :]).ravel()
+    r = (mid[:, None] + half[:, None] * nm._GL_NODES[None, :]).ravel()
+    w = (half[:, None] * nm._GL_WEIGHTS[None, :]).ravel()
     log_f = (math.log(2.0) + m * math.log(b) + (2.0 * m - 1.0) * np.log(r)
              - b * r * r - math.lgamma(m))
     return np.exp(1j * z[:, None] * r[None, :]) @ (np.exp(log_f) * w)

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, schemas, exit codes, determinism."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -134,9 +135,12 @@ def test_parse_sweep_snaps_integer_fields():
     "tx_power_dbm=a:10:3",
     "tx_power_dbm=0:10:0",
     "r_h=-1:10:3:log",
+    "tx_power_dbm=0:inf:2",
+    "tx_power_dbm=nan:10:3",
 ])
+@pytest.mark.filterwarnings("error")
 def test_parse_sweep_rejects_bad_specs(spec):
-    with pytest.raises(cli.CliError):
+    with pytest.raises(cli.CliError, match=re.escape(repr(spec))):
         cli.parse_sweep(spec)
 
 
@@ -192,6 +196,11 @@ def test_engines_agree_with_supported_methods(design, direct, metric,
     value = engine(*args)
     upper = {"op": 1.0, "ber": 0.5, "ec": math.inf}[metric]
     assert 0.0 <= value <= upper and math.isfinite(value)
+
+
+def test_mc_value_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="not available for metric 'bogus'"):
+        cli.mc_value(_config(), "bogus", 1.0, Modulation.BPSK, 10_000, 1)
 
 
 def test_method_all_always_resolves():

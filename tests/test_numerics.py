@@ -249,6 +249,54 @@ def test_hyp2f1_vector_matches_scalar():
 
 
 # ---------------------------------------------------------------------
+# the hypergeometric term recurrence
+# ---------------------------------------------------------------------
+
+def test_series_fixed_count_is_the_polynomial():
+    z = np.array([-50.0, -0.3, 0.0, 0.7, 4.0])
+    want = (1.0 + (-3.0 * 2.5) / 1.5 * z
+            + (-3.0 * -2.0 * 2.5 * 3.5) / (1.5 * 2.5 * 2.0) * z ** 2
+            + (-3.0 * -2.0 * -1.0 * 2.5 * 3.5 * 4.5)
+            / (1.5 * 2.5 * 3.5 * 6.0) * z ** 3)
+    got = nm._series((-3.0, 2.5), (1.5,), z, count=3)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    # 1F1(-2; 0.5; x) = 1 - 4x + 4x^2/3
+    x = np.array([-2.0, 0.25, 3.0])
+    assert np.allclose(nm._series((-2.0,), (0.5,), x, count=2),
+                       1.0 - 4.0 * x + 4.0 * x * x / 3.0, rtol=1e-15)
+    assert np.array_equal(nm._series((-3.0, 2.5), (1.5,), z, count=0),
+                          np.ones_like(z))
+
+
+def test_series_peak_and_derivative_by_hand():
+    # sum_k (2)_k / k! z^k = sum_k (k + 1) z^k = (1 - z)^-2; the largest
+    # term at z = 0.75 is 3 z^2 = 4 z^3 = 27/16, at z = -0.5 it is 1
+    z = np.array([0.75, -0.5])
+    total, peak = nm._series((2.0,), (), z, peak=True)
+    assert np.allclose(total, (1.0 - z) ** -2, rtol=1e-14)
+    assert np.array_equal(peak, [1.6875, 1.0])
+    _, deriv = nm._series((2.0,), (), z, deriv=True)
+    assert np.allclose(deriv, 2.0 * (1.0 - z) ** -3, rtol=1e-13)
+    # d/dz 2F1(a, b; c; z) = ab/c 2F1(a + 1, b + 1; c + 1; z), complex z
+    a, b, c = 1.5, 2.5, 1.0
+    zc = 0.5 * np.exp(1j * np.linspace(0.1, 3.0, 7))
+    _, deriv = nm._series((a, b), (c,), zc, deriv=True)
+    want = a * b / c * nm._series((a + 1.0, b + 1.0), (c + 1.0,), zc)
+    assert np.max(np.abs(deriv - want) / np.abs(want)) < 1e-12
+
+
+def test_series_budget_raises():
+    with pytest.raises(nm.ConvergenceError) as err:
+        nm._series((1.0,), (), np.array([0.99]), budget=200)
+    assert err.value.best_estimate is not None
+    # the two connection formulas that used to return the truncated sum
+    with pytest.raises(nm.ConvergenceError):
+        nm._inv_z_two_branch(1.5, 2.7, 1.0, np.array([-1.05 + 0j]))
+    with pytest.raises(nm.ConvergenceError):
+        nm._one_minus_z_two_term(1.5, 2.7, 4.45, np.array([0.995 + 0j]))
+
+
+# ---------------------------------------------------------------------
 # series helpers
 # ---------------------------------------------------------------------
 
