@@ -9,9 +9,10 @@ random, optimal, and quantized RIS phase configurations.
 from .asymptotic import (LargeNOps, LargeNRps, largen_ops_cdf, largen_ops_chf,
                          largen_ops_pdf, largen_rps_ber, largen_rps_cdf,
                          largen_rps_chf, largen_rps_ec, zt_stats)
-from .montecarlo import (EXACT_NAKAGAMI, UNIFORM, McEstimate, PhaseModel,
-                         RngStream, default_phase_model, estimate_ber,
-                         estimate_ec, estimate_op, estimate_op_grid,
+from .montecarlo import (EXACT_NAKAGAMI, UNIFORM, McEstimate, McQuery,
+                         PhaseModel, RngStream, default_phase_model,
+                         estimate_ber, estimate_ec, estimate_group,
+                         estimate_op, estimate_op_grid,
                          quantized_phases, realize_snr,
                          sample_nakagami_envelope, sample_nakagami_phase)
 from .numerics import ConvergenceError, QuadratureSpec
@@ -31,13 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeChf", "ConvergenceError", "DoubleNakagami", "EXACT_NAKAGAMI",
     "HankelProduct", "IntegrabilityError", "LargeNOps", "LargeNRps",
-    "LinkGeometry", "McEstimate", "Modulation", "NakagamiParams",
+    "LinkGeometry", "McEstimate", "McQuery", "Modulation", "NakagamiParams",
     "PhaseDesign", "PhaseModel", "QuadratureSpec", "RngStream",
     "ScenarioConfig", "UNIFORM", "ber_ops_bdpsk", "ber_ops_coherent",
     "ber_rps", "ber_rps_asymptotic", "chf_cascade", "chf_direct",
     "config_from_mapping", "default_phase_model", "derive",
     "diversity_order_ops", "ec_taylor", "estimate_ber", "estimate_ec",
-    "estimate_op", "estimate_op_grid", "gamma_c_cdf", "gamma_c_moment",
+    "estimate_group", "estimate_op", "estimate_op_grid", "gamma_c_cdf", "gamma_c_moment",
     "gamma_c_moment_multinomial", "gamma_q_moment", "gamma_r_cdf",
     "gamma_r_moment", "gamma_r_pdf", "hankel_cascade", "hankel_direct",
     "largen_ops_cdf", "largen_ops_chf", "largen_ops_pdf", "largen_rps_ber",

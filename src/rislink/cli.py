@@ -238,25 +238,16 @@ def asymptotic_value(config: ScenarioConfig, metric: str, gamma_th: float,
                            modulation, lam_scale)
 
 
-# metric -> simulator estimator, called as
-# (config, phase model, gamma_th, modulation, trials, seed)
-_MC_ESTIMATORS = {
-    "op": lambda config, model, th, mod, trials, seed: mc.estimate_op(
-        config, model, th, trials, seed),
-    "ber": lambda config, model, th, mod, trials, seed: mc.estimate_ber(
-        config, model, mod, trials, seed),
-    "ec": lambda config, model, th, mod, trials, seed: mc.estimate_ec(
-        config, model, trials, seed),
-}
+def _mc_query(config: ScenarioConfig, metric: str, gamma_th: float,
+              modulation: Modulation) -> mc.McQuery:
+    return mc.McQuery(config, mc.default_phase_model(config), metric,
+                      gamma_th, modulation)
 
 
 def mc_value(config: ScenarioConfig, metric: str, gamma_th: float,
              modulation: Modulation, trials: int, seed: int) -> mc.McEstimate:
-    estimator = _MC_ESTIMATORS.get(metric)
-    if estimator is None:
-        raise ValueError(f"method 'mc' is not available for metric {metric!r}")
-    return estimator(config, mc.default_phase_model(config), gamma_th,
-                     modulation, trials, seed)
+    return mc.estimate_group([_mc_query(config, metric, gamma_th, modulation)],
+                             trials, seed)[0]
 
 
 # ---------------------------------------------------------------------
@@ -291,18 +282,16 @@ def _g17(v: float) -> str:
 
 
 def compute_rows(specs: Sequence[RowSpec]) -> List[Row]:
-    """Evaluate row specs: analytic rows in a thread pool, simulator rows
-    serially (the simulator fills its own pool); output order is the
-    spec order either way.  A numerical failure becomes a None estimate
-    rather than aborting the table."""
+    """Evaluate row specs: analytic rows in a thread pool, then the
+    simulator rows (the simulator fills its own pool); output order is
+    the spec order either way.  Simulator rows with the same trials and
+    seed go to the simulator in one call, so rows whose configs differ
+    only in power, noise or pathloss share their draws.  A numerical
+    failure becomes a None estimate rather than aborting the table; in
+    the simulator it fails every row of its call."""
 
     def run(spec: RowSpec) -> Row:
         try:
-            if spec.method == "mc":
-                est = mc_value(spec.config, spec.metric, spec.gamma_th,
-                               spec.modulation, spec.trials, spec.seed)
-                return Row(spec.param, spec.x, spec.metric, "mc",
-                           est.value, est.std_error)
             if spec.method == "exact":
                 val = exact_value(spec.config, spec.metric, spec.gamma_th,
                                   spec.modulation)
@@ -320,9 +309,23 @@ def compute_rows(specs: Sequence[RowSpec]) -> List[Row]:
             for (i, _), row in zip(analytic,
                                    pool.map(run, [s for _, s in analytic])):
                 results[i] = row
+    runs: dict = {}
     for i, spec in enumerate(specs):
         if spec.method == "mc":
-            results[i] = run(spec)
+            runs.setdefault((spec.trials, spec.seed), []).append(i)
+    for (trials, seed), members in runs.items():
+        try:
+            ests = mc.estimate_group(
+                [_mc_query(specs[i].config, specs[i].metric, specs[i].gamma_th,
+                           specs[i].modulation) for i in members],
+                trials, seed)
+        except (ValueError, ArithmeticError):
+            ests = [None] * len(members)
+        for i, est in zip(members, ests):
+            value, se = (None, None) if est is None else (est.value,
+                                                          est.std_error)
+            results[i] = Row(specs[i].param, specs[i].x, specs[i].metric,
+                             "mc", value, se)
     return [results[i] for i in range(len(specs))]
 
 
@@ -517,18 +520,25 @@ def cmd_validate(args) -> int:
     gamma_th = 10.0 ** ((args.gamma_th_db if args.gamma_th_db is not None
                          else 0.0) / 10.0)
 
+    # the three simulator estimates share one sample set
+    sims = compute_rows(_specs_for_curve(
+        "tx_power_dbm", [(config.tx_power_dbm, config)], _METRICS, "mc",
+        gamma_th, modulation, args.trials, args.seed))
     lines = ["metric,method,estimate,std_error,z_score,status"]
     any_numeric = False
     any_fail = False
-    for metric in ("op", "ber", "ec"):
-        est = mc_value(config, metric, gamma_th, modulation,
-                       args.trials, args.seed)
-        se_floor = est.std_error
+    for metric, sim in zip(_METRICS, sims):
+        if sim.estimate is None:
+            any_numeric = True
+            lines.append(f"{metric},mc,error,,,error")
+            continue
+        se_floor = sim.std_error
         if metric == "op" and se_floor == 0.0:
             # degenerate binomial sample: rule-of-succession floor
-            q = (est.value * est.n_trials + 1.0) / (est.n_trials + 2.0)
-            se_floor = math.sqrt(q * (1.0 - q) / est.n_trials)
-        lines.append(f"{metric},mc,{_g17(est.value)},{_g17(est.std_error)},,ok")
+            q = (sim.estimate * args.trials + 1.0) / (args.trials + 2.0)
+            se_floor = math.sqrt(q * (1.0 - q) / args.trials)
+        lines.append(f"{metric},mc,{_g17(sim.estimate)},"
+                     f"{_g17(sim.std_error)},,ok")
         for method in supported_methods(config, metric)[:-1]:
             try:
                 if method == "exact":
@@ -541,7 +551,7 @@ def cmd_validate(args) -> int:
                 any_numeric = True
                 lines.append(f"{metric},{method},error,,,error")
                 continue
-            z = (val - est.value) / se_floor if se_floor > 0.0 else math.inf
+            z = (val - sim.estimate) / se_floor if se_floor > 0.0 else math.inf
             if method == "asymptotic":
                 status = "info"
             elif abs(z) > 4.0:

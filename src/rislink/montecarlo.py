@@ -4,10 +4,20 @@ Trials are generated in fixed-size chunks, each fed by its own
 counter-based Philox substream keyed by (seed, chunk index).  Chunk
 boundaries depend only on the element count and the trial total, and
 partial sums are reduced in chunk order, so every estimate is
-bit-identical for any thread count or scheduling.  BER estimators
-average the conditional error kernel over SNR draws instead of counting
-bit decisions, which reaches deep-tail error rates at feasible trial
-counts.
+bit-identical for any thread count or scheduling.
+
+Every estimate runs through one grouped reduction (`estimate_group`).
+Queries whose configs differ only in transmit power, noise or pathloss
+form one group: these reach the SNR only as rho and as the Gamma scales
+omega/m, so each chunk draws its unit-scale variates once for the whole
+group, builds one SNR base per distinct scale, and applies each query's
+rho and metric to it.  A grouped estimate is bit-identical to the same
+query run alone.  The single-metric `estimate_*` functions are groups
+of one.
+
+BER estimators average the conditional error kernel over SNR draws
+instead of counting bit decisions, which reaches deep-tail error rates
+at feasible trial counts.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -226,29 +236,101 @@ def _direct_phases(config: ScenarioConfig, model: PhaseModel, count: int,
     return np.zeros(count)
 
 
+class _Draws(NamedTuple):
+    """One chunk's variates at unit scale, shared by every config of a
+    group: standard Gamma power draws of the two hops (count, n) and of
+    the direct path (count,), and the residual phases (None where the
+    design draws none)."""
+
+    gh: np.ndarray
+    gg: np.ndarray
+    phi: Optional[np.ndarray]
+    gd: Optional[np.ndarray]
+    phi_d: Optional[np.ndarray]
+
+
+def _draw(config: ScenarioConfig, model: PhaseModel, count: int,
+          rng: np.random.Generator) -> _Draws:
+    """``count`` trials of variates.  Draw order is part of the
+    determinism contract: hop powers h then g, then design-specific
+    phases, then the direct-path draws.  ``Generator.gamma(m, s)`` is
+    bitwise ``s * standard_gamma(m)``, so rescaling these draws gives the
+    Gamma(m, omega/m) draws of any distance."""
+    n = config.n_elements
+    gh = rng.standard_gamma(config.m_h, (count, n))
+    gg = rng.standard_gamma(config.m_g, (count, n))
+    direct = config.geometry.direct_link
+    if config.phase_design.kind == "ops":
+        gd = rng.standard_gamma(config.m_d, count) if direct else None
+        return _Draws(gh, gg, None, gd, None)
+    phi = _element_phases(config, model, (count, n), rng)
+    gd = phi_d = None
+    if direct:
+        gd = rng.standard_gamma(config.m_d, count)
+        phi_d = _direct_phases(config, model, count, rng)
+    return _Draws(gh, gg, phi, gd, phi_d)
+
+
+def _link_scales(config: ScenarioConfig) -> tuple:
+    """(rho, Gamma scales omega/m of the h hop, g hop and direct path)."""
+    d, element, direct = link_parts(config)
+    return d.rho, (element.hop_h.omega / element.hop_h.m,
+                   element.hop_g.omega / element.hop_g.m,
+                   None if direct is None else direct.omega / direct.m)
+
+
+# elements per row block of _snr_bases: bounds its temporaries
+_BASE_BLOCK = 1 << 15
+
+
+def _snr_bases(draws: _Draws, scales: Sequence[tuple]) -> List[np.ndarray]:
+    """Per set of Gamma scales, the SNR over rho before its last
+    multiply: the received amplitude for co-phased elements (SNR =
+    rho * amp * amp), else the received power re^2 + im^2 (SNR = rho *
+    power).  Runs in row blocks, each taking the cosine and sine of its
+    phases once for every scale; a row's sum is the same in any block.
+    Overwrites the element phases with their sines."""
+    count, n = draws.gh.shape
+    coherent = draws.phi is None
+    re = [np.empty(count) for _ in scales]
+    im = None if coherent else [np.empty(count) for _ in scales]
+    step = max(1, _BASE_BLOCK // n)
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        if not coherent:
+            phi = draws.phi[rows]
+            cos = np.cos(phi)
+            sin = np.sin(phi, out=phi)
+        for k, (s_h, s_g, _) in enumerate(scales):
+            x = np.sqrt(s_h * draws.gh[rows]) * np.sqrt(s_g * draws.gg[rows])
+            if coherent:
+                re[k][rows] = np.sum(x, axis=1)
+            else:
+                re[k][rows] = np.sum(x * cos, axis=1)
+                im[k][rows] = np.sum(x * sin, axis=1)
+    if draws.gd is not None:
+        if not coherent:
+            cos_d, sin_d = np.cos(draws.phi_d), np.sin(draws.phi_d)
+        for k, (_, _, s_d) in enumerate(scales):
+            hd = np.sqrt(s_d * draws.gd)
+            if coherent:
+                re[k] += hd
+            else:
+                re[k] += hd * cos_d
+                im[k] += hd * sin_d
+    return re if coherent else [r * r + i * i for r, i in zip(re, im)]
+
+
+def _snr(base: np.ndarray, rho: float, coherent: bool) -> np.ndarray:
+    return rho * base * base if coherent else rho * base
+
+
 def _snr_batch(config: ScenarioConfig, model: PhaseModel, count: int,
                rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent SNR draws.  Draw order is part of the
-    determinism contract: hop envelopes, then design-specific phases,
-    then the direct-path draws."""
-    d, element, direct = link_parts(config)
-    n = config.n_elements
-    x = (sample_nakagami_envelope(element.hop_h, rng, (count, n))
-         * sample_nakagami_envelope(element.hop_g, rng, (count, n)))
-    if config.phase_design.kind == "ops":
-        amp = np.sum(x, axis=1)
-        if direct is not None:
-            amp = amp + sample_nakagami_envelope(direct, rng, (count,))
-        return d.rho * amp * amp
-    phi = _element_phases(config, model, (count, n), rng)
-    re = np.sum(x * np.cos(phi), axis=1)
-    im = np.sum(x * np.sin(phi), axis=1)
-    if direct is not None:
-        hd = sample_nakagami_envelope(direct, rng, (count,))
-        phi_d = _direct_phases(config, model, count, rng)
-        re = re + hd * np.cos(phi_d)
-        im = im + hd * np.sin(phi_d)
-    return d.rho * (re * re + im * im)
+    """``count`` independent SNR draws of one config."""
+    rho, scales = _link_scales(config)
+    base, = _snr_bases(_draw(config, model, count, rng), [scales])
+    return _snr(base, rho, config.phase_design.kind == "ops")
 
 
 def realize_snr(config: ScenarioConfig, phase_model: PhaseModel,
@@ -268,93 +350,149 @@ def _check_run(n_trials: int, seed: int) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _reduce(config: ScenarioConfig, phase_model: PhaseModel,
-            partial: Callable[[np.ndarray], np.ndarray],
-            n_trials: int, seed: int) -> np.ndarray:
-    """Sum of ``partial(gamma)`` over chunked streams, added in chunk order."""
-    cs = _chunk_size(config.n_elements)
-    n_chunks = (n_trials + cs - 1) // cs
-
-    def run(i: int):
-        count = min(cs, n_trials - i * cs)
-        rng = RngStream(seed, i).generator()
-        return partial(_snr_batch(config, phase_model, count, rng))
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        parts = list(pool.map(run, range(n_chunks)))
-    total = parts[0]
-    for part in parts[1:]:  # fixed order: chunk index
-        total = total + part
-    return total
+_MC_METRICS = ("op", "ber", "ec")
 
 
-def _mean_estimate(config: ScenarioConfig, phase_model: PhaseModel,
-                   kernel: Callable[[np.ndarray], np.ndarray],
-                   n_trials: int, seed: int) -> McEstimate:
-    """Mean and standard error of ``kernel(gamma)``."""
+@dataclass(frozen=True)
+class McQuery:
+    """One simulator estimate: a config, its phase model and what to
+    average over its SNR draws -- the outage indicator at ``gamma_th``
+    (op), the conditional error rate of ``modulation`` (ber) or
+    log2(1 + gamma) (ec)."""
 
-    def sums(g):
-        vals = kernel(g)
+    config: ScenarioConfig
+    phase_model: PhaseModel
+    metric: str
+    gamma_th: float = 0.0
+    modulation: Modulation = Modulation.BPSK
+
+    def __post_init__(self) -> None:
+        if self.metric not in _MC_METRICS:
+            raise ValueError(
+                f"method 'mc' is not available for metric {self.metric!r}")
+        if self.metric == "op" and self.gamma_th < 0.0:
+            raise ValueError("gamma_th must be nonnegative")
+
+    def draw_key(self) -> tuple:
+        """Queries with equal keys share draws: they may differ only in
+        power, noise and pathloss (distances, angle, carrier, exponent),
+        which reach the SNR as rho and as the Gamma scales."""
+        c = self.config
+        return (c.n_elements, c.m_h, c.m_g, c.m_d, c.geometry.direct_link,
+                c.phase_design, self.phase_model)
+
+    def partial(self, g: np.ndarray) -> np.ndarray:
+        """This chunk's sums: the outage count, or the kernel's sum and
+        sum of squares."""
+        if self.metric == "op":
+            return np.array([np.count_nonzero(g <= float(self.gamma_th))])
+        if self.metric == "ec":
+            vals = np.log1p(g) / LN2
+        elif self.modulation.coherent:
+            vals = 0.5 * _erfc_ufunc(
+                np.sqrt(self.modulation.snr_scale * g)).astype(float)
+        else:
+            vals = 0.5 * np.exp(-g)
         return np.array([np.sum(vals), np.sum(vals * vals)])
 
-    total, total_sq = _reduce(config, phase_model, sums, n_trials,
-                              seed).tolist()
-    mean = total / n_trials
-    var = max(total_sq / n_trials - mean * mean, 0.0)
-    return McEstimate(value=mean, std_error=math.sqrt(var / n_trials),
-                      n_trials=n_trials, seed=seed)
+    def estimate(self, total: np.ndarray, n_trials: int,
+                 seed: int) -> McEstimate:
+        if self.metric == "op":
+            # binomial standard error
+            mean = int(total[0]) / n_trials
+            var = max(mean * (1.0 - mean), 0.0)
+        else:
+            total_sum, total_sq = total.tolist()
+            mean = total_sum / n_trials
+            var = max(total_sq / n_trials - mean * mean, 0.0)
+        return McEstimate(value=mean, std_error=math.sqrt(var / n_trials),
+                          n_trials=n_trials, seed=seed)
+
+
+def _reduce(queries: Sequence[McQuery], n_trials: int,
+            seed: int) -> List[np.ndarray]:
+    """Each query's partial sums over the chunked streams, added in chunk
+    order.  The queries share draw_key(): each chunk draws once, builds
+    one SNR base per distinct Gamma scale and releases the draws, then
+    applies each distinct rho once and hands that SNR to its queries."""
+    first = queries[0]
+    coherent = first.config.phase_design.kind == "ops"
+    scales: dict = {}      # Gamma scales -> index of their base
+    snrs: dict = {}        # (base index, rho) -> indices of its queries
+    for q, query in enumerate(queries):
+        rho, scale = _link_scales(query.config)
+        base = scales.setdefault(scale, len(scales))
+        snrs.setdefault((base, rho), []).append(q)
+    cs = _chunk_size(first.config.n_elements)
+    n_chunks = (n_trials + cs - 1) // cs
+
+    def run(i: int) -> list:
+        count = min(cs, n_trials - i * cs)
+        rng = RngStream(seed, i).generator()
+        draws = _draw(first.config, first.phase_model, count, rng)
+        bases = _snr_bases(draws, list(scales))
+        del draws
+        parts = [None] * len(queries)
+        for (base, rho), members in snrs.items():
+            g = _snr(bases[base], rho, coherent)
+            for q in members:
+                parts[q] = queries[q].partial(g)
+        return parts
+
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        chunks = list(pool.map(run, range(n_chunks)))
+    totals = chunks[0]
+    for parts in chunks[1:]:  # fixed order: chunk index
+        totals = [total + part for total, part in zip(totals, parts)]
+    return totals
+
+
+def estimate_group(queries: Sequence[McQuery], n_trials: int,
+                   seed: int) -> List[McEstimate]:
+    """Estimates of several queries, in query order.
+
+    Queries with the same draw_key() are one group, reduced together:
+    each chunk's variates are drawn once for the whole group, so a power,
+    noise or geometry sweep and all its metrics consume one sample set.
+    Every estimate is bit-identical to the one its query gets alone,
+    since both consume the same chunk substreams in the same order.
+    """
+    _check_run(n_trials, seed)
+    groups: dict = {}
+    for q, query in enumerate(queries):
+        groups.setdefault(query.draw_key(), []).append(q)
+    out: List[Optional[McEstimate]] = [None] * len(queries)
+    for members in groups.values():
+        totals = _reduce([queries[q] for q in members], n_trials, seed)
+        for q, total in zip(members, totals):
+            out[q] = queries[q].estimate(total, n_trials, seed)
+    return out
 
 
 def estimate_op(config: ScenarioConfig, phase_model: PhaseModel,
                 gamma_th: float, n_trials: int, seed: int) -> McEstimate:
     """Outage probability: empirical CDF at gamma_th, binomial SE."""
-    return estimate_op_grid(config, phase_model, [gamma_th],
-                            n_trials, seed)[0]
+    return estimate_group([McQuery(config, phase_model, "op", gamma_th)],
+                          n_trials, seed)[0]
 
 
 def estimate_op_grid(config: ScenarioConfig, phase_model: PhaseModel,
                      gamma_th_grid: Sequence[float], n_trials: int,
                      seed: int) -> list:
-    """Outage at several thresholds from one shared sample set.
-
-    Each entry is bit-identical to estimate_op at the same threshold
-    with the same seed, since both consume the same chunk substreams.
-    """
-    _check_run(n_trials, seed)
-    grid = [float(g) for g in gamma_th_grid]
-    if any(g < 0.0 for g in grid):
-        raise ValueError("gamma_th must be nonnegative")
-
-    def hits(g):
-        return np.array([np.count_nonzero(g <= th) for th in grid])
-
-    out = []
-    for count in _reduce(config, phase_model, hits, n_trials, seed):
-        p_hat = int(count) / n_trials
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-        out.append(McEstimate(value=p_hat, std_error=se,
-                              n_trials=n_trials, seed=seed))
-    return out
+    """Outage at several thresholds from one shared sample set."""
+    return estimate_group([McQuery(config, phase_model, "op", float(th))
+                           for th in gamma_th_grid], n_trials, seed)
 
 
 def estimate_ber(config: ScenarioConfig, phase_model: PhaseModel,
                  modulation: Modulation, n_trials: int, seed: int) -> McEstimate:
     """Average BER by analytic conditioning on the SNR draw."""
-    _check_run(n_trials, seed)
-    if modulation.coherent:
-        a = modulation.snr_scale
-
-        def kernel(g):
-            return 0.5 * _erfc_ufunc(np.sqrt(a * g)).astype(float)
-    else:
-        def kernel(g):
-            return 0.5 * np.exp(-g)
-    return _mean_estimate(config, phase_model, kernel, n_trials, seed)
+    return estimate_group([McQuery(config, phase_model, "ber",
+                                   modulation=modulation)], n_trials, seed)[0]
 
 
 def estimate_ec(config: ScenarioConfig, phase_model: PhaseModel,
                 n_trials: int, seed: int) -> McEstimate:
     """Ergodic capacity: sample mean of log2(1 + gamma)."""
-    _check_run(n_trials, seed)
-    return _mean_estimate(config, phase_model, lambda g: np.log1p(g) / LN2,
-                          n_trials, seed)
+    return estimate_group([McQuery(config, phase_model, "ec")],
+                          n_trials, seed)[0]

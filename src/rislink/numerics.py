@@ -345,6 +345,11 @@ def bessel_zeros(order, count):
 # Hypergeometric series
 # =====================================================================
 
+def _not_converged(partial_sum) -> ConvergenceError:
+    return ConvergenceError("hypergeometric series did not converge",
+                            best_estimate=partial_sum)
+
+
 def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
             deriv=False):
     """Sum_k prod (p)_k / (prod (q)_k k!) z^k over the ndarray z.
@@ -380,8 +385,7 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
             break
     else:
         if count is None:
-            raise ConvergenceError("hypergeometric series did not converge",
-                                   best_estimate=total)
+            raise _not_converged(total)
     extras = [x for x in (top, slope) if x is not None]
     return (total, *extras) if extras else total
 
@@ -537,6 +541,9 @@ def _inv_z_log(a, m, c, big_x):
     peak = np.zeros(big_x.shape)
     scale = 1e-300
     for n in range(250):
+        if math.isinf(poch_am) or math.isinf(fact_n * fact_mn):
+            # an overflowed coefficient would end the sum on a false zero
+            raise _not_converged(logsum)
         y = c - a - m - n
         if abs(y - round(y)) < 1e-8 and round(y) <= 0:
             k_pole = int(-round(y))
@@ -557,6 +564,8 @@ def _inv_z_log(a, m, c, big_x):
         psi_1n += 1.0 / (1.0 + n)
         psi_1mn += 1.0 / (1.0 + m + n)
         xpow = xpow * inv_x
+    else:
+        raise _not_converged(logsum)
     tail = ((-1.0) ** m) * np.exp(-float(m) * log_x) * logsum
     outer = gpref * np.exp(-a * log_x)
     peak = np.abs(outer) * (np.abs(head) + np.exp(-float(m) * log_x) * peak)
@@ -610,6 +619,8 @@ def _one_minus_z_log(a, b, m, w):
         psi_akm += 1.0 / (a + m + k)
         psi_bkm += 1.0 / (b + m + k)
         wpow = wpow * w
+    else:
+        raise _not_converged(total)
     wm = np.abs(w) ** m
     peak = np.abs(head) + abs(pre_t) * wm * peak
     return head + pre_t * (w ** m) * total, peak

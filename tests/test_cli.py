@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from rislink import cli
+from rislink import montecarlo as mc
 from rislink.rps import Modulation
 from rislink.scenario import config_from_mapping
 
@@ -472,6 +473,60 @@ def test_validate_clean_config_passes(tmp_path, capsys):
             assert c[5] == "info"
         else:
             assert c[5] == "ok" and abs(float(c[4])) <= 4.0
+
+
+def _count_generators(monkeypatch):
+    calls = []
+    make = mc.RngStream.generator
+
+    def counted(self):
+        calls.append(self.stream_id)
+        return make(self)
+    monkeypatch.setattr(mc.RngStream, "generator", counted)
+    return calls
+
+
+def test_validate_draws_one_sample_set(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path)
+    calls = _count_generators(monkeypatch)
+    code, out, _ = run(["validate", "--config", path, "--trials", "20000",
+                        "--gamma-th-db", "-30", "--seed", "9"], capsys)
+    assert code == cli.EXIT_OK
+    n_chunks = -(-20_000 // mc._chunk_size(16))
+    assert n_chunks == 2
+    # one draw per chunk for op, ber and ec together
+    assert sorted(calls) == list(range(n_chunks))
+    config = cli.build_config(cli.read_config_mapping(path))
+    mc_cells = [line.split(",") for line in out.splitlines()
+                if ",mc," in line]
+    for metric, cells in zip(("op", "ber", "ec"), mc_cells):
+        alone = cli.mc_value(config, metric, 1e-3, Modulation.BPSK,
+                             20_000, 9)
+        assert cells[2:4] == ["%.17g" % alone.value,
+                              "%.17g" % alone.std_error]
+
+
+def test_validate_reports_failed_simulator_rows(tmp_path, capsys,
+                                                monkeypatch):
+    def fail(queries, trials, seed):
+        raise ArithmeticError("simulated failure")
+    monkeypatch.setattr(mc, "estimate_group", fail)
+    code, out, _ = run(["validate", "--config", write_cfg(tmp_path),
+                        "--trials", "20000"], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert out.splitlines()[1:] == [f"{m},mc,error,,,error"
+                                    for m in ("op", "ber", "ec")]
+
+
+def test_metric_sweep_draws_one_sample_set(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path)
+    calls = _count_generators(monkeypatch)
+    code, out, _ = run(["metric", "--config", path, "--method", "mc",
+                        "--sweep", "tx_power_dbm=-10:30:21",
+                        "--trials", "20000", "--seed", "9"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(out.splitlines()) == 1 + 21 * 3
+    assert sorted(calls) == list(range(-(-20_000 // mc._chunk_size(16))))
 
 
 def test_validate_fault_injection_trips_z_gate(tmp_path, capsys):

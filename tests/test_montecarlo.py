@@ -3,6 +3,7 @@ analytical modules as oracles for the estimators."""
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,38 @@ def test_quantized_many_bits_approaches_coherent():
     assert np.max(np.abs(cdf1 - cdf2)) < 0.01
 
 
+@pytest.mark.parametrize("model", [mc.UNIFORM, mc.EXACT_NAKAGAMI,
+                                   mc.quantized_phases(2)])
+@pytest.mark.parametrize("design", ["rps", "ops"])
+def test_snr_batch_draw_order(design, model):
+    # the determinism contract written out with Generator.gamma: hop
+    # envelopes h then g, the design's phases, then the direct path; the
+    # count spans more than one row block of the SNR base
+    cfg = make_config(8, design, tx=3.0, direct=True, m_h=1.5, m_g=2.5)
+    d = derive(cfg)
+    count = mc._BASE_BLOCK // 8 + 904
+    rng = mc.RngStream(4, 2).generator()
+
+    def env(m, omega, size):
+        return np.sqrt(rng.gamma(m, omega / m, size))
+    x = (env(cfg.m_h, d.omega_h, (count, 8))
+         * env(cfg.m_g, d.omega_g, (count, 8)))
+    if design == "ops":
+        amp = np.sum(x, axis=1) + env(cfg.m_d, d.omega_d, count)
+        want = d.rho * amp * amp
+    else:
+        phi = mc._element_phases(cfg, model, (count, 8), rng)
+        re = np.sum(x * np.cos(phi), axis=1)
+        im = np.sum(x * np.sin(phi), axis=1)
+        hd = env(cfg.m_d, d.omega_d, count)
+        phi_d = mc._direct_phases(cfg, model, count, rng)
+        re = re + hd * np.cos(phi_d)
+        im = im + hd * np.sin(phi_d)
+        want = d.rho * (re * re + im * im)
+    got = mc._snr_batch(cfg, model, count, mc.RngStream(4, 2).generator())
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------
@@ -330,3 +363,102 @@ def test_thread_count_is_capped(monkeypatch):
     assert mc._thread_count() == mc._MAX_THREADS
     monkeypatch.setenv("RISLINK_THREADS", "-3")
     assert mc._thread_count() == 1
+
+
+# ---------------------------------------------------------------------
+# grouped estimates
+# ---------------------------------------------------------------------
+
+def _sweep_variants(cfg):
+    """Configs that differ from cfg only in power, noise or pathloss."""
+    geom = cfg.geometry
+    return [cfg, replace(cfg, tx_power_dbm=cfg.tx_power_dbm + 7.0),
+            replace(cfg, noise_dbm=-80.0),
+            replace(cfg, geometry=replace(geom, r_h=31.0, r_g=12.5)),
+            replace(cfg, geometry=replace(geom, psi=40.0)),
+            replace(cfg, alpha=2.8)]
+
+
+def _group_queries(configs, model):
+    queries = []
+    for c in configs:
+        queries += [mc.McQuery(c, model, "op", 3.0),
+                    mc.McQuery(c, model, "ber", modulation=Modulation.BPSK),
+                    mc.McQuery(c, model, "ber", modulation=Modulation.BDPSK),
+                    mc.McQuery(c, model, "ec")]
+    return queries
+
+
+def _single(query, trials, seed):
+    c, model = query.config, query.phase_model
+    if query.metric == "op":
+        return mc.estimate_op(c, model, query.gamma_th, trials, seed)
+    if query.metric == "ber":
+        return mc.estimate_ber(c, model, query.modulation, trials, seed)
+    return mc.estimate_ec(c, model, trials, seed)
+
+
+@pytest.mark.parametrize("exact_phases", [False, True])
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("design", ["rps", "ops", "quantized"])
+def test_group_bit_identical_to_single_estimates(monkeypatch, design, direct,
+                                                 exact_phases):
+    cfg = make_config(32, design, tx=-5.0, direct=direct, m_h=1.5, m_g=2.5,
+                      m_d=1.5)
+    model = mc.EXACT_NAKAGAMI if exact_phases else mc.default_phase_model(cfg)
+    queries = _group_queries(_sweep_variants(cfg), model)
+    trials, seed = 10_000, 13     # two chunks at N = 32
+    monkeypatch.setenv("RISLINK_THREADS", "1")
+    singles = [_single(q, trials, seed) for q in queries]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RISLINK_THREADS", threads)
+        grouped = mc.estimate_group(queries, trials, seed)
+        for got, want in zip(grouped, singles):
+            assert got.value == want.value
+            assert got.std_error == want.std_error
+    # the variants do change the estimates (psi only moves the direct path)
+    assert len({e.value for e in singles[3::4]}) == (6 if direct else 5)
+
+
+def _count_generators(monkeypatch):
+    calls = []
+    make = mc.RngStream.generator
+
+    def counted(self):
+        calls.append(self.stream_id)
+        return make(self)
+    monkeypatch.setattr(mc.RngStream, "generator", counted)
+    return calls
+
+
+def test_group_draws_each_chunk_once(monkeypatch):
+    cfg = make_config(64)
+    trials = 10_000
+    n_chunks = -(-trials // mc._chunk_size(64))
+    assert n_chunks == 3
+    queries = []
+    for p in range(-10, 31, 2):
+        c = replace(cfg, tx_power_dbm=float(p))
+        queries += [mc.McQuery(c, mc.UNIFORM, "op", 1e-3),
+                    mc.McQuery(c, mc.UNIFORM, "ec")]
+    assert len(queries) == 42
+    calls = _count_generators(monkeypatch)
+    mc.estimate_group(queries, trials, 5)
+    assert sorted(calls) == list(range(n_chunks))
+    # configs that do not share draws are separate groups
+    del calls[:]
+    mc.estimate_group([mc.McQuery(cfg, mc.UNIFORM, "ec"),
+                       mc.McQuery(replace(cfg, m_h=2.0), mc.UNIFORM, "ec"),
+                       mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec")], trials, 5)
+    assert sorted(calls) == sorted(list(range(n_chunks)) * 3)
+
+
+def test_group_validation():
+    cfg = make_config(4)
+    assert mc.estimate_group([], 10_000, 1) == []
+    with pytest.raises(ValueError):
+        mc.McQuery(cfg, mc.UNIFORM, "bogus")
+    with pytest.raises(ValueError):
+        mc.McQuery(cfg, mc.UNIFORM, "op", -1.0)
+    with pytest.raises(ValueError):
+        mc.estimate_group([mc.McQuery(cfg, mc.UNIFORM, "ec")], 9_999, 1)

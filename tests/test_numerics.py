@@ -296,6 +296,29 @@ def test_series_budget_raises():
         nm._one_minus_z_two_term(1.5, 2.7, 4.45, np.array([0.995 + 0j]))
 
 
+def test_log_connection_forms_raise_instead_of_truncating():
+    # both used to return a wrong sum: 6.19e9 against 2F1(1.5, 2.5; 5;
+    # 0.001) = 1.00075 (3000-term budget), and 0.1588 against 2F1(1.5,
+    # 1.5; 1; -1.02) = 0.1858 (factorials overflow, ending on a zero term)
+    assert float(mp.hyp2f1(1.5, 2.5, 5.0, 0.001)) == pytest.approx(1.00075,
+                                                                  rel=1e-5)
+    assert float(mp.hyp2f1(1.5, 1.5, 1.0, -1.02)) == pytest.approx(0.1858,
+                                                                  rel=1e-3)
+    with pytest.raises(nm.ConvergenceError) as err:
+        nm._one_minus_z_log(1.5, 2.5, 1, np.array([0.999]))
+    assert err.value.best_estimate is not None
+    with pytest.raises(nm.ConvergenceError) as err:
+        nm._inv_z_log(1.5, 0, 1.0, np.array([1.02]))
+    assert err.value.best_estimate is not None
+    # where they converge, they still agree with mpmath
+    got, _ = nm._one_minus_z_log(1.5, 2.5, 1, np.array([0.3]))
+    assert got[0] == pytest.approx(float(mp.hyp2f1(1.5, 2.5, 5.0, 0.7)),
+                                   rel=1e-12)
+    got, _ = nm._inv_z_log(1.5, 0, 1.0, np.array([12.0]))
+    assert got[0] == pytest.approx(float(mp.hyp2f1(1.5, 1.5, 1.0, -12.0)),
+                                   rel=1e-12)
+
+
 # ---------------------------------------------------------------------
 # series helpers
 # ---------------------------------------------------------------------
