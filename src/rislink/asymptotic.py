@@ -4,8 +4,9 @@ With many elements the randomly-phased received amplitude is a complex
 Gaussian by the CLT, so the SNR is exponential; the co-phased amplitude
 is Gaussian on the line with a nonzero mean, so the SNR is a scaled
 one-degree noncentral chi-square.  OP, BER, and EC then come out in
-closed form.  Both models describe the RIS sum alone: scenarios with a
-direct path stay on the exact transform route.
+closed form.  Both models describe the RIS sum alone; the CLI's engine
+table lists them as RIS-sum-only, so it offers no asymptotic row for a
+scenario with a direct path.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics as nm
 from .rps import LN2, Modulation, x_moment
-from .scenario import DoubleNakagami, ScenarioConfig, link_parts
+from .scenario import DoubleNakagami
 
 
 def zt_stats(dn: DoubleNakagami) -> tuple:
@@ -27,20 +26,8 @@ def zt_stats(dn: DoubleNakagami) -> tuple:
     return mean, max(variance, 0.0)
 
 
-class _LargeNModel:
-    """``from_scenario`` of both models, which cover the RIS sum only."""
-
-    @classmethod
-    def from_scenario(cls, config: ScenarioConfig):
-        if config.geometry.direct_link:
-            raise ValueError("large-N models cover the RIS sum only; "
-                             "use the exact path for direct-link scenarios")
-        d, element, _ = link_parts(config)
-        return cls.from_element(element, config.n_elements, d.rho)
-
-
 @dataclass(frozen=True)
-class LargeNRps(_LargeNModel):
+class LargeNRps:
     """Exponential SNR model: gamma ~ Exp(mean 2 sigma1_sq)."""
 
     sigma1_sq: float
@@ -61,7 +48,7 @@ class LargeNRps(_LargeNModel):
 
 
 @dataclass(frozen=True)
-class LargeNOps(_LargeNModel):
+class LargeNOps:
     """Noncentral-chi-square SNR model: s*gamma ~ chi2_1(noncentrality xi)."""
 
     xi: float
@@ -95,13 +82,6 @@ def largen_rps_cdf(model: LargeNRps, x: float) -> float:
     return -math.expm1(-x / (2.0 * model.sigma1_sq))
 
 
-def largen_rps_chf(model: LargeNRps, t):
-    """E[exp(j t gamma)] for the exponential model."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = 1.0 / (1.0 - 2.0j * model.sigma1_sq * arr)
-    return out if np.ndim(t) else complex(out[0])
-
-
 def largen_rps_ber(model: LargeNRps, modulation: Modulation) -> float:
     """Closed-form average BER 0.5 - 0.5 q^p (q + 0.5/sigma1_sq)^-p.
 
@@ -118,20 +98,6 @@ def largen_rps_ec(model: LargeNRps) -> float:
     return nm.exp_scaled_e1(0.5 / model.sigma1_sq) / LN2
 
 
-def largen_ops_pdf(model: LargeNOps, x: float) -> float:
-    """Density of the scaled noncentral-chi-square model at x > 0.
-
-    cosh is folded into two Gaussian exponents, the larger of which is
-    -(sqrt(xi)-sqrt(sx))^2/2 <= 0, so nothing overflows at any xi.
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    root = math.sqrt(model.s * x)
-    a = math.sqrt(model.xi)
-    both = math.exp(-0.5 * (a - root) ** 2) + math.exp(-0.5 * (a + root) ** 2)
-    return model.s * both / (2.0 * math.sqrt(2.0 * math.pi) * root)
-
-
 def largen_ops_cdf(model: LargeNOps, x: float) -> float:
     """P(gamma <= x) = Q(sqrt(xi)-sqrt(sx)) - Q(sqrt(xi)+sqrt(sx))."""
     if x < 0.0:
@@ -140,11 +106,3 @@ def largen_ops_cdf(model: LargeNOps, x: float) -> float:
     a = math.sqrt(model.xi)
     val = nm.gauss_q(a - root) - nm.gauss_q(a + root)
     return min(max(val, 0.0), 1.0)
-
-
-def largen_ops_chf(model: LargeNOps, t):
-    """E[exp(j t gamma)] for the noncentral-chi-square model."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = (np.exp(-model.xi * arr / (1j * model.s + 2.0 * arr))
-           / np.sqrt(1.0 - 2.0j * arr / model.s))
-    return out if np.ndim(t) else complex(out[0])

@@ -86,6 +86,7 @@ class Sweep:
 def parse_sweep(text: str) -> Sweep:
     """``key=start:stop:steps[:log]`` -> ascending numeric grid."""
     key, eq, rhs = text.partition("=")
+    key = key.strip()
     parts = rhs.split(":")
     if not eq or not key or len(parts) not in (3, 4):
         raise CliError(f"bad --sweep {text!r}: expected key=start:stop:steps[:log]")
@@ -111,7 +112,7 @@ def parse_sweep(text: str) -> Sweep:
     if key in _INT_FIELDS:
         vals = [float(round(v)) if abs(v - round(v)) < 1e-9 * max(1.0, abs(v))
                 else v for v in vals]
-    return Sweep(key=key.strip(), values=tuple(vals))
+    return Sweep(key=key, values=tuple(vals))
 
 
 # ---------------------------------------------------------------------
@@ -120,7 +121,8 @@ def parse_sweep(text: str) -> Sweep:
 
 class _Link(NamedTuple):
     """A scenario as the analytic engines read it: its link_parts, with
-    the transform and large-N models built from them."""
+    the transform and large-N models built from them.  This is the only
+    place a config becomes a transform or a large-N model."""
 
     config: ScenarioConfig
     rho: float

@@ -32,7 +32,7 @@ import numpy as np
 
 from .numerics import _erfc_ufunc
 from .rps import LN2, Modulation
-from .scenario import NakagamiParams, ScenarioConfig, link_parts
+from .scenario import ScenarioConfig, link_parts
 
 _MASK64 = (1 << 64) - 1
 _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -141,13 +141,6 @@ def default_phase_model(config: ScenarioConfig) -> PhaseModel:
 # ---------------------------------------------------------------------
 # channel draws
 # ---------------------------------------------------------------------
-
-def sample_nakagami_envelope(params: NakagamiParams, rng: np.random.Generator,
-                             size=None):
-    """Envelope draw(s): sqrt of a Gamma(m, Omega/m) power draw."""
-    draw = np.sqrt(rng.gamma(params.m, params.omega / params.m, size))
-    return float(draw) if size is None else draw
-
 
 def _phase_const(m: float) -> float:
     # normalization Gamma(m) / (2^m Gamma(m/2)^2); equals 1/(2pi) at m=1
@@ -325,20 +318,6 @@ def _snr(base: np.ndarray, rho: float, coherent: bool) -> np.ndarray:
     return rho * base * base if coherent else rho * base
 
 
-def _snr_batch(config: ScenarioConfig, model: PhaseModel, count: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent SNR draws of one config."""
-    rho, scales = _link_scales(config)
-    base, = _snr_bases(_draw(config, model, count, rng), [scales])
-    return _snr(base, rho, config.phase_design.kind == "ops")
-
-
-def realize_snr(config: ScenarioConfig, phase_model: PhaseModel,
-                rng: np.random.Generator) -> float:
-    """One end-to-end SNR draw."""
-    return float(_snr_batch(config, phase_model, 1, rng)[0])
-
-
 # ---------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------
@@ -474,14 +453,6 @@ def estimate_op(config: ScenarioConfig, phase_model: PhaseModel,
     """Outage probability: empirical CDF at gamma_th, binomial SE."""
     return estimate_group([McQuery(config, phase_model, "op", gamma_th)],
                           n_trials, seed)[0]
-
-
-def estimate_op_grid(config: ScenarioConfig, phase_model: PhaseModel,
-                     gamma_th_grid: Sequence[float], n_trials: int,
-                     seed: int) -> list:
-    """Outage at several thresholds from one shared sample set."""
-    return estimate_group([McQuery(config, phase_model, "op", float(th))
-                           for th in gamma_th_grid], n_trials, seed)
 
 
 def estimate_ber(config: ScenarioConfig, phase_model: PhaseModel,

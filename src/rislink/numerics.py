@@ -1,7 +1,7 @@
 """Self-contained special functions and semi-infinite quadrature.
 
-Everything the analytical link models need lives here: log-gamma/digamma,
-the upper incomplete gamma function, the Gaussian Q function, Bessel
+Everything the analytical link models need lives here: digamma, the
+upper incomplete gamma function, the Gaussian Q function, Bessel
 functions J0/J1 (with zero tables for oscillatory panel placement), Kummer's
 confluent function 1F1, the Gauss hypergeometric function 2F1 on the real
 line, in the left half plane and on the unit circle, plus an adaptive
@@ -54,7 +54,6 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "EULER_GAMMA",
-    "ln_gamma",
     "digamma",
     "gauss_q",
     "upper_incomplete_gamma",
@@ -111,13 +110,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # =====================================================================
 # Gamma family
 # =====================================================================
-
-def ln_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError("ln_gamma requires x > 0")
-    return math.lgamma(x)
-
 
 # Asymptotic tail of psi(x): ln x - 1/(2x) - sum B_2n / (2n x^2n).
 _PSI_TAIL = (

@@ -16,8 +16,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from .rps import Modulation, TransformProduct, x_moment
-from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig, derive,
-                       link_parts)
+from .scenario import DoubleNakagami, NakagamiParams
 
 
 def nakagami_moment(params: NakagamiParams, k: int) -> float:
@@ -195,14 +194,19 @@ def _envelope_end(chf: "AmplitudeChf", sigma: float, var_t: float,
                   span: float) -> float:
     """First tau where |Psi_A(tau/sigma)| has decayed below 1e-3.
 
-    One coarse vectorized probe; the node array is identical across
-    repeated CDF calls on the same CHF, so it hits the evaluation cache.
+    One coarse vectorized probe.  Its arguments are functions of the CHF
+    alone, so the result is kept with the CHF's derived quantities and
+    every later CDF on the same CHF reuses it.
     """
-    cap = min(span, 40.0 * max(1.0, 1.0 / math.sqrt(var_t)))
-    taus = np.geomspace(1.0, cap, 96)
-    small = np.flatnonzero(np.abs(chf(taus / sigma)) < 1e-3)
-    end = taus[small[0]] if small.size else cap
-    return max(8.0, end)
+    key = ("envelope_end", sigma, var_t, span)
+    got = chf._derived.get(key)
+    if got is None:
+        cap = min(span, 40.0 * max(1.0, 1.0 / math.sqrt(var_t)))
+        taus = np.geomspace(1.0, cap, 96)
+        small = np.flatnonzero(np.abs(chf(taus / sigma)) < 1e-3)
+        got = max(8.0, taus[small[0]] if small.size else cap)
+        chf._derived[key] = got
+    return got
 
 
 def _inversion_breakpoints(rt: float, mt: float, bulk_end: float,
@@ -234,8 +238,7 @@ def _inversion_breakpoints(rt: float, mt: float, bulk_end: float,
     return np.concatenate([bulk, far])
 
 
-def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float,
-                spec: Optional[QuadratureSpec] = None) -> float:
+def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     """CDF of the coherent-combining SNR by CHF inversion.
 
     The inversion integral is evaluated in the normalized variable
@@ -265,65 +268,16 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float,
     def integrand(tau):
         return np.imag(np.exp(-1j * rt * tau) * chf(tau / sigma)) / tau
 
-    val = nm.integrate_semi_infinite(integrand, spec or DEFAULT_QUADRATURE,
-                                     breakpoints=bps, lower=tau0)
+    val = nm.integrate_semi_infinite(integrand, breakpoints=bps, lower=tau0)
     cdf = 0.5 - (tau0 * (mt - rt) + val) / math.pi
     return min(max(cdf, 0.0), 1.0)
 
 
-def op_ops(chf: AmplitudeChf, gamma_th: float, rho: float,
-           spec: Optional[QuadratureSpec] = None) -> float:
+def op_ops(chf: AmplitudeChf, gamma_th: float, rho: float) -> float:
     """Outage probability P(gamma <= gamma_th) under coherent combining."""
     if gamma_th <= 0.0:
         raise ValueError("gamma_th must be positive")
-    return gamma_c_cdf(chf, gamma_th, rho, spec)
-
-
-def gamma_c_moment(config: ScenarioConfig, k: int) -> float:
-    """k-th raw SNR moment (k <= 4) under coherent combining.
-
-    E[gamma^k] = rho^k E[A^(2k)]; the amplitude moment comes from
-    cumulant accumulation over the i.i.d. elements plus the direct term.
-    """
-    if k != int(k) or not 1 <= k <= 4:
-        raise ValueError(f"moment order must be an integer in 1..4, got {k}")
-    chf = AmplitudeChf.from_scenario(config)
-    rho = derive(config).rho
-    return rho ** k * chf.amplitude_moment(2 * int(k))
-
-
-def gamma_c_moment_multinomial(config: ScenarioConfig, k: int) -> float:
-    """Literal multinomial expansion of E[(sum X_n + |h_d|)^(2k)].
-
-    Exponential term count: kept as an independent cross-check and
-    guarded against blowup at k > 2 with more than 8 elements.
-    """
-    if k != int(k) or not 1 <= k <= 4:
-        raise ValueError(f"moment order must be an integer in 1..4, got {k}")
-    n = config.n_elements
-    if k > 2 and n > 8:
-        raise ValueError("multinomial expansion too large for k > 2 with "
-                         "N > 8; use gamma_c_moment")
-    d, element, direct = link_parts(config)
-    power = 2 * int(k)
-    part_moments = [[1.0] + [x_moment(element, j) for j in range(1, power + 1)]
-                    for _ in range(n)]
-    if direct is not None:
-        part_moments.append([1.0] + [nakagami_moment(direct, j)
-                                     for j in range(1, power + 1)])
-
-    def expand(idx: int, remaining: int) -> float:
-        if idx == len(part_moments) - 1:
-            return (part_moments[idx][remaining]
-                    / math.factorial(remaining))
-        total = 0.0
-        for j in range(remaining + 1):
-            total += (part_moments[idx][j] / math.factorial(j)
-                      * expand(idx + 1, remaining - j))
-        return total
-
-    value = math.factorial(power) * expand(0, power)
-    return d.rho ** k * value
+    return gamma_c_cdf(chf, gamma_th, rho)
 
 
 def _amplitude_square_laplace(chf: AmplitudeChf, lam: float,
@@ -363,8 +317,8 @@ def _amplitude_square_laplace(chf: AmplitudeChf, lam: float,
     return min(max(math.sqrt(2.0 / math.pi) * val, 0.0), 1.0)
 
 
-def ber_ops_coherent(chf: AmplitudeChf, rho: float, modulation: Modulation,
-                     spec: Optional[QuadratureSpec] = None) -> float:
+def ber_ops_coherent(chf: AmplitudeChf, rho: float,
+                     modulation: Modulation) -> float:
     """Average BER of a coherent binary modulation under optimal phases.
 
     Gaussian-kernel inversion: 1/2 - (1/pi) int t^-1 e^{-t^2/2}
@@ -386,23 +340,21 @@ def ber_ops_coherent(chf: AmplitudeChf, rho: float, modulation: Modulation,
     def integrand(t):
         return np.exp(-0.5 * t * t) * np.imag(chf(s * t)) / t
 
-    val = nm.integrate_semi_infinite(integrand, spec or DEFAULT_QUADRATURE,
-                                     breakpoints=bps, lower=tau0)
+    val = nm.integrate_semi_infinite(integrand, breakpoints=bps, lower=tau0)
     ber = 0.5 - (tau0 * omega + val) / math.pi
     if ber >= 1e-7:
         return min(ber, 0.5)
-    return _ber_ops_craig(chf, modulation.snr_scale * rho, spec)
+    return _ber_ops_craig(chf, modulation.snr_scale * rho)
 
 
 _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_CRAIG_INNER = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
 
 
-def _ber_ops_craig(chf: AmplitudeChf, a_rho: float,
-                   spec: Optional[QuadratureSpec] = None) -> float:
+def _ber_ops_craig(chf: AmplitudeChf, a_rho: float) -> float:
     # (1/pi) int_0^{pi/2} E[e^{-a rho A^2 / sin^2 th}] dth; the integrand
     # behaves like sin(th)^e, so panels shrink geometrically toward pi/2
     # where high diversity orders concentrate the mass.
-    inner = spec or QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
     delta = min(0.5, 3.0 / math.sqrt(max(chf.tail_exponent, 4.0)))
     offsets = [0.0]
     while offsets[-1] < 0.5 * math.pi:
@@ -416,12 +368,11 @@ def _ber_ops_craig(chf: AmplitudeChf, a_rho: float,
             th = mid + half * node
             total += (half * weight *
                       _amplitude_square_laplace(chf, a_rho / math.sin(th) ** 2,
-                                                inner))
+                                                _CRAIG_INNER))
     return min(max(total / math.pi, 0.0), 0.5)
 
 
-def ber_ops_bdpsk(chf: AmplitudeChf, rho: float,
-                  spec: Optional[QuadratureSpec] = None) -> float:
+def ber_ops_bdpsk(chf: AmplitudeChf, rho: float) -> float:
     """Average BDPSK BER 0.5 E[e^{-gamma}] under optimal phases.
 
     Averaging the outage CDF against the differential-detection weight
@@ -429,11 +380,4 @@ def ber_ops_bdpsk(chf: AmplitudeChf, rho: float,
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    return min(0.5 * _amplitude_square_laplace(chf, rho, spec), 0.5)
-
-
-def diversity_order_ops(m_h: Sequence[float], m_g: Sequence[float]) -> float:
-    """High-SNR diversity order min{sum m_h, sum m_g} of the coherent link."""
-    if not len(m_h) or not len(m_g):
-        raise ValueError("need at least one element per hop list")
-    return min(float(np.sum(m_h)), float(np.sum(m_g)))
+    return min(0.5 * _amplitude_square_laplace(chf, rho), 0.5)

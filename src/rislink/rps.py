@@ -12,21 +12,18 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig,
-                       link_parts)
+from .numerics import QuadratureSpec
+from .scenario import DoubleNakagami, NakagamiParams
 
 LN2 = math.log(2.0)
-
-
-class IntegrabilityError(ValueError):
-    """Raised when a high-SNR tail integral diverges for the given fading."""
+# BER spans many decades across a power sweep: drive its quadrature by
+# relative tolerance alone
+_BER_QUADRATURE = QuadratureSpec(abs_tol=1e-280)
 
 
 class Modulation(enum.Enum):
@@ -106,11 +103,8 @@ class TransformProduct:
 
     Identical cascade factors are grouped and raised to an integer power,
     so homogeneous surfaces cost one transform evaluation regardless of N.
-    Evaluations are memoized by the byte pattern of the queried grid; the
-    dict is only ever read/replaced whole under the GIL, so a concurrent
-    race costs at worst a recomputation, never a torn value.  Subclasses
-    name the two factor functions ``(params, t) -> values`` and the
-    scalar type, ``float`` or ``complex``, of the values.
+    Subclasses name the two factor functions ``(params, t) -> values`` and
+    the scalar type, ``float`` or ``complex``, of the values.
     """
 
     def __init__(self, elements: Sequence[DoubleNakagami],
@@ -123,14 +117,8 @@ class TransformProduct:
         for el in self.elements:
             groups[el] = groups.get(el, 0) + 1
         self._groups = list(groups.items())
-        self._cache: dict = {}
-        # quantities derived from the factors (series, moments, integrals)
+        # quantities derived from the factors (series, moments, probes)
         self._derived: dict = {}
-
-    @classmethod
-    def from_scenario(cls, config: ScenarioConfig):
-        _, element, direct = link_parts(config)
-        return cls([element] * config.n_elements, direct)
 
     @property
     def tail_exponent(self) -> float:
@@ -142,13 +130,7 @@ class TransformProduct:
 
     def __call__(self, t) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        key = arr.tobytes()
-        got = self._cache.get(key)
-        if got is None:
-            got = self._product(arr, self.cascade_factor, self.direct_factor)
-            if len(self._cache) >= 512:
-                self._cache.clear()
-            self._cache[key] = got
+        got = self._product(arr, self.cascade_factor, self.direct_factor)
         return got if np.ndim(t) else self.scalar(got[0])
 
     def _product(self, arr: np.ndarray, cascade, direct) -> np.ndarray:
@@ -189,43 +171,6 @@ class HankelProduct(TransformProduct):
             self._derived[key] = got
         return got
 
-    def tail_integral(self, spec: Optional[QuadratureSpec] = None) -> float:
-        """int_0^inf t H(t) dt, the rho-independent high-SNR BER constant.
-
-        The integrand decays like t^(2-e) with e the tail exponent, too
-        slowly to run to numerical exhaustion when e is small, so the walk
-        stops at a fixed multiple of the roll-off scale and the remainder
-        is completed analytically with the locally measured power law.
-        """
-        if self.tail_exponent <= 2.0 + 1e-12:
-            raise IntegrabilityError(
-                "sum of per-path decay rates is too small: the high-SNR "
-                f"constant diverges (tail exponent {self.tail_exponent:g} <= 2)")
-        got = self._derived.get("tail_integral")
-        if got is None:
-            base = spec or DEFAULT_QUADRATURE
-            eff = replace(base, abs_tol=1e-280)  # scale-free integral
-            t_h = self.decay_scale
-            cut = 4096.0
-            body = nm.integrate_semi_infinite(
-                lambda w: np.where(w <= cut, w * self(t_h * w), 0.0),
-                eff, breakpoints=2.0 ** np.arange(-8.0, 13.0))
-            h_cut = self(t_h * cut)
-            h_2cut = self(2.0 * t_h * cut)
-            tail = 0.0
-            same_sign = h_cut * h_2cut > 0.0
-            if same_sign and abs(h_2cut) < abs(h_cut):
-                p_hat = math.log(abs(h_cut / h_2cut)) / math.log(2.0)
-                if p_hat > 2.05:
-                    tail = h_cut * cut * cut / (p_hat - 2.0)
-            if tail == 0.0 and abs(h_cut) * cut * cut > 1e-6 * abs(body):
-                raise nm.ConvergenceError(
-                    "tail of t*H(t) is not in its power-law regime yet",
-                    best_estimate=t_h * t_h * body)
-            got = t_h * t_h * (body + tail)
-            self._derived["tail_integral"] = got
-        return got
-
 
 @functools.lru_cache(maxsize=64)
 def _j_zeros(order: int, count: int) -> np.ndarray:
@@ -258,8 +203,7 @@ def _nakagami_cdf(params: NakagamiParams, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def _single_cascade_cdf(dn: DoubleNakagami, r: float,
-                        spec: QuadratureSpec) -> float:
+def _single_cascade_cdf(dn: DoubleNakagami, r: float) -> float:
     """P(X_h X_g <= r) by conditioning on the first hop.
 
     A lone cascade factor gives the inversion integral slowly decaying
@@ -274,11 +218,10 @@ def _single_cascade_cdf(dn: DoubleNakagami, r: float,
         return pdf * _nakagami_cdf(dn.hop_g, r / u)
 
     bps = math.sqrt(omega) * 2.0 ** np.arange(-12.0, 6.0)
-    return nm.integrate_semi_infinite(integrand, spec, breakpoints=list(bps))
+    return nm.integrate_semi_infinite(integrand, breakpoints=list(bps))
 
 
-def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float,
-                spec: Optional[QuadratureSpec] = None) -> float:
+def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     """CDF of the e2e SNR under random phases.
 
     Genuine phasor sums go through Hankel inversion of the transform
@@ -296,36 +239,19 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float,
     if not hp.elements:
         return _nakagami_cdf(hp.direct, r)
     if len(hp.elements) == 1 and hp.direct is None:
-        val = _single_cascade_cdf(hp.elements[0], r, spec or DEFAULT_QUADRATURE)
+        val = _single_cascade_cdf(hp.elements[0], r)
         return min(max(val, 0.0), 1.0)
     bps = _oscillatory_breakpoints(1, r * hp.decay_scale)
     val = nm.integrate_semi_infinite(
-        lambda u: nm.bessel_j(1, u) * hp(u / r),
-        spec or DEFAULT_QUADRATURE, breakpoints=bps)
+        lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)
     return min(max(val, 0.0), 1.0)
 
 
-def gamma_r_pdf(hp: HankelProduct, gamma: float, rho: float,
-                spec: Optional[QuadratureSpec] = None) -> float:
-    """PDF of the e2e SNR under random phases."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    r = math.sqrt(gamma / rho)
-    bps = _oscillatory_breakpoints(0, r * hp.decay_scale)
-    val = nm.integrate_semi_infinite(
-        lambda u: u * nm.bessel_j(0, u) * hp(u / r),
-        spec or DEFAULT_QUADRATURE, breakpoints=bps)
-    return max(val / (2.0 * rho * r * r), 0.0)
-
-
-def op_rps(hp: HankelProduct, gamma_th: float, rho: float,
-           spec: Optional[QuadratureSpec] = None) -> float:
+def op_rps(hp: HankelProduct, gamma_th: float, rho: float) -> float:
     """Outage probability P(gamma <= gamma_th) under random phases."""
     if gamma_th <= 0.0:
         raise ValueError("gamma_th must be positive")
-    return gamma_r_cdf(hp, gamma_th, rho, spec)
+    return gamma_r_cdf(hp, gamma_th, rho)
 
 
 def gamma_r_moment(hp: HankelProduct, k: int, rho: float) -> float:
@@ -339,8 +265,7 @@ def gamma_r_moment(hp: HankelProduct, k: int, rho: float) -> float:
     return rho ** k * (-4.0) ** k * math.factorial(k) ** 2 * float(h[k])
 
 
-def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation,
-            spec: Optional[QuadratureSpec] = None) -> float:
+def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     """Average BER under random phases.
 
     The transform-domain average collapses to a single integral of
@@ -360,20 +285,9 @@ def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation,
     scales = sorted({1.0, hp.decay_scale / s})
     bps = np.unique(np.concatenate(
         [sc * 2.0 ** np.arange(-8.0, 10.0) for sc in scales]))
-    # BER spans many decades across a power sweep: drive the quadrature by
-    # relative tolerance alone
-    eff = replace(spec or DEFAULT_QUADRATURE, abs_tol=1e-280)
     val = p * nm.integrate_semi_infinite(
-        lambda u: u * kernel(u) * hp(s * u), eff, breakpoints=bps)
+        lambda u: u * kernel(u) * hp(s * u), _BER_QUADRATURE, breakpoints=bps)
     return min(max(val, 0.0), 0.5)
-
-
-def ber_rps_asymptotic(hp: HankelProduct, rho: float,
-                       modulation: Modulation) -> float:
-    """High-SNR BER p/(4 q rho) * int t H(t) dt; decays exactly as 1/rho."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    return modulation.p * hp.tail_integral() / (4.0 * modulation.q * rho)
 
 
 def ec_taylor(mu1: float, mu2: float) -> float:

@@ -1,0 +1,159 @@
+"""Test-side helpers: the CLI's scenario view and independent oracles.
+
+`link` builds transforms and large-N models the way the CLI's engine
+table does.  The other functions are reference forms that no CLI path
+runs; the suites compare the engines against them.
+"""
+
+import math
+
+import numpy as np
+
+from rislink import cli
+from rislink import montecarlo as mc
+from rislink import numerics as nm
+from rislink import rps
+from rislink.ops import nakagami_moment
+from rislink.scenario import link_parts
+
+
+def link(config):
+    """The scenario as the CLI's engines read it: its `link_parts`, with
+    ``.hankel()``, ``.chf()`` and ``.largen(model)`` building the
+    transforms and large-N models from them."""
+    d, element, direct = link_parts(config)
+    return cli._Link(config, d.rho, element, direct)
+
+
+def outage_memo(outage, transform, rho):
+    """``gamma -> outage(transform, gamma, rho)`` of `rps.op_rps` or
+    `ops.op_ops`, computed once per amplitude threshold.
+
+    Both engines see a positive gamma only through r = sqrt(gamma / rho),
+    so thresholds that round to the same r share one value.  Bisections
+    towards several targets on one transform revisit thresholds: they
+    share their first midpoints, a converged bracket repeats its end
+    points, and the final check reads the threshold the bisection
+    converged on.  A call that raises stores nothing, so asking again
+    raises again.
+    """
+    memo = {}
+
+    def f(gamma):
+        r = math.sqrt(gamma / rho)
+        got = memo.get(r)
+        if got is None:
+            got = memo[r] = outage(transform, gamma, rho)
+        return got
+    return f
+
+
+def op_grid(config, phase_model, thresholds, n_trials, seed):
+    """Simulated outage at several thresholds from one shared sample set."""
+    return mc.estimate_group([mc.McQuery(config, phase_model, "op", float(th))
+                              for th in thresholds], n_trials, seed)
+
+
+def snr_batch(config, phase_model, count, rng):
+    """``count`` SNR draws of one config through the simulator's own draw
+    and SNR-base kernels."""
+    rho, scales = mc._link_scales(config)
+    base, = mc._snr_bases(mc._draw(config, phase_model, count, rng), [scales])
+    return mc._snr(base, rho, config.phase_design.kind == "ops")
+
+
+def gamma_r_pdf(hp, gamma, rho):
+    """PDF of the random-phase SNR by order-0 Hankel inversion of H."""
+    r = math.sqrt(gamma / rho)
+    bps = rps._oscillatory_breakpoints(0, r * hp.decay_scale)
+    val = nm.integrate_semi_infinite(
+        lambda u: u * nm.bessel_j(0, u) * hp(u / r), breakpoints=bps)
+    return max(val / (2.0 * rho * r * r), 0.0)
+
+
+def tail_integral(hp):
+    """int_0^inf t H(t) dt, the rho-free constant of the high-SNR BER
+    p / (4 q rho) * int t H(t) dt under random phases.
+
+    The integrand decays like t^(2-e) with e the tail exponent, so the
+    walk stops at a fixed multiple of the roll-off scale and the
+    remainder is completed with the locally measured power law.
+    """
+    if hp.tail_exponent <= 2.0 + 1e-12:
+        raise ValueError("the high-SNR constant diverges for tail exponent "
+                         f"{hp.tail_exponent:g} <= 2")
+    t_h = hp.decay_scale
+    cut = 4096.0
+    body = nm.integrate_semi_infinite(
+        lambda w: np.where(w <= cut, w * hp(t_h * w), 0.0),
+        nm.QuadratureSpec(abs_tol=1e-280),
+        breakpoints=2.0 ** np.arange(-8.0, 13.0))
+    h_cut = hp(t_h * cut)
+    h_2cut = hp(2.0 * t_h * cut)
+    tail = 0.0
+    if h_cut * h_2cut > 0.0 and abs(h_2cut) < abs(h_cut):
+        p_hat = math.log(abs(h_cut / h_2cut)) / math.log(2.0)
+        if p_hat > 2.05:
+            tail = h_cut * cut * cut / (p_hat - 2.0)
+    if tail == 0.0 and abs(h_cut) * cut * cut > 1e-6 * abs(body):
+        raise nm.ConvergenceError(
+            "tail of t*H(t) is not in its power-law regime yet")
+    return t_h * t_h * (body + tail)
+
+
+def gamma_c_moment_multinomial(config, k):
+    """Literal multinomial expansion of E[gamma^k] = rho^k E[(sum X_n +
+    |h_d|)^(2k)] under coherent combining.
+
+    Exponential term count, so k > 2 with more than 8 elements is refused.
+    """
+    if k != int(k) or not 1 <= k <= 4:
+        raise ValueError(f"moment order must be an integer in 1..4, got {k}")
+    n = config.n_elements
+    if k > 2 and n > 8:
+        raise ValueError("multinomial expansion too large for k > 2 with N > 8")
+    d, element, direct = link_parts(config)
+    power = 2 * int(k)
+    part_moments = [[1.0] + [rps.x_moment(element, j)
+                             for j in range(1, power + 1)]] * n
+    if direct is not None:
+        part_moments.append([1.0] + [nakagami_moment(direct, j)
+                                     for j in range(1, power + 1)])
+
+    def expand(idx, remaining):
+        if idx == len(part_moments) - 1:
+            return part_moments[idx][remaining] / math.factorial(remaining)
+        return sum(part_moments[idx][j] / math.factorial(j)
+                   * expand(idx + 1, remaining - j)
+                   for j in range(remaining + 1))
+
+    return d.rho ** k * math.factorial(power) * expand(0, power)
+
+
+def largen_rps_chf(model, t):
+    """E[exp(j t gamma)] of the exponential large-N model."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = 1.0 / (1.0 - 2.0j * model.sigma1_sq * arr)
+    return out if np.ndim(t) else complex(out[0])
+
+
+def largen_ops_chf(model, t):
+    """E[exp(j t gamma)] of the noncentral-chi-square large-N model."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = (np.exp(-model.xi * arr / (1j * model.s + 2.0 * arr))
+           / np.sqrt(1.0 - 2.0j * arr / model.s))
+    return out if np.ndim(t) else complex(out[0])
+
+
+def largen_ops_pdf(model, x):
+    """Density of the noncentral-chi-square large-N model at x > 0.
+
+    cosh is folded into two Gaussian exponents, the larger of which is
+    -(sqrt(xi)-sqrt(sx))^2/2 <= 0, so nothing overflows at any xi.
+    """
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    root = math.sqrt(model.s * x)
+    a = math.sqrt(model.xi)
+    both = math.exp(-0.5 * (a - root) ** 2) + math.exp(-0.5 * (a + root) ** 2)
+    return model.s * both / (2.0 * math.sqrt(2.0 * math.pi) * root)

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import link, op_grid, outage_memo, snr_batch
 from rislink import cli
 from rislink import asymptotic as la
 from rislink import montecarlo as mc
@@ -21,8 +22,7 @@ from rislink import ops as O
 from rislink import rps as R
 from rislink.rps import DoubleNakagami, HankelProduct, Modulation
 from rislink.ops import AmplitudeChf
-from rislink.scenario import (NakagamiParams, config_from_mapping, derive,
-                              ricean_k_to_m)
+from rislink.scenario import NakagamiParams, config_from_mapping, ricean_k_to_m
 
 M_LOS = ricean_k_to_m(10.0)
 BPSK = Modulation.from_label("bpsk")
@@ -41,15 +41,6 @@ def make_config(**overrides):
     return config_from_mapping(base)
 
 
-def cascade_parts(config):
-    d = derive(config)
-    element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h),
-                             NakagamiParams(config.m_g, d.omega_g))
-    direct = (NakagamiParams(config.m_d, d.omega_d)
-              if config.geometry.direct_link else None)
-    return d, element, direct
-
-
 def bisect_increasing(f, target, lo, hi, iters=60):
     """Geometric bisection of an increasing map on a positive bracket."""
     for _ in range(iters):
@@ -61,8 +52,8 @@ def bisect_increasing(f, target, lo, hi, iters=60):
     return math.sqrt(lo * hi)
 
 
-def rps_outage_probe(hp, rho):
-    """Outage as a function of threshold, safe to probe in the deep tail.
+def rps_outage_probe(outage):
+    """``outage`` made safe to probe in the deep tail.
 
     Geometric bisection starts from very wide brackets, and the Hankel
     inversion refuses to fake relative accuracy on outages far below
@@ -71,7 +62,7 @@ def rps_outage_probe(hp, rho):
     """
     def f(gamma):
         try:
-            return R.op_rps(hp, gamma, rho)
+            return outage(gamma)
         except nm.ConvergenceError:
             return 0.0
     return f
@@ -84,7 +75,7 @@ def draw_snr(config, phase_model, count, seed, chunk=20_000):
     left = count
     while left:
         k = min(left, chunk)
-        parts.append(mc._snr_batch(config, phase_model, k, rng))
+        parts.append(snr_batch(config, phase_model, k, rng))
         left -= k
     return np.concatenate(parts)
 
@@ -106,13 +97,13 @@ def test_criterion_01_outage_rps_exact_vs_mc():
     targets = np.geomspace(1e-3, 0.5, 5)
     for n in (1, 4, 16):
         config = make_config(n_elements=n, tx_power_dbm=0.0)
-        d, element, _ = cascade_parts(config)
-        hp = HankelProduct([element] * n, None)
+        scene = link(config)
+        outage = outage_memo(R.op_rps, scene.hankel(), scene.rho)
 
         # thresholds whose exact outage spans [1e-3, 0.5]; each maps to a
         # transmit power via op(rho, g) = op(rho/g, 1), so one shared
         # sample grid covers five power points exactly
-        gammas = [bisect_increasing(rps_outage_probe(hp, d.rho), t,
+        gammas = [bisect_increasing(rps_outage_probe(outage), t,
                                     1e-14, 10.0) for t in targets]
         powers_dbm = [0.0 - 10.0 * math.log10(g) for g in gammas]
         assert len(set(round(p, 6) for p in powers_dbm)) == 5
@@ -120,16 +111,14 @@ def test_criterion_01_outage_rps_exact_vs_mc():
         # the transport reuses identical draws: re-running the middle
         # point as its own power-plus-0dB-threshold scenario reproduces
         # the grid estimate up to dB round-trip rounding of the threshold
-        probe = mc.estimate_op_grid(config, mc.UNIFORM, [gammas[2]],
-                                    100_000, 101)[0]
+        probe = op_grid(config, mc.UNIFORM, [gammas[2]], 100_000, 101)[0]
         shifted = make_config(n_elements=n, tx_power_dbm=powers_dbm[2])
         direct_run = mc.estimate_op(shifted, mc.UNIFORM, 1.0, 100_000, 101)
         assert direct_run.value == pytest.approx(probe.value, abs=3e-5)
 
-        estimates = mc.estimate_op_grid(config, mc.UNIFORM, gammas,
-                                        10_000_000, 101)
+        estimates = op_grid(config, mc.UNIFORM, gammas, 10_000_000, 101)
         for target, gamma, est in zip(targets, gammas, estimates):
-            exact = R.op_rps(hp, gamma, d.rho)
+            exact = outage(gamma)
             assert exact == pytest.approx(target, rel=1e-6)
             assert abs(exact - est.value) <= 3.0 * est.std_error
     assert time.monotonic() - t_start < 300.0
@@ -149,16 +138,15 @@ def test_criterion_02_amplitude_cdf_ops_exact_vs_mc():
             if direct:
                 over.update(direct_link="true", m_d=1.5)
             config = make_config(**over)
-            d, element, direct_params = cascade_parts(config)
-            chf = AmplitudeChf([element] * n, direct_params)
+            scene = link(config)
+            outage = outage_memo(O.op_ops, scene.chf(), scene.rho)
 
-            gammas = [bisect_increasing(
-                lambda g: O.op_ops(chf, g, d.rho), q, 1e-12, 1e9)
-                for q in quantiles]
-            estimates = mc.estimate_op_grid(config, mc.EXACT_NAKAGAMI,
-                                            gammas, 10_000_000, 202)
+            gammas = [bisect_increasing(outage, q, 1e-12, 1e9)
+                      for q in quantiles]
+            estimates = op_grid(config, mc.EXACT_NAKAGAMI, gammas,
+                                10_000_000, 202)
             for q, gamma, est in zip(quantiles, gammas, estimates):
-                exact = O.op_ops(chf, gamma, d.rho)
+                exact = outage(gamma)
                 assert exact == pytest.approx(q, rel=1e-5)
                 assert abs(exact - est.value) <= 3.0 * est.std_error
     assert time.monotonic() - t_start < 300.0
@@ -173,25 +161,23 @@ def test_criterion_03_ber_exact_vs_mc_and_largen_bdpsk():
     # random phases, four elements plus a direct path
     config = make_config(n_elements=4, m_h=1.5, m_g=2.5,
                          direct_link="true", m_d=1.5)
-    _, element, direct_params = cascade_parts(config)
-    hp = HankelProduct([element] * 4, direct_params)
+    hp = link(config).hankel()
     for power in (0.0, 5.0, 10.0, 15.0, 20.0):
         powered = make_config(n_elements=4, m_h=1.5, m_g=2.5,
                               direct_link="true", m_d=1.5,
                               tx_power_dbm=power)
-        rho = derive(powered).rho
+        rho = link(powered).rho
         exact = R.ber_rps(hp, rho, BPSK)
         est = mc.estimate_ber(powered, mc.UNIFORM, BPSK, 1_000_000, 303)
         assert abs(exact - est.value) <= 3.0 * est.std_error
 
     # coherent phases, CHF-based integral
     config = make_config(n_elements=4, m_h=1.5, m_g=2.5, phase_design="ops")
-    _, element, _ = cascade_parts(config)
-    chf = AmplitudeChf([element] * 4, None)
+    chf = link(config).chf()
     for power in (20.0, 30.0, 40.0, 50.0, 60.0):
         powered = make_config(n_elements=4, m_h=1.5, m_g=2.5,
                               phase_design="ops", tx_power_dbm=power)
-        rho = derive(powered).rho
+        rho = link(powered).rho
         exact = O.ber_ops_coherent(chf, rho, BPSK)
         est = mc.estimate_ber(powered, mc.EXACT_NAKAGAMI, BPSK,
                               1_000_000, 304)
@@ -200,12 +186,9 @@ def test_criterion_03_ber_exact_vs_mc_and_largen_bdpsk():
     # differential detection at N = 64: closed form within 3 % of the
     # exact integral
     for power in (30.0, 40.0, 50.0):
-        config = make_config(n_elements=64, tx_power_dbm=power)
-        d, element, _ = cascade_parts(config)
-        hp = HankelProduct([element] * 64, None)
-        exact = R.ber_rps(hp, d.rho, BDPSK)
-        model = la.LargeNRps(0.5 * 64 * d.rho * element.mean_power)
-        closed = la.largen_rps_ber(model, BDPSK)
+        scene = link(make_config(n_elements=64, tx_power_dbm=power))
+        exact = R.ber_rps(scene.hankel(), scene.rho, BDPSK)
+        closed = la.largen_rps_ber(scene.largen(la.LargeNRps), BDPSK)
         assert closed == pytest.approx(exact, rel=0.03)
 
 
@@ -238,17 +221,17 @@ def test_criterion_04_diversity_orders():
 
 def test_criterion_05_largen_snr_distribution():
     config = make_config(n_elements=256)
-    d, _, _ = cascade_parts(config)
-    y_sq = draw_snr(config, mc.UNIFORM, 200_000, 505) / d.rho
-    mean = 256 * d.omega_h * d.omega_g
+    scene = link(config)
+    y_sq = draw_snr(config, mc.UNIFORM, 200_000, 505) / scene.rho
+    mean = 256 * scene.element.mean_power
     ks = ks_distance(y_sq, lambda x: -np.expm1(-x / mean))
     assert ks <= 0.01
 
     for n in (64, 128):
         config = make_config(n_elements=n, phase_design="ops")
-        d, element, _ = cascade_parts(config)
-        mean_zt, var_zt = la.zt_stats(element)
-        law = n * d.rho * (n * mean_zt ** 2 + var_zt)
+        scene = link(config)
+        mean_zt, var_zt = la.zt_stats(scene.element)
+        law = n * scene.rho * (n * mean_zt ** 2 + var_zt)
         observed = draw_snr(config, mc.EXACT_NAKAGAMI, 100_000, 506).mean()
         assert observed == pytest.approx(law, rel=0.01)
 
@@ -270,8 +253,7 @@ def test_criterion_06_capacity_approximations():
                 assert approx == pytest.approx(est.value, rel=0.02)
 
     config = make_config(n_elements=256)
-    d, element, _ = cascade_parts(config)
-    model = la.LargeNRps(0.5 * 256 * d.rho * element.mean_power)
+    model = link(config).largen(la.LargeNRps)
     est = mc.estimate_ec(config, mc.UNIFORM, 200_000, 607)
     assert la.largen_rps_ec(model) == pytest.approx(est.value, rel=0.01)
 
@@ -321,16 +303,14 @@ def test_criterion_07_capacity_vs_hop_split():
 
 def test_criterion_08_exact_phase_vs_uniform_model():
     config = make_config(n_elements=16, m_h=1.5, m_g=2.5)
-    d, element, _ = cascade_parts(config)
-    hp = HankelProduct([element] * 16, None)
-    gammas = [bisect_increasing(rps_outage_probe(hp, d.rho), q, 1e-14, 10.0)
+    scene = link(config)
+    outage = outage_memo(R.op_rps, scene.hankel(), scene.rho)
+    gammas = [bisect_increasing(rps_outage_probe(outage), q, 1e-14, 10.0)
               for q in np.linspace(0.05, 0.95, 10)]
-    with_exact = mc.estimate_op_grid(config, mc.EXACT_NAKAGAMI, gammas,
-                                     200_000, 808)
-    with_uniform = mc.estimate_op_grid(config, mc.UNIFORM, gammas,
-                                       200_000, 809)
+    with_exact = op_grid(config, mc.EXACT_NAKAGAMI, gammas, 200_000, 808)
+    with_uniform = op_grid(config, mc.UNIFORM, gammas, 200_000, 809)
     for gamma, ex, un in zip(gammas, with_exact, with_uniform):
-        analytic = R.op_rps(hp, gamma, d.rho)
+        analytic = outage(gamma)
         assert abs(ex.value - analytic) <= 3.0 * ex.std_error
         combined = math.hypot(ex.std_error, un.std_error)
         assert abs(ex.value - un.value) <= 3.0 * combined

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import largen_ops_chf, largen_ops_pdf, largen_rps_chf, link
 from rislink import asymptotic as la
-from rislink import rps
+from rislink import cli, rps
 from rislink.rps import DoubleNakagami, HankelProduct, Modulation
 from rislink.scenario import (LinkGeometry, NakagamiParams, ScenarioConfig,
-                              ricean_k_to_m)
+                              derive, ricean_k_to_m)
 
 DN = DoubleNakagami(NakagamiParams(2.0, 1.0), NakagamiParams(3.0, 1.0))
 
@@ -99,21 +100,22 @@ def test_model_validation():
         la.LargeNOps(xi=-0.1, s=1.0)
     with pytest.raises(ValueError):
         la.LargeNOps(xi=1.0, s=0.0)
-    for cls in (la.LargeNRps, la.LargeNOps):
-        with pytest.raises(ValueError, match="direct"):
-            cls.from_scenario(scenario(64, direct=True))
+    # the models cover the RIS sum only: the engine table offers no
+    # asymptotic row once a direct path is present
+    for metric in ("op", "ber", "ec"):
+        assert "asymptotic" not in cli.supported_methods(
+            scenario(64, direct=True), metric)
 
 
 def test_from_scenario_parameter_values():
-    from rislink.scenario import derive
     cfg = scenario(64)
     d = derive(cfg)
-    model = la.LargeNRps.from_scenario(cfg)
+    model = link(cfg).largen(la.LargeNRps)
     assert model.sigma1_sq == pytest.approx(
         0.5 * 64 * d.rho * d.omega_h * d.omega_g, rel=1e-14)
     assert model.mean == pytest.approx(64 * d.rho * d.omega_h * d.omega_g,
                                        rel=1e-14)
-    ops_model = la.LargeNOps.from_scenario(cfg)
+    ops_model = link(cfg).largen(la.LargeNOps)
     dn = DoubleNakagami(NakagamiParams(cfg.m_h, d.omega_h),
                         NakagamiParams(cfg.m_g, d.omega_g))
     mean, var = la.zt_stats(dn)
@@ -139,11 +141,9 @@ def test_largen_rps_cdf_basics():
 
 
 def test_largen_rps_matches_exact_cdf_at_n256():
-    cfg = scenario(256, tx_dbm=10.0)
-    model = la.LargeNRps.from_scenario(cfg)
-    hp = HankelProduct.from_scenario(cfg)
-    from rislink.scenario import derive
-    rho = derive(cfg).rho
+    scene = link(scenario(256, tx_dbm=10.0))
+    model = scene.largen(la.LargeNRps)
+    hp, rho = scene.hankel(), scene.rho
     # outage at the 0 dB threshold: deep in the upper tail here, both ~1
     exact_op = rps.op_rps(hp, 1.0, rho)
     assert exact_op == pytest.approx(la.largen_rps_cdf(model, 1.0), rel=0.02)
@@ -185,12 +185,12 @@ def test_exponential_model_ks_ladder_fixed_seed():
 
 def test_largen_rps_chf_basics():
     model = la.LargeNRps(1.3)
-    assert la.largen_rps_chf(model, 0.0) == 1.0
+    assert largen_rps_chf(model, 0.0) == 1.0
     h = 1e-6
-    deriv = (la.largen_rps_chf(model, h) - la.largen_rps_chf(model, -h)) / (2 * h)
+    deriv = (largen_rps_chf(model, h) - largen_rps_chf(model, -h)) / (2 * h)
     assert (deriv / 1j).real == pytest.approx(model.mean, rel=1e-6)
     ts = np.linspace(-4.0, 4.0, 31)
-    vals = la.largen_rps_chf(model, ts)
+    vals = largen_rps_chf(model, ts)
     assert vals.shape == ts.shape
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
     assert np.allclose(np.conj(vals[::-1]), vals)
@@ -204,7 +204,7 @@ def test_largen_rps_chf_matches_empirical():
     for u in (0.4, 1.0, 2.5):
         t = u / n
         emp = np.mean(np.exp(1j * t * y2))
-        assert abs(emp - la.largen_rps_chf(model, t)) < 4.5 / math.sqrt(trials)
+        assert abs(emp - largen_rps_chf(model, t)) < 4.5 / math.sqrt(trials)
 
 
 def test_largen_rps_ber_closed_forms():
@@ -261,11 +261,11 @@ def test_largen_rps_ec_limits():
 
 def test_largen_ops_pdf_normalizes_and_validates():
     model = la.LargeNOps(xi=12.0, s=0.37)
-    total, _ = quad(lambda x: la.largen_ops_pdf(model, x), 0.0, np.inf,
+    total, _ = quad(lambda x: largen_ops_pdf(model, x), 0.0, np.inf,
                     limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
-        la.largen_ops_pdf(model, 0.0)
+        largen_ops_pdf(model, 0.0)
 
 
 def test_largen_ops_pdf_central_reduction():
@@ -273,14 +273,14 @@ def test_largen_ops_pdf_central_reduction():
     for x in (0.3, 1.0, 4.0):
         want = (model.s * math.exp(-model.s * x / 2.0)
                 / math.sqrt(2.0 * math.pi * model.s * x))
-        assert la.largen_ops_pdf(model, x) == pytest.approx(want, rel=1e-14)
+        assert largen_ops_pdf(model, x) == pytest.approx(want, rel=1e-14)
 
 
 def test_largen_ops_pdf_survives_huge_noncentrality():
     model = la.LargeNOps(xi=4e6, s=1e-4)
     peak = model.xi / model.s
-    assert la.largen_ops_pdf(model, peak) > 0.0
-    assert la.largen_ops_pdf(model, peak * 3.0) == 0.0  # underflows cleanly
+    assert largen_ops_pdf(model, peak) > 0.0
+    assert largen_ops_pdf(model, peak * 3.0) == 0.0  # underflows cleanly
 
 
 def test_largen_ops_cdf_basics():
@@ -297,30 +297,29 @@ def test_largen_ops_cdf_basics():
 def test_largen_ops_cdf_integrates_pdf():
     model = la.LargeNOps(xi=7.0, s=1.1)
     for x in (0.5, 3.0, 9.0, 25.0):
-        want, _ = quad(lambda u: la.largen_ops_pdf(model, u), 0.0, x,
+        want, _ = quad(lambda u: largen_ops_pdf(model, u), 0.0, x,
                        limit=300, epsabs=1e-12, epsrel=1e-11)
         assert la.largen_ops_cdf(model, x) == pytest.approx(want, abs=1e-8)
 
 
 def test_largen_ops_chf_basics():
     model = la.LargeNOps(xi=5.0, s=0.8)
-    assert la.largen_ops_chf(model, 0.0) == 1.0
+    assert largen_ops_chf(model, 0.0) == 1.0
     central = la.LargeNOps(xi=0.0, s=0.8)
     t = 0.7
-    assert la.largen_ops_chf(central, t) == pytest.approx(
+    assert largen_ops_chf(central, t) == pytest.approx(
         (1.0 - 2.0j * t / 0.8) ** -0.5, rel=1e-14)
     ts = np.linspace(-3.0, 3.0, 41)
-    vals = la.largen_ops_chf(model, ts)
+    vals = largen_ops_chf(model, ts)
     assert vals.shape == ts.shape
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
     assert np.allclose(np.conj(vals[::-1]), vals)
 
 
 def test_largen_ops_chf_mean_matches_growth_law():
-    cfg = scenario(96, tx_dbm=0.0)
-    model = la.LargeNOps.from_scenario(cfg)
+    model = link(scenario(96, tx_dbm=0.0)).largen(la.LargeNOps)
     h = 1e-9 / model.mean
-    deriv = (la.largen_ops_chf(model, h) - la.largen_ops_chf(model, -h)) / (2 * h)
+    deriv = (largen_ops_chf(model, h) - largen_ops_chf(model, -h)) / (2 * h)
     assert (deriv / 1j).real == pytest.approx(model.mean, rel=1e-5)
 
 
@@ -351,24 +350,19 @@ def test_largen_ops_model_against_sampling():
 # ---------------------------------------------------------------------
 
 def test_mean_growth_laws():
-    base, doubled = scenario(80), scenario(160)
-    r_rps = (la.LargeNRps.from_scenario(doubled).mean
-             / la.LargeNRps.from_scenario(base).mean)
+    def model_mean(n, model):
+        return link(scenario(n)).largen(model).mean
+
+    r_rps = model_mean(160, la.LargeNRps) / model_mean(80, la.LargeNRps)
     assert r_rps == pytest.approx(2.0, rel=1e-14)
 
-    from rislink.scenario import derive
-    d = derive(base)
-    dn = DoubleNakagami(NakagamiParams(base.m_h, d.omega_h),
-                        NakagamiParams(base.m_g, d.omega_g))
-    mean, var = la.zt_stats(dn)
-    r_ops = (la.LargeNOps.from_scenario(doubled).mean
-             / la.LargeNOps.from_scenario(base).mean)
+    mean, var = la.zt_stats(link(scenario(80)).element)
+    r_ops = model_mean(160, la.LargeNOps) / model_mean(80, la.LargeNOps)
     assert r_ops < 4.0
     assert 4.0 - r_ops == pytest.approx(2.0 * var / (80 * mean ** 2 + var),
                                         rel=1e-10)
     gaps = []
     for n in (8, 32, 128, 512):
-        ratio = (la.LargeNOps.from_scenario(scenario(2 * n)).mean
-                 / la.LargeNOps.from_scenario(scenario(n)).mean)
+        ratio = model_mean(2 * n, la.LargeNOps) / model_mean(n, la.LargeNOps)
         gaps.append(4.0 - ratio)
     assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))

@@ -124,6 +124,10 @@ def test_parse_sweep_sorts_descending_input():
 def test_parse_sweep_snaps_integer_fields():
     values = cli.parse_sweep("n_elements=4:64:3:log").values
     assert values == (4.0, 16.0, 64.0)
+    # the key is matched after stripping: "n_elements =" snaps too
+    spaced = cli.parse_sweep("n_elements =4:64:5:log")
+    assert spaced.key == "n_elements"
+    assert spaced.values == (4.0, 8.0, 16.0, 32.0, 64.0)
     # non-integral points stay put so config validation can reject them
     middle = cli.parse_sweep("n_elements=4:10:3:log").values[1]
     assert middle == pytest.approx(6.324555320336759)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import link, op_grid, snr_batch
 from rislink import asymptotic as la
 from rislink import montecarlo as mc
 from rislink import ops, rps
 from rislink.rps import Modulation
-from rislink.scenario import (LinkGeometry, NakagamiParams, PhaseDesign,
-                              ScenarioConfig, derive, quantized,
-                              ricean_k_to_m)
+from rislink.scenario import (LinkGeometry, PhaseDesign, ScenarioConfig,
+                              derive, quantized, ricean_k_to_m)
 
 M_LOS = ricean_k_to_m(10.0)
 
@@ -80,25 +80,30 @@ def test_phase_model_validation():
 # channel draws
 # ---------------------------------------------------------------------
 
+def hop_envelopes(cfg, count, rng):
+    """The simulator's source-RIS hop envelopes and their spread."""
+    draws = mc._draw(cfg, mc.UNIFORM, count, rng)
+    _, (scale_h, _, _) = mc._link_scales(cfg)
+    return np.sqrt(scale_h * draws.gh).ravel(), scale_h * cfg.m_h
+
+
 def test_envelope_moments():
-    params = NakagamiParams(2.3, 1.7)
     rng = mc.RngStream(11, 0).generator()
-    x = mc.sample_nakagami_envelope(params, rng, 1_000_000)
+    x, omega = hop_envelopes(make_config(10, m_h=2.3), 100_000, rng)
     p2 = x * x
     se2 = np.std(p2) / math.sqrt(len(x))
-    assert abs(np.mean(p2) - 1.7) < 3 * se2
+    assert abs(np.mean(p2) - omega) < 3 * se2
     p4 = p2 * p2
-    want4 = 1.7 ** 2 * (2.3 + 1.0) / 2.3
+    want4 = omega ** 2 * (2.3 + 1.0) / 2.3
     se4 = np.std(p4) / math.sqrt(len(x))
     assert abs(np.mean(p4) - want4) < 3 * se4
-    assert isinstance(mc.sample_nakagami_envelope(params, rng), float)
 
 
 def test_envelope_rayleigh_ks():
-    params = NakagamiParams(1.0, 0.8)
     rng = mc.RngStream(3, 0).generator()
-    x = np.sort(mc.sample_nakagami_envelope(params, rng, 1_000_000))
-    cdf = -np.expm1(-x * x / 0.8)
+    x, omega = hop_envelopes(make_config(10, m_h=1.0), 100_000, rng)
+    x = np.sort(x)
+    cdf = -np.expm1(-x * x / omega)
     i = np.arange(1, len(x) + 1)
     ks = max(np.max(np.abs(i / len(x) - cdf)),
              np.max(np.abs((i - 1) / len(x) - cdf)))
@@ -169,7 +174,7 @@ def test_realize_snr_deterministic_limit():
     d = derive(cfg)
     want = d.rho * (math.sqrt(d.omega_h * d.omega_g) + math.sqrt(d.omega_d)) ** 2
     rng = mc.RngStream(1, 0).generator()
-    draws = [mc.realize_snr(cfg, mc.UNIFORM, rng) for _ in range(8)]
+    draws = snr_batch(cfg, mc.UNIFORM, 8, rng)
     assert np.mean(draws) == pytest.approx(want, rel=0.02)
 
 
@@ -178,7 +183,7 @@ def test_realize_snr_rps_mean_identity():
     d = derive(cfg)
     want = d.rho * (8 * d.omega_h * d.omega_g + d.omega_d)
     rng = mc.RngStream(17, 0).generator()
-    g = mc._snr_batch(cfg, mc.UNIFORM, 400_000, rng)
+    g = snr_batch(cfg, mc.UNIFORM, 400_000, rng)
     se = np.std(g) / math.sqrt(len(g))
     assert abs(np.mean(g) - want) < 3 * se
 
@@ -186,10 +191,10 @@ def test_realize_snr_rps_mean_identity():
 def test_quantized_many_bits_approaches_coherent():
     fine = make_config(16, "quantized", tx=0.0, bits=10)
     coherent = make_config(16, "ops", tx=0.0)
-    g1 = np.sort(mc._snr_batch(fine, mc.default_phase_model(fine), 100_000,
-                               mc.RngStream(2, 0).generator()))
-    g2 = np.sort(mc._snr_batch(coherent, mc.UNIFORM, 100_000,
-                               mc.RngStream(3, 0).generator()))
+    g1 = np.sort(snr_batch(fine, mc.default_phase_model(fine), 100_000,
+                           mc.RngStream(2, 0).generator()))
+    g2 = np.sort(snr_batch(coherent, mc.UNIFORM, 100_000,
+                           mc.RngStream(3, 0).generator()))
     # two-sample KS
     allv = np.concatenate([g1, g2])
     cdf1 = np.searchsorted(g1, allv, side="right") / len(g1)
@@ -225,7 +230,7 @@ def test_snr_batch_draw_order(design, model):
         re = re + hd * np.cos(phi_d)
         im = im + hd * np.sin(phi_d)
         want = d.rho * (re * re + im * im)
-    got = mc._snr_batch(cfg, model, count, mc.RngStream(4, 2).generator())
+    got = snr_batch(cfg, model, count, mc.RngStream(4, 2).generator())
     assert np.array_equal(got, want)
 
 
@@ -250,7 +255,7 @@ def test_estimate_op_trivial_and_validation():
 def test_estimate_op_matches_exact_small_n():
     cfg = make_config(4, tx=0.0)
     d = derive(cfg)
-    hp = rps.HankelProduct.from_scenario(cfg)
+    hp = link(cfg).hankel()
     gamma_th = 4 * d.rho * d.omega_h * d.omega_g  # around the bulk
     want = rps.gamma_r_cdf(hp, gamma_th, d.rho)
     est = mc.estimate_op(cfg, mc.UNIFORM, gamma_th, 200_000, 42)
@@ -259,7 +264,7 @@ def test_estimate_op_matches_exact_small_n():
 
 def test_estimate_op_matches_exponential_model():
     cfg = make_config(256, tx=10.0)
-    model = la.LargeNRps.from_scenario(cfg)
+    model = link(cfg).largen(la.LargeNRps)
     gamma_th = model.mean * math.log(2.0)
     want = la.largen_rps_cdf(model, gamma_th)
     est = mc.estimate_op(cfg, mc.UNIFORM, gamma_th, 60_000, 9)
@@ -270,7 +275,7 @@ def test_estimate_op_grid_bit_identical_to_single():
     cfg = make_config(4, tx=0.0)
     d = derive(cfg)
     ths = [k * d.rho * d.omega_h * d.omega_g for k in (1.0, 4.0, 9.0)]
-    grid = mc.estimate_op_grid(cfg, mc.UNIFORM, ths, 30_000, 77)
+    grid = op_grid(cfg, mc.UNIFORM, ths, 30_000, 77)
     for th, got in zip(ths, grid):
         single = mc.estimate_op(cfg, mc.UNIFORM, th, 30_000, 77)
         assert got == single
@@ -285,9 +290,8 @@ def test_estimate_ber_low_snr_limit():
 
 def test_estimate_ber_matches_analytics():
     # single-element coherent link against the CHF-inversion BER
-    cfg = make_config(1, "ops", tx=25.0)
-    chf = ops.AmplitudeChf.from_scenario(cfg)
-    rho = derive(cfg).rho
+    scene = link(make_config(1, "ops", tx=25.0))
+    cfg, chf, rho = scene.config, scene.chf(), scene.rho
     want = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)
     est = mc.estimate_ber(cfg, mc.UNIFORM, Modulation.BPSK, 300_000, 15)
     assert abs(est.value - want) < 3 * est.std_error
@@ -299,9 +303,8 @@ def test_estimate_ber_matches_analytics():
 def test_estimate_ber_matches_rps_with_direct():
     cfg = make_config(4, "rps", tx=20.0, direct=True, m_h=1.5, m_g=2.5,
                       m_d=1.5)
-    hp = rps.HankelProduct.from_scenario(cfg)
-    rho = derive(cfg).rho
-    want = rps.ber_rps(hp, rho, Modulation.BPSK)
+    scene = link(cfg)
+    want = rps.ber_rps(scene.hankel(), scene.rho, Modulation.BPSK)
     est = mc.estimate_ber(cfg, mc.UNIFORM, Modulation.BPSK, 300_000, 23)
     assert abs(est.value - want) < 3 * est.std_error
 
@@ -318,7 +321,7 @@ def test_estimate_ec_deterministic_and_model_checks():
     assert est.value == pytest.approx(want, rel=2e-3)
 
     big = make_config(256, tx=10.0)
-    model = la.LargeNRps.from_scenario(big)
+    model = link(big).largen(la.LargeNRps)
     est = mc.estimate_ec(big, mc.UNIFORM, 60_000, 31)
     assert abs(est.value - la.largen_rps_ec(model)) < 3 * est.std_error
 
@@ -337,8 +340,8 @@ def test_stochastic_ordering_of_designs():
     d = derive(rand)
     scale = d.rho * 8 * d.omega_h * d.omega_g
     ths = [scale * k for k in (0.3, 1.0, 3.0, 10.0, 30.0)]
-    g_r = mc.estimate_op_grid(rand, mc.UNIFORM, ths, 60_000, 50)
-    g_c = mc.estimate_op_grid(coh, mc.UNIFORM, ths, 60_000, 51)
+    g_r = op_grid(rand, mc.UNIFORM, ths, 60_000, 50)
+    g_c = op_grid(coh, mc.UNIFORM, ths, 60_000, 51)
     for er, ec_ in zip(g_r, g_c):
         band = 3.0 * math.hypot(er.std_error, ec_.std_error)
         assert ec_.value <= er.value + band

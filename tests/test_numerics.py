@@ -18,13 +18,6 @@ from rislink import numerics as nm
 # gamma family
 # ---------------------------------------------------------------------
 
-def test_ln_gamma_matches_lgamma():
-    for x in (0.5, 1.0, 5.7619, 42.0):
-        assert nm.ln_gamma(x) == pytest.approx(sp.gammaln(x), rel=1e-15)
-    with pytest.raises(ValueError):
-        nm.ln_gamma(0.0)
-
-
 def test_digamma_reflection_and_recurrence():
     assert nm.digamma(-2.3) == pytest.approx(3.3173231575618201, rel=1e-13)
     for x in (0.17, 1.0, 3.5, 11.25):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate as si
 from scipy import special as ss
 
+from oracles import gamma_c_moment_multinomial, link
 from rislink import ops
 from rislink.numerics import QuadratureSpec
 from rislink.rps import DoubleNakagami, Modulation, gamma_r_cdf, HankelProduct
@@ -127,11 +128,17 @@ def test_nakagami_moment_rayleigh():
                                                       rel=1e-14)
 
 
+def snr_moment(cfg, k):
+    """E[gamma^k] = rho^k E[A^(2k)] as the capacity engine forms it."""
+    scene = link(cfg)
+    return scene.rho ** k * scene.chf().amplitude_moment(2 * k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_gamma_c_moment_matches_multinomial(k):
     cfg = scenario(n=5, direct=True)
-    assert ops.gamma_c_moment(cfg, k) == pytest.approx(
-        ops.gamma_c_moment_multinomial(cfg, k), rel=1e-12)
+    assert snr_moment(cfg, k) == pytest.approx(
+        gamma_c_moment_multinomial(cfg, k), rel=1e-12)
 
 
 def test_gamma_c_moment_single_element_is_x_moment():
@@ -140,19 +147,19 @@ def test_gamma_c_moment_single_element_is_x_moment():
     d = derive(cfg)
     el = DoubleNakagami(NakagamiParams(1.5, d.omega_h),
                         NakagamiParams(2.5, d.omega_g))
-    assert ops.gamma_c_moment(cfg, 2) == pytest.approx(
+    assert snr_moment(cfg, 2) == pytest.approx(
         d.rho ** 2 * x_moment(el, 4), rel=1e-12)
 
 
 def test_gamma_c_moment_validation():
     cfg = scenario(n=9)
     with pytest.raises(ValueError):
-        ops.gamma_c_moment(cfg, 5)
+        link(cfg).chf().amplitude_moment(10)
     with pytest.raises(ValueError):
-        ops.gamma_c_moment_multinomial(cfg, 3)
+        gamma_c_moment_multinomial(cfg, 3)
     # k <= 2 stays multinomial-friendly at any N
-    assert ops.gamma_c_moment_multinomial(cfg, 2) == pytest.approx(
-        ops.gamma_c_moment(cfg, 2), rel=1e-12)
+    assert gamma_c_moment_multinomial(cfg, 2) == pytest.approx(
+        snr_moment(cfg, 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -192,10 +199,9 @@ def test_gamma_c_cdf_limits_and_monotonicity():
 
 def test_coherent_combining_dominates_random_phases():
     cfg = scenario(n=4)
-    chf = ops.AmplitudeChf.from_scenario(cfg)
-    hp = HankelProduct.from_scenario(cfg)
-    rho = derive(cfg).rho
-    gbar = ops.gamma_c_moment(cfg, 1)
+    scene = link(cfg)
+    chf, hp, rho = scene.chf(), scene.hankel(), scene.rho
+    gbar = snr_moment(cfg, 1)
     for frac in (0.01, 0.1, 0.3, 1.0, 2.0):
         fc = ops.gamma_c_cdf(chf, frac * gbar, rho)
         fr = gamma_r_cdf(hp, frac * gbar, rho)
@@ -213,7 +219,7 @@ def test_op_ops_is_the_cdf():
 def test_gamma_c_cdf_against_monte_carlo():
     cfg = scenario(n=4, direct=True)
     d = derive(cfg)
-    chf = ops.AmplitudeChf.from_scenario(cfg)
+    chf = link(cfg).chf()
     rng = np.random.default_rng(20240817)
     n = 400_000
     x = (np.sqrt(rng.gamma(1.5, d.omega_h / 1.5, (n, 4)))
@@ -297,7 +303,7 @@ def test_laplace_transform_power_law_tail():
 def test_ber_ops_coherent_against_monte_carlo():
     cfg = scenario(n=2, direct=True)
     d = derive(cfg)
-    chf = ops.AmplitudeChf.from_scenario(cfg)
+    chf = link(cfg).chf()
     rho = 10.0 ** -0.5 * d.rho  # a few dB below the base point
     rng = np.random.default_rng(77)
     n = 300_000
@@ -310,16 +316,11 @@ def test_ber_ops_coherent_against_monte_carlo():
     assert abs(got - float(kern.mean())) < 4.0 * se
 
 
-def test_diversity_order_ops():
-    assert ops.diversity_order_ops([1.5, 1.5], [2.5, 2.5]) == 3.0
-    assert ops.diversity_order_ops([0.5], [3.0]) == 0.5
-    with pytest.raises(ValueError):
-        ops.diversity_order_ops([], [1.0])
-
-
 def test_quadrature_spec_passthrough():
+    # the Laplace transform takes its callers' tolerances: the BDPSK
+    # engine the default, the Craig average of the coherent BER its own
     chf = ops.AmplitudeChf([FIG2])
     loose = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
-    a = ops.gamma_c_cdf(chf, 2.0, 5.0, spec=loose)
-    b = ops.gamma_c_cdf(chf, 2.0, 5.0)
+    a = ops._amplitude_square_laplace(chf, 5.0, loose)
+    b = ops._amplitude_square_laplace(chf, 5.0)
     assert a == pytest.approx(b, abs=1e-5)

@@ -12,6 +12,7 @@ import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
+from oracles import gamma_r_pdf, link, tail_integral
 from rislink import numerics as nm
 from rislink import rps
 from rislink.scenario import LinkGeometry, NakagamiParams, ScenarioConfig
@@ -93,7 +94,7 @@ def test_from_scenario_builds_direct_factor():
         n_elements=4, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
         tx_power_dbm=0.0, m_h=1.5, m_g=2.5, m_d=1.5,
         geometry=LinkGeometry(20.0, 20.0, 86.0, direct_link=True))
-    hp = rps.HankelProduct.from_scenario(cfg)
+    hp = link(cfg).hankel()
     assert len(hp.elements) == 4
     assert hp.direct is not None and hp.direct.m == 1.5
     assert hp.tail_exponent == pytest.approx(4 * 3.0 + 3.0)
@@ -117,7 +118,7 @@ def test_pdf_matches_product_rayleigh_closed_form():
     rho = 2.0
     for g in (0.5, 2.0, 8.0):
         want = (2.0 / rho) * sp.kv(0, 2.0 * math.sqrt(g / rho))
-        assert rps.gamma_r_pdf(hp, g, rho) == pytest.approx(want, rel=1e-8)
+        assert gamma_r_pdf(hp, g, rho) == pytest.approx(want, rel=1e-8)
 
 
 def test_cdf_limits_and_monotonicity():
@@ -131,7 +132,7 @@ def test_cdf_limits_and_monotonicity():
 
 def test_pdf_normalizes_to_one():
     hp = rps.HankelProduct([UNIT, UNIT])
-    val, err = quad(lambda g: rps.gamma_r_pdf(hp, g, 1.0), 0.0, np.inf,
+    val, err = quad(lambda g: gamma_r_pdf(hp, g, 1.0), 0.0, np.inf,
                     limit=90)
     assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -142,7 +143,7 @@ def test_cdf_derivative_matches_pdf():
     for g in (0.4, 1.1, 3.0, 7.0, 15.0):
         num = (rps.gamma_r_cdf(hp, g * (1 + h), rho)
                - rps.gamma_r_cdf(hp, g * (1 - h), rho)) / (2.0 * g * h)
-        assert num == pytest.approx(rps.gamma_r_pdf(hp, g, rho), rel=1e-4)
+        assert num == pytest.approx(gamma_r_pdf(hp, g, rho), rel=1e-4)
 
 
 def test_op_rps_delegates_and_validates():
@@ -244,27 +245,18 @@ def test_ber_low_snr_limit_and_monotonicity():
 
 
 def test_ber_asymptotic_scaling_and_agreement():
+    # high-SNR BER p / (4 q rho) * int t H(t) dt, which decays exactly as
+    # 1/rho; the exact integral must reach it
     hp = rps.HankelProduct([UNIT] * 4)
-    a1 = rps.ber_rps_asymptotic(hp, 1e8, rps.Modulation.BPSK)
-    a2 = rps.ber_rps_asymptotic(hp, 2e8, rps.Modulation.BPSK)
-    assert a2 == pytest.approx(0.5 * a1, rel=1e-13)
-    exact = rps.ber_rps(hp, 1e8, rps.Modulation.BPSK)
+    const = tail_integral(hp)
+    bpsk, bdpsk = rps.Modulation.BPSK, rps.Modulation.BDPSK
+    a1 = bpsk.p * const / (4.0 * bpsk.q * 1e8)
+    exact = rps.ber_rps(hp, 1e8, bpsk)
     assert exact == pytest.approx(a1, rel=1e-6)
+    assert rps.ber_rps(hp, 2e8, bpsk) == pytest.approx(0.5 * a1, rel=1e-6)
     # BDPSK shares the same tail constant up to the (p, q) prefactor
-    b = rps.ber_rps_asymptotic(hp, 1e8, rps.Modulation.BDPSK)
-    assert b == pytest.approx(2.0 * a1, rel=1e-13)
-
-
-def test_ber_asymptotic_integrability_guard():
-    half = rps.DoubleNakagami(NakagamiParams(0.5, 1.0),
-                              NakagamiParams(0.5, 1.0))
-    for elements in ([half], [half, half]):
-        with pytest.raises(rps.IntegrabilityError):
-            rps.ber_rps_asymptotic(rps.HankelProduct(elements), 1e6,
-                                   rps.Modulation.BPSK)
-    # one decent element lifts the tail exponent above the threshold
-    rps.ber_rps_asymptotic(rps.HankelProduct([half, FIG2]), 1e6,
-                           rps.Modulation.BPSK)
+    b = bdpsk.p * const / (4.0 * bdpsk.q * 1e8)
+    assert rps.ber_rps(hp, 1e8, bdpsk) == pytest.approx(b, rel=1e-6)
 
 
 # ---------------------------------------------------------------------
