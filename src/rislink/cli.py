@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, TextIO
 
@@ -32,6 +31,7 @@ EXIT_VALIDATION = 3
 
 _METRICS = ("op", "ber", "ec")
 _METHOD_ORDER = ("exact", "asymptotic", "mc")
+_MODULATIONS = tuple(mod.label for mod in Modulation)
 _CSV_HEADER = "param,value,metric,method,estimate,std_error"
 
 
@@ -263,10 +263,6 @@ class RowSpec:
     config: ScenarioConfig
     metric: str
     method: str
-    gamma_th: float
-    modulation: Modulation
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -283,52 +279,41 @@ def _g17(v: float) -> str:
     return "%.17g" % v
 
 
-def compute_rows(specs: Sequence[RowSpec]) -> List[Row]:
-    """Evaluate row specs: analytic rows in a thread pool, then the
-    simulator rows (the simulator fills its own pool); output order is
-    the spec order either way.  Simulator rows with the same trials and
-    seed go to the simulator in one call, so rows whose configs differ
-    only in power, noise or pathloss share their draws.  A numerical
-    failure becomes a None estimate rather than aborting the table; in
-    the simulator it fails every row of its call."""
-
-    def run(spec: RowSpec) -> Row:
-        try:
-            if spec.method == "exact":
-                val = exact_value(spec.config, spec.metric, spec.gamma_th,
-                                  spec.modulation)
-            else:
-                val = asymptotic_value(spec.config, spec.metric, spec.gamma_th,
-                                       spec.modulation)
-            return Row(spec.param, spec.x, spec.metric, spec.method, val, None)
-        except (ValueError, ArithmeticError):
-            return Row(spec.param, spec.x, spec.metric, spec.method, None, None)
-
-    results: dict = {}
-    analytic = [(i, s) for i, s in enumerate(specs) if s.method != "mc"]
-    if analytic:
-        with ThreadPoolExecutor(max_workers=mc._thread_count()) as pool:
-            for (i, _), row in zip(analytic,
-                                   pool.map(run, [s for _, s in analytic])):
-                results[i] = row
-    runs: dict = {}
-    for i, spec in enumerate(specs):
+def compute_rows(specs: Sequence[RowSpec], gamma_th: float,
+                 modulation: Modulation, trials: int, seed: int,
+                 lam_scale: float = 1.0) -> List[Row]:
+    """Evaluate row specs on the calling thread, in spec order.  Every
+    simulator row goes to the simulator in one call (which fills its own
+    chunk pool), so rows whose configs differ only in power, noise or
+    pathloss share their draws.  Exact and asymptotic rows then run one
+    after another, with the cascade spread scaled by ``lam_scale``.  A
+    numerical failure becomes a None estimate rather than aborting the
+    table; in the simulator it fails every simulator row."""
+    sims = [spec for spec in specs if spec.method == "mc"]
+    try:
+        ests = iter(mc.estimate_group(
+            [_mc_query(spec.config, spec.metric, gamma_th, modulation)
+             for spec in sims], trials, seed) if sims else [])
+    except (ValueError, ArithmeticError):
+        ests = iter([None] * len(sims))
+    rows = []
+    for spec in specs:
+        value = se = None
         if spec.method == "mc":
-            runs.setdefault((spec.trials, spec.seed), []).append(i)
-    for (trials, seed), members in runs.items():
-        try:
-            ests = mc.estimate_group(
-                [_mc_query(specs[i].config, specs[i].metric, specs[i].gamma_th,
-                           specs[i].modulation) for i in members],
-                trials, seed)
-        except (ValueError, ArithmeticError):
-            ests = [None] * len(members)
-        for i, est in zip(members, ests):
-            value, se = (None, None) if est is None else (est.value,
-                                                          est.std_error)
-            results[i] = Row(specs[i].param, specs[i].x, specs[i].metric,
-                             "mc", value, se)
-    return [results[i] for i in range(len(specs))]
+            est = next(ests)
+            if est is not None:
+                value, se = est.value, est.std_error
+        else:
+            engine = (exact_value if spec.method == "exact"
+                      else asymptotic_value)
+            try:
+                value = engine(spec.config, spec.metric, gamma_th,
+                               modulation, lam_scale)
+            except (ValueError, ArithmeticError):
+                pass
+        rows.append(Row(spec.param, spec.x, spec.metric, spec.method, value,
+                        se))
+    return rows
 
 
 def write_table(rows: Sequence[Row], stream: TextIO) -> bool:
@@ -377,15 +362,19 @@ def _resolve_methods(config: ScenarioConfig, metric: str, method) -> tuple:
 
 
 def _specs_for_curve(param: str, points: Sequence, metrics: Sequence[str],
-                     method, gamma_th: float, modulation: Modulation,
-                     trials: int, seed: int) -> List[RowSpec]:
-    specs: List[RowSpec] = []
-    for x, config in points:
-        for metric in metrics:
-            for use in _resolve_methods(config, metric, method):
-                specs.append(RowSpec(param, x, config, metric, use,
-                                     gamma_th, modulation, trials, seed))
-    return specs
+                     method) -> List[RowSpec]:
+    return [RowSpec(param, x, config, metric, use)
+            for x, config in points for metric in metrics
+            for use in _resolve_methods(config, metric, method)]
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Fail early on an unwritable output file; None stands for stdout."""
+    try:
+        if path is not None:
+            open(path, "a", encoding="utf-8").close()  # keeps its contents
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}")
 
 
 def cmd_metric(args) -> int:
@@ -404,7 +393,7 @@ def cmd_metric(args) -> int:
     base = build_config(mapping, args.config)
     gamma_th = 10.0 ** ((args.gamma_th_db if args.gamma_th_db is not None
                          else 0.0) / 10.0)
-    metrics = (args.metric,) if args.metric else ("op", "ber", "ec")
+    metrics = (args.metric,) if args.metric else _METRICS
 
     if args.sweep:
         sweep = parse_sweep(args.sweep)
@@ -418,9 +407,9 @@ def cmd_metric(args) -> int:
         points = [(base.tx_power_dbm, base)]
         param = "tx_power_dbm"
 
-    specs = _specs_for_curve(param, points, metrics, args.method, gamma_th,
-                             modulation, args.trials, args.seed)
-    rows = compute_rows(specs)
+    specs = _specs_for_curve(param, points, metrics, args.method)
+    _check_writable(args.out)
+    rows = compute_rows(specs, gamma_th, modulation, args.trials, args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             ok = write_table(rows, fh)
@@ -493,13 +482,14 @@ def _preset_curves(name: str):
 
 def _run_preset(args, modulation: Modulation) -> int:
     status = EXIT_OK
-    for suffix, param, points, metrics, method, th_db in \
-            _preset_curves(args.preset):
+    curves = _preset_curves(args.preset)
+    for curve in curves:
+        _check_writable(f"{args.out}_{curve[0]}.csv")
+    for suffix, param, points, metrics, method, th_db in curves:
         gamma_db = args.gamma_th_db if args.gamma_th_db is not None else th_db
-        specs = _specs_for_curve(param, points, metrics, method,
-                                 10.0 ** (gamma_db / 10.0), modulation,
-                                 args.trials, args.seed)
-        rows = compute_rows(specs)
+        rows = compute_rows(_specs_for_curve(param, points, metrics, method),
+                            10.0 ** (gamma_db / 10.0), modulation,
+                            args.trials, args.seed)
         path = f"{args.out}_{suffix}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if not write_table(rows, fh):
@@ -522,10 +512,21 @@ def cmd_validate(args) -> int:
     gamma_th = 10.0 ** ((args.gamma_th_db if args.gamma_th_db is not None
                          else 0.0) / 10.0)
 
+    _check_writable(args.out)
+
     # the three simulator estimates share one sample set
-    sims = compute_rows(_specs_for_curve(
-        "tx_power_dbm", [(config.tx_power_dbm, config)], _METRICS, "mc",
-        gamma_th, modulation, args.trials, args.seed))
+    x = config.tx_power_dbm
+    sims = compute_rows(
+        [RowSpec("tx_power_dbm", x, config, metric, "mc")
+         for metric in _METRICS],
+        gamma_th, modulation, args.trials, args.seed)
+    # then the analytic rows of each metric whose simulator row succeeded
+    analytic = compute_rows(
+        [RowSpec("tx_power_dbm", x, config, sim.metric, method)
+         for sim in sims if sim.estimate is not None
+         for method in supported_methods(config, sim.metric)[:-1]],
+        gamma_th, modulation, args.trials, args.seed,
+        lam_scale=args.lambda_scale)
     lines = ["metric,method,estimate,std_error,z_score,status"]
     any_numeric = False
     any_fail = False
@@ -541,27 +542,22 @@ def cmd_validate(args) -> int:
             se_floor = math.sqrt(q * (1.0 - q) / args.trials)
         lines.append(f"{metric},mc,{_g17(sim.estimate)},"
                      f"{_g17(sim.std_error)},,ok")
-        for method in supported_methods(config, metric)[:-1]:
-            try:
-                if method == "exact":
-                    val = exact_value(config, metric, gamma_th, modulation,
-                                      args.lambda_scale)
-                else:
-                    val = asymptotic_value(config, metric, gamma_th,
-                                           modulation, args.lambda_scale)
-            except (ValueError, ArithmeticError):
+        for row in (row for row in analytic if row.metric == metric):
+            if row.estimate is None:
                 any_numeric = True
-                lines.append(f"{metric},{method},error,,,error")
+                lines.append(f"{metric},{row.method},error,,,error")
                 continue
-            z = (val - sim.estimate) / se_floor if se_floor > 0.0 else math.inf
-            if method == "asymptotic":
+            z = ((row.estimate - sim.estimate) / se_floor if se_floor > 0.0
+                 else math.inf)
+            if row.method == "asymptotic":
                 status = "info"
             elif abs(z) > 4.0:
                 status = "fail"
                 any_fail = True
             else:
                 status = "ok"
-            lines.append(f"{metric},{method},{_g17(val)},,{_g17(z)},{status}")
+            lines.append(f"{metric},{row.method},{_g17(row.estimate)},,"
+                         f"{_g17(z)},{status}")
 
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -593,15 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--config", help="flat key=value scenario file")
     pm.add_argument("--preset", choices=("fig1", "fig2", "fig3"),
                     help="bundled figure scenario bundle (needs --out prefix)")
-    pm.add_argument("--metric", choices=("op", "ber", "ec"),
+    pm.add_argument("--metric", choices=_METRICS,
                     help="single metric (default: all three)")
-    pm.add_argument("--method", choices=("exact", "asymptotic", "mc", "all"),
+    pm.add_argument("--method", choices=_METHOD_ORDER + ("all",),
                     default="all")
     pm.add_argument("--sweep", metavar="KEY=A:B:N[:log]",
                     help="replace one numeric config field with a grid")
     pm.add_argument("--gamma-th-db", type=float, default=None,
                     help="outage threshold in dB (default 0; fig1 preset: -30)")
-    pm.add_argument("--modulation", choices=("bpsk", "bfsk", "bdpsk"),
+    pm.add_argument("--modulation", choices=_MODULATIONS,
                     default="bpsk")
     pm.add_argument("--trials", type=int, default=100_000,
                     help="Monte-Carlo trials per row")
@@ -613,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cross-check exact/asymptotic/MC with z-scores")
     pv.add_argument("--config", required=True)
     pv.add_argument("--gamma-th-db", type=float, default=None)
-    pv.add_argument("--modulation", choices=("bpsk", "bfsk", "bdpsk"),
+    pv.add_argument("--modulation", choices=_MODULATIONS,
                     default="bpsk")
     pv.add_argument("--trials", type=int, default=200_000)
     pv.add_argument("--seed", type=int, default=1234)

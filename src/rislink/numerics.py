@@ -41,7 +41,7 @@ digamma log-sums of the logarithmic forms keep their own loops.
 Vectorized callers (characteristic functions on quadrature grids) pass
 ndarray arguments and get ndarrays back; scalars stay scalars.  Integrands
 are expected to be rescaled by the caller so that the significant support
-is O(1)-sized: the default truncation cap assumes as much.
+is O(1)-sized: `TRUNCATION_CAP` assumes as much.
 """
 
 import math
@@ -86,22 +86,20 @@ class ConvergenceError(ArithmeticError):
         self.error_bound = error_bound
 
 
+MAX_SUBINTERVALS = 4096
+TRUNCATION_CAP = 1e4
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for `integrate_semi_infinite`."""
+    """Tolerances for `integrate_semi_infinite`."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    max_subintervals: int = 4096
-    truncation_cap: float = 1e4
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subintervals < 8:
-            raise ValueError("max_subintervals must be at least 8")
-        if self.truncation_cap <= 0:
-            raise ValueError("truncation_cap must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -972,8 +970,8 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     lower = float(lower)
     if lower < 0:
         raise ValueError("lower limit must be nonnegative")
-    edges = _build_edges(breakpoints, lower, spec.truncation_cap)
-    budget = _Budget(spec.max_subintervals)
+    edges = _build_edges(breakpoints, lower, TRUNCATION_CAP)
+    budget = _Budget(MAX_SUBINTERVALS)
 
     contributions = []
     widths = []

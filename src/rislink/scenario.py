@@ -13,6 +13,9 @@ from typing import Mapping, Optional
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+# Largest RIS accepted: the engines hold or draw one value per element.
+MAX_ELEMENTS = 4096
+
 
 @dataclass(frozen=True)
 class NakagamiParams:
@@ -106,8 +109,9 @@ class ScenarioConfig:
     m_d: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
-            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
+        if not (isinstance(self.n_elements, int)
+                and 1 <= self.n_elements <= MAX_ELEMENTS):
+            raise ValueError(f"n_elements must be an integer in [1, {MAX_ELEMENTS}], got {self.n_elements}")
         if not self.carrier_hz > 0.0:
             raise ValueError("carrier frequency must be positive")
         if not self.alpha >= 2.0:

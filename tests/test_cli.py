@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -345,6 +346,7 @@ def test_metric_modulation_selects_kernel(tmp_path, capsys):
     ["--sweep", "tx_power_dbm=garbage"],
     ["--gamma-th-db", "nan"],
     ["--sweep", "tx_power_dbm=0:inf:2"],
+    ["--sweep", "n_elements=4097:4097:1"],
 ])
 def test_metric_usage_errors(tmp_path, capsys, extra):
     path = write_cfg(tmp_path)
@@ -398,6 +400,43 @@ def test_metric_byte_identical_across_thread_counts(tmp_path, capsys,
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert ",mc," in outputs[0]
+
+
+def test_analytic_rows_run_on_calling_thread(tmp_path, capsys, monkeypatch):
+    callers = []
+    exact = cli.exact_value
+
+    def traced(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_value", traced)
+    monkeypatch.setenv("RISLINK_THREADS", "2")
+    code, _, _ = run(["metric", "--config", write_cfg(tmp_path),
+                      "--sweep", "tx_power_dbm=0:10:3", "--method", "exact"],
+                     capsys)
+    assert code == cli.EXIT_OK
+    assert len(callers) == 3 * 3
+    assert set(callers) == {threading.main_thread().ident}
+
+
+def _no_rows(*args, **kwargs):
+    raise AssertionError("rows computed before the output was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--metric", "op", "--method", "asymptotic", "--out"],
+    ["validate", "--out"],
+    ["metric", "--preset", "fig1", "--out"],
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "compute_rows", _no_rows)
+    if "--preset" not in argv:
+        argv = argv[:1] + ["--config", write_cfg(tmp_path)] + argv[1:]
+    code, out, err = run(argv + [str(tmp_path / "missing" / "x.csv")],
+                         capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("rislink: cannot write")
 
 
 # ---------------------------------------------------------------------

@@ -335,12 +335,8 @@ def test_quadrature_spec_defaults_and_validation():
     spec = nm.QuadratureSpec()
     assert spec.abs_tol == 1e-12
     assert spec.rel_tol == 1e-9
-    assert spec.max_subintervals == 4096
-    assert spec.truncation_cap == 1e4
     with pytest.raises(ValueError):
         nm.QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        nm.QuadratureSpec(truncation_cap=-1.0)
 
 
 def test_integrate_exponential_exact():

@@ -154,6 +154,7 @@ def test_config_from_mapping_roundtrip():
     {"tx_power_dbm": "nan"},
     {"r_h": "inf"},
     {"n_elements": "inf"},
+    {"n_elements": "4097"},
 ])
 def test_config_from_mapping_rejections(mutate):
     bad = dict(_GOOD, **mutate)
