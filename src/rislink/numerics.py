@@ -34,9 +34,23 @@ it sums the convergent and terminating 1F1 series, the Gauss, Pfaff and
 terminating 2F1 series, the power series of the non-logarithmic
 connection formulas (with their largest term, for the cancellation
 check) and of the logarithmic 1 - z form's head, and the continuation
-anchor (with its z-derivative).  A series that reaches its term budget
-raises `ConvergenceError`; `_series` never returns a truncated sum.  The
-digamma log-sums of the logarithmic forms keep their own loops.
+anchor (with its z-derivative).  It tests for convergence every 4th
+term.  A series that reaches its term budget raises `ConvergenceError`;
+`_series` never returns a truncated sum.  The digamma log-sums of the
+logarithmic forms keep their own loops; the 1 - z one runs in blocks of
+32 terms, Python stepping the scalar recurrences and numpy accumulating
+each block's sums and stop test along a block axis, bit for bit as a
+term-by-term loop would.  No term loop calls ``ndarray.max`` (a Python
+frame per call): the stop tests use ``np.maximum.reduce``.
+
+1F1 at a negative argument -X uses the Kummer series e^-X M(b-a; b; X),
+which needs about X terms, up to a switch point X0(a, b), and the
+algebraic asymptotic expansion (DLMF 13.7) beyond it.  X0 is the
+smallest X, capped at 600, at which the expansion's terms fall below
+1e-17 before they grow and the exponentially small part it drops is
+below 1e-17 relative; it is found by bisection and cached per (a, b).
+Where the expansion cannot reach 1e-17 (X > 600 with X0 capped) it
+raises `ConvergenceError`.
 
 Vectorized callers (characteristic functions on quadrature grids) pass
 ndarray arguments and get ndarrays back; scalars stay scalars.  Integrands
@@ -44,6 +58,7 @@ are expected to be rescaled by the caller so that the significant support
 is O(1)-sized: `TRUNCATION_CAP` assumes as much.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -281,7 +296,7 @@ def _bessel_large(order, ax):
             q = q + (-term if k % 4 == 3 else term)
         else:
             p = p + (-term if k % 4 == 2 else term)
-        if np.max(np.abs(term)) < 1e-17:
+        if np.maximum.reduce(np.abs(term), axis=None) < 1e-17:
             break
     omega = ax - (2 * order + 1) * (math.pi / 4.0)
     amp = np.sqrt(2.0 / (math.pi * ax))
@@ -347,10 +362,11 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
     Term k+1 is term k times prod(p + k) / ((k + 1) prod(q + k)) times z,
     with the products formed left to right.  With ``count`` the sum stops
     after that many ratio steps (terminating series).  Otherwise it stops
-    once the newest term's largest magnitude is at most 1e-17 of the
-    partial sum's, and `ConvergenceError` is raised if ``budget`` steps
-    are not enough.  ``peak`` adds the elementwise largest term magnitude and
-    ``deriv`` the z-derivative to the return value, in that order.
+    at the first step k = 3 (mod 4) whose newest term's largest magnitude
+    is at most 1e-17 of the partial sum's, and `ConvergenceError` is
+    raised if ``budget`` steps are not enough.  ``peak`` adds the
+    elementwise largest term magnitude and ``deriv`` the z-derivative to
+    the return value, in that order.
     """
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -369,9 +385,12 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
             top = np.maximum(top, np.abs(term))
         if deriv:
             slope = slope + (k + 1.0) * term / z
-        # ndarray.max skips np.max's Python-level dispatch; same reduction
-        if count is None and np.abs(term).max() \
-                <= 1e-17 * max(np.abs(total).max(), 1e-300):
+        # the stop test runs every 4th term; np.maximum.reduce is the
+        # reduction of ndarray.max without its Python-level frame
+        if count is None and k % 4 == 3 \
+                and np.maximum.reduce(np.abs(term), axis=None) \
+                <= 1e-17 * max(np.maximum.reduce(np.abs(total), axis=None),
+                               1e-300):
             break
     else:
         if count is None:
@@ -385,6 +404,7 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
 # =====================================================================
 
 _KUMMER_MAX = 600.0
+_LOG_1E17 = math.log(1e-17)
 
 
 def _is_nonpos_int(v, tol=1e-9):
@@ -392,28 +412,71 @@ def _is_nonpos_int(v, tol=1e-9):
 
 
 def _hyp1f1_asym_neg(a, b, big_x):
-    """M(a,b,-X) ~ G(b)/G(b-a) X^-a sum_k (a)_k (1+a-b)_k / (k! X^k)."""
-    pref = math.gamma(b) / math.gamma(b - a)
+    """M(a,b,-X) ~ G(b)/G(b-a) X^-a sum_k (a)_k (1+a-b)_k / (k! X^k).
+
+    Raises `ConvergenceError` unless the terms fall below 1e-17 within 60
+    steps without growing first; the exponentially small part
+    G(b)/G(a) e^-X X^(a-b) is dropped, which `_kummer_switch` accounts for.
+    """
+    lead = math.gamma(b) / math.gamma(b - a) * np.exp(-a * np.log(big_x))
     total = np.ones_like(big_x)
     term = np.ones_like(big_x)
     for k in range(0, 60):
         nxt = term * ((a + k) * (1.0 + a - b + k) / (k + 1.0)) / big_x
-        if np.max(np.abs(nxt)) >= np.max(np.abs(term)):
-            break
+        if np.maximum.reduce(np.abs(nxt), axis=None) \
+                >= np.maximum.reduce(np.abs(term), axis=None):
+            raise ConvergenceError("1F1 asymptotic terms grow before 1e-17",
+                                   best_estimate=lead * total)
         term = nxt
         total = total + term
-        if np.max(np.abs(term)) < 1e-17:
-            break
-    return pref * np.exp(-a * np.log(big_x)) * total
+        if np.maximum.reduce(np.abs(term), axis=None) < 1e-17:
+            return lead * total
+    raise ConvergenceError("1F1 asymptotic expansion did not converge",
+                           best_estimate=lead * total)
+
+
+@functools.lru_cache(maxsize=256)
+def _kummer_switch(a, b):
+    """X0(a, b): the smallest integer X, capped at `_KUMMER_MAX`, from
+    which `_hyp1f1_asym_neg` gives M(a; b; -X) to 1e-17.
+
+    At X0 the algebraic terms fall below 1e-17 before they grow, and the
+    dropped part |G(b-a)|/G(a) e^-X X^(2a-b) is below 1e-17 relative.  Both
+    bounds only tighten as X grows past 2a - b, so bisection finds X0.
+    """
+    log_ratio = math.lgamma(b - a) - math.lgamma(a)
+
+    def accurate(x):
+        if log_ratio - x + (2.0 * a - b) * math.log(x) >= _LOG_1E17:
+            return False
+        try:
+            _hyp1f1_asym_neg(a, b, np.array([float(x)]))
+        except ConvergenceError:
+            return False
+        return True
+
+    lo = max(math.ceil(2.0 * a - b), 1)
+    hi = int(_KUMMER_MAX)
+    if lo >= hi or not accurate(hi):
+        return _KUMMER_MAX
+    if accurate(lo):
+        return float(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accurate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 def hyp1f1(a, b, x):
     """Kummer confluent hypergeometric M(a; b; x), real parameters.
 
-    Scalar or ndarray x.  Negative arguments of moderate size go through
-    the Kummer transformation (stable all-positive series); very large
-    negative arguments use the algebraic asymptotic expansion, whose
-    truncation floor is negligible beyond the switch point.
+    Scalar or ndarray x.  Negative arguments -X go through the Kummer
+    transformation e^-X M(b-a; b; X) up to the switch point X0(a, b) of
+    `_kummer_switch` and through the algebraic asymptotic expansion beyond
+    it, which raises `ConvergenceError` where it cannot reach 1e-17.
     """
     a = float(a)
     b = float(b)
@@ -439,7 +502,7 @@ def hyp1f1(a, b, x):
         if neg.any():
             big_x = -flat[neg]
             sub = np.empty_like(big_x)
-            moderate = big_x <= _KUMMER_MAX
+            moderate = big_x <= _kummer_switch(a, b)
             if moderate.any():
                 xm = big_x[moderate]
                 sub[moderate] = np.exp(-xm) * _series((b - a,), (b,), xm,
@@ -459,6 +522,7 @@ def hyp1f1(a, b, x):
 _INT_TOL = 1e-9          # distance below which integer connection forms apply
 _DEGENERATE_BAND = 0.02  # nearly-integer band routed to continuation instead
 _CANCEL_LIMIT = 1e3      # peak-term / result ratio tolerated before rerouting
+_LOG_BLOCK = 32          # terms per block of the 1 - z digamma log-sum
 
 
 def _terminating_series(a, b, c, z):
@@ -545,8 +609,10 @@ def _inv_z_log(a, m, c, big_x):
             term = (poch_am / (fact_n * fact_mn)) * bracket * (log_x + e_n) * xpow
         logsum = logsum + term
         peak = np.maximum(peak, np.abs(term))
-        scale = max(scale, float(np.max(np.abs(logsum))))
-        if n > 2 and np.max(np.abs(term)) <= 1e-17 * scale:
+        scale = max(scale, float(np.maximum.reduce(np.abs(logsum),
+                                                   axis=None)))
+        if n > 2 and np.maximum.reduce(np.abs(term), axis=None) \
+                <= 1e-17 * scale:
             break
         poch_am *= (a + m + n)
         fact_n *= (n + 1.0)
@@ -577,7 +643,15 @@ def _one_minus_z_two_term(a, b, c, w):
 
 
 def _one_minus_z_log(a, b, m, w):
-    """Connection in w = 1 - z for integer d = m >= 0 (c = a + b + m)."""
+    """Connection in w = 1 - z for integer d = m >= 0 (c = a + b + m).
+
+    The digamma log-sum over the 1-d ndarray w runs `_LOG_BLOCK` terms at
+    a time: Python steps the scalar recurrences and the powers of w (a
+    complex multiply.accumulate rounds differently from the elementwise
+    product), and each block's terms, running sums, peak and stop test are
+    array operations along the block axis that take the term-by-term
+    loop's operands in its order, so the result is the same to the bit.
+    """
     c = a + b + m
     head = np.zeros_like(w)
     if m >= 1:
@@ -595,20 +669,43 @@ def _one_minus_z_log(a, b, m, w):
     total = np.zeros_like(w)
     peak = np.zeros(w.shape)
     scale = 1e-300
-    for k in range(3000):
-        e_k = psi_k1 + psi_km1 - psi_akm - psi_bkm
-        term = poch * (e_k - log_w) * wpow
-        total = total + term
-        peak = np.maximum(peak, np.abs(term))
-        scale = max(scale, float(np.max(np.abs(total))))
-        if k > 2 and np.max(np.abs(term)) <= 1e-17 * scale:
+    budget = 3000
+    for k0 in range(0, budget, _LOG_BLOCK):
+        size = min(_LOG_BLOCK, budget - k0)
+        # row j of each stack belongs to term k = k0 + j
+        coef = np.empty(size)
+        e_k = np.empty(size)
+        wpows = np.empty((size,) + w.shape, dtype=w.dtype)
+        for j, k in enumerate(range(k0, k0 + size)):
+            coef[j] = poch
+            e_k[j] = psi_k1 + psi_km1 - psi_akm - psi_bkm
+            wpows[j] = wpow
+            poch *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
+            psi_k1 += 1.0 / (k + 1.0)
+            psi_km1 += 1.0 / (k + m + 1.0)
+            psi_akm += 1.0 / (a + m + k)
+            psi_bkm += 1.0 / (b + m + k)
+            wpow = wpow * w
+        terms = coef[:, None] * (e_k[:, None] - log_w) * wpows
+        sums = np.empty((size + 1,) + w.shape, dtype=w.dtype)
+        sums[0] = total
+        sums[1:] = terms
+        np.add.accumulate(sums, axis=0, out=sums)
+        mags = np.abs(terms)
+        scales = np.empty(size + 1)
+        scales[0] = scale
+        np.maximum.reduce(np.abs(sums[1:]), axis=1, out=scales[1:])
+        # fmax, like max(scale, nan), lets a NaN sum leave the scale alone
+        np.fmax.accumulate(scales, out=scales)
+        stop = np.maximum.reduce(mags, axis=1) <= 1e-17 * scales[1:]
+        stop[:max(3 - k0, 0)] = False
+        hits = np.flatnonzero(stop)
+        end = hits[0] + 1 if hits.size else size
+        total = sums[end]
+        peak = np.maximum(peak, np.maximum.reduce(mags[:end], axis=0))
+        if hits.size:
             break
-        poch *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
-        psi_k1 += 1.0 / (k + 1.0)
-        psi_km1 += 1.0 / (k + m + 1.0)
-        psi_akm += 1.0 / (a + m + k)
-        psi_bkm += 1.0 / (b + m + k)
-        wpow = wpow * w
+        scale = scales[-1]
     else:
         raise _not_converged(total)
     wm = np.abs(w) ** m
@@ -630,7 +727,7 @@ def _continuation_vec(a, b, c, targets):
     for _ in range(120):
         rem = targets - z0
         dist_rem = np.abs(rem)
-        if np.max(dist_rem) <= 1e-15:
+        if np.maximum.reduce(dist_rem, axis=None) <= 1e-15:
             return f
         radius = np.minimum(np.abs(z0), np.abs(z0 - 1.0))
         step_len = np.minimum(0.35 * radius, dist_rem)
@@ -652,7 +749,8 @@ def _continuation_vec(a, b, c, targets):
             term = cn2 * hpow
             total = total + term
             cn, cn1 = cn1, cn2
-            if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
+            if np.maximum.reduce(np.abs(term), axis=None) <= 1e-17 * max(
+                    np.maximum.reduce(np.abs(total), axis=None), 1e-300):
                 ok = True
                 break
         if not ok:

@@ -11,6 +11,7 @@ import pytest
 import mpmath as mp
 from scipy import special as sp
 
+import oracles
 from rislink import numerics as nm
 
 
@@ -142,6 +143,45 @@ def test_hyp1f1_against_scipy_vector():
         ref = sp.hyp1f1(a, b, x)
         scale = np.maximum(np.abs(ref), 1e-280)
         assert np.max(np.abs(mine - ref) / scale) < 5e-12
+
+
+def test_hyp1f1_switch_point_routes_match_mpmath():
+    # the Kummer series runs up to X0(a, b) and the algebraic expansion
+    # beyond it; dense around the switch point, sparse out to X = 2000
+    worst = 0.0
+    with mp.workdps(30):
+        for a in (0.5, 0.75, 1.0, 1.5, 2.0, 2.3, 3.7, 5.76, 6.26, 10.76,
+                  11.26):
+            for b in (0.5, 1.0, 1.5, 2.0):
+                if nm._is_nonpos_int(b - a):
+                    continue    # terminating reflection, no switch point
+                x0 = nm._kummer_switch(a, b)
+                assert 30.0 <= x0 < nm._KUMMER_MAX
+                xs = np.concatenate([
+                    x0 + np.arange(-15.0, 16.0),
+                    x0 + 15.5 + np.geomspace(1.0, 1984.5 - x0, 12)])
+                mine = nm.hyp1f1(a, b, -xs)
+                ref = np.array([float(mp.hyp1f1(a, b, -float(x)))
+                                for x in xs])
+                worst = max(worst, np.max(np.abs(mine - ref) / np.abs(ref)))
+    assert worst <= 1e-13
+    # the three kernels of the fig2 BER integrands
+    assert [nm._kummer_switch(a, b)
+            for a, b in ((1.5, 2.0), (1.5, 1.0), (2.0, 1.5))] == [44, 49, 51]
+
+
+def test_hyp1f1_asymptotic_route_raises_instead_of_truncating():
+    # M(30; 3/2; -800) used to come back as -3.73e-58 against mpmath's
+    # -1.18e-57: the first term ratio 30 * 29.5 / 800 is already above 1
+    assert float(mp.hyp1f1(30, 1.5, -800)) == pytest.approx(-1.1777e-57,
+                                                             rel=1e-4)
+    assert nm._kummer_switch(30.0, 1.5) == nm._KUMMER_MAX
+    with pytest.raises(nm.ConvergenceError) as err:
+        nm.hyp1f1(30.0, 1.5, -800.0)
+    assert err.value.best_estimate is not None
+    # terms that fall at first but grow again above 1e-17 raise as well
+    with pytest.raises(nm.ConvergenceError):
+        nm._hyp1f1_asym_neg(1.5, 2.0, np.array([20.0]))
 
 
 def test_hyp1f1_rejects_nonpositive_integer_b():
@@ -310,6 +350,35 @@ def test_log_connection_forms_raise_instead_of_truncating():
     got, _ = nm._inv_z_log(1.5, 0, 1.0, np.array([12.0]))
     assert got[0] == pytest.approx(float(mp.hyp2f1(1.5, 1.5, 1.0, -12.0)),
                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("radius, last_term", [
+    (1e-7, 3), (0.0545, 17), (0.201, 31), (0.211, 32), (0.221, 33),
+    (0.453, 64), (0.7745, 200)])
+def test_one_minus_z_log_blocks_match_the_term_loop(radius, last_term):
+    # the blocked log-sum stops on the term the per-term loop stops on
+    # (k <= 3, inside a block, either side of a block edge, several blocks
+    # in) and returns the same bits
+    w = radius * np.exp(1j * np.array([-1.0, 0.4, 2.5]))
+    want, want_peak, k = oracles.one_minus_z_log_loop(1.5, 2.5, 1, w)
+    assert k == last_term
+    got, peak = nm._one_minus_z_log(1.5, 2.5, 1, w)
+    assert np.array_equal(got, want) and np.array_equal(peak, want_peak)
+    real = np.array([radius, 0.5 * radius])
+    got, peak = nm._one_minus_z_log(11.52, 0.5, 0, real)
+    want, want_peak, _ = oracles.one_minus_z_log_loop(11.52, 0.5, 0, real)
+    assert np.array_equal(got, want) and np.array_equal(peak, want_peak)
+
+
+def test_one_minus_z_log_budget_keeps_the_full_sum():
+    # at the 3000-term budget the blocked sum raises with the same partial
+    # sum as the per-term loop
+    w = np.array([0.999 + 0j])
+    with pytest.raises(nm.ConvergenceError) as got:
+        nm._one_minus_z_log(1.5, 2.5, 1, w)
+    with pytest.raises(nm.ConvergenceError) as want:
+        oracles.one_minus_z_log_loop(1.5, 2.5, 1, w)
+    assert np.array_equal(got.value.best_estimate, want.value.best_estimate)
 
 
 # ---------------------------------------------------------------------

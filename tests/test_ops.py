@@ -9,7 +9,7 @@ from scipy import special as ss
 
 from oracles import gamma_c_moment_multinomial, link
 from rislink import ops
-from rislink.numerics import QuadratureSpec
+from rislink.numerics import ConvergenceError, QuadratureSpec
 from rislink.rps import DoubleNakagami, Modulation, gamma_r_cdf, HankelProduct
 from rislink.scenario import (
     OPS,
@@ -65,6 +65,14 @@ def test_chf_direct_rayleigh_known_value():
                      0, np.inf, limit=400)[0]
     assert val.real == pytest.approx(ref_re, abs=1e-12)
     assert abs(ops.chf_direct(p, 0.0) - 1.0) < 1e-14
+
+
+def test_chf_direct_raises_where_1f1_has_no_route():
+    # m = 29.5 is inside the documented domain; at -0.25 lam t^2 = -800
+    # the odd factor M(30; 3/2; .) used to come back 68% off
+    p = NakagamiParams(29.5, 1.0)
+    with pytest.raises(ConvergenceError):
+        ops.chf_direct(p, math.sqrt(4.0 * 29.5 * 800.0))
 
 
 @pytest.mark.parametrize("hops", [(1.5, 0.4, 2.5, 1.7), (0.5, 1.0, 0.9, 2.0),
