@@ -29,6 +29,8 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
+MAX_SWEEP_STEPS = 1000
+
 _METRICS = ("op", "ber", "ec")
 _METHOD_ORDER = ("exact", "asymptotic", "mc")
 _MODULATIONS = tuple(mod.label for mod in Modulation)
@@ -99,8 +101,9 @@ def parse_sweep(text: str) -> Sweep:
         raise CliError(f"bad --sweep {text!r}: start/stop numeric, steps integer")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise CliError(f"bad --sweep {text!r}: start and stop must be finite")
-    if steps < 1:
-        raise CliError(f"bad --sweep {text!r}: needs at least one step")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise CliError(f"bad --sweep {text!r}: steps must be in "
+                       f"[1, {MAX_SWEEP_STEPS}]")
     if len(parts) == 4:
         if start <= 0.0 or stop <= 0.0:
             raise CliError(f"bad --sweep {text!r}: log sweeps need positive "

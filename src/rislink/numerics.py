@@ -35,8 +35,9 @@ terminating 2F1 series, the power series of the non-logarithmic
 connection formulas (with their largest term, for the cancellation
 check) and of the logarithmic 1 - z form's head, and the continuation
 anchor (with its z-derivative).  It tests for convergence every 4th
-term.  A series that reaches its term budget raises `ConvergenceError`;
-`_series` never returns a truncated sum.  The digamma log-sums of the
+term.  A series that reaches its term budget, or whose partial sum is no
+longer finite at a stop test, raises `ConvergenceError`; `_series` never
+returns a truncated or overflowed sum.  The digamma log-sums of the
 logarithmic forms keep their own loops; the 1 - z one runs in blocks of
 32 terms, Python stepping the scalar recurrences and numpy accumulating
 each block's sums and stop test along a block axis, bit for bit as a
@@ -51,6 +52,13 @@ smallest X, capped at 600, at which the expansion's terms fall below
 below 1e-17 relative; it is found by bisection and cached per (a, b).
 Where the expansion cannot reach 1e-17 (X > 600 with X0 capped) it
 raises `ConvergenceError`.
+
+The integrator walks panels in blocks of 32, scoring each panel by its
+20-point Gauss-Legendre (GL) value against the sum of its two halves.  A
+panel that misses its tolerance is refined level by level, without
+recursion: each level halves every pending sub-panel in one integrand
+call, reusing the value each sub-panel already has as its parent's half.
+The subinterval budget counts GL panels, 2 per halved panel.
 
 Vectorized callers (characteristic functions on quadrature grids) pass
 ndarray arguments and get ndarrays back; scalars stay scalars.  Integrands
@@ -138,12 +146,13 @@ _PSI_TAIL = (
 def digamma(x):
     """Digamma function for real noninteger x (and positive integers)."""
     x = float(x)
+    reflect = 0.0
     if x <= 0:
         if x == math.floor(x):
             raise ValueError("digamma pole at nonpositive integer")
         # reflection psi(x) = psi(1-x) - pi/tan(pi x), argument range-reduced
-        frac = x - round(x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * frac)
+        reflect = math.pi / math.tan(math.pi * (x - round(x)))
+        x = 1.0 - x
     result = 0.0
     while x < 10.0:
         result -= 1.0 / x
@@ -154,7 +163,7 @@ def digamma(x):
     for coeff in _PSI_TAIL:
         tail -= coeff * p
         p *= inv2
-    return result + math.log(x) - 0.5 / x + tail
+    return (result + math.log(x) - 0.5 / x + tail) - reflect
 
 
 def _rgamma(x):
@@ -364,7 +373,8 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
     after that many ratio steps (terminating series).  Otherwise it stops
     at the first step k = 3 (mod 4) whose newest term's largest magnitude
     is at most 1e-17 of the partial sum's, and `ConvergenceError` is
-    raised if ``budget`` steps are not enough.  ``peak`` adds the
+    raised if ``budget`` steps are not enough or a stop test finds the
+    partial sum not finite.  ``peak`` adds the
     elementwise largest term magnitude and ``deriv`` the z-derivative to
     the return value, in that order.
     """
@@ -386,12 +396,15 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
         if deriv:
             slope = slope + (k + 1.0) * term / z
         # the stop test runs every 4th term; np.maximum.reduce is the
-        # reduction of ndarray.max without its Python-level frame
-        if count is None and k % 4 == 3 \
-                and np.maximum.reduce(np.abs(term), axis=None) \
-                <= 1e-17 * max(np.maximum.reduce(np.abs(total), axis=None),
-                               1e-300):
-            break
+        # reduction of ndarray.max without its Python-level frame.  An
+        # overflowed sum would pass it (any term is below 1e-17 * inf).
+        if count is None and k % 4 == 3:
+            size = np.maximum.reduce(np.abs(total), axis=None)
+            if not math.isfinite(size):
+                raise _not_converged(total)
+            if np.maximum.reduce(np.abs(term), axis=None) \
+                    <= 1e-17 * max(size, 1e-300):
+                break
     else:
         if count is None:
             raise _not_converged(total)
@@ -985,29 +998,37 @@ def _build_edges(breakpoints, lower, cap):
     return edges
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _halve(f, los, his, whole):
+    """(mids, left, right, |left + right - whole|) with one integrand call."""
+    mids = 0.5 * (los + his)
+    left, right = _gl_batch(f, np.concatenate([los, mids]),
+                            np.concatenate([mids, his])).reshape(2, -1)
+    return mids, left, right, np.abs(left + right - whole)
 
-    def __init__(self, n):
-        self.left = n
 
-
-def _refine_panel(f, lo, hi, tol, budget, running):
-    whole = _gl_batch(f, [lo], [hi])[0]
-    mid = 0.5 * (lo + hi)
-    halves = _gl_batch(f, [lo, mid], [mid, hi])
-    refined = halves[0] + halves[1]
-    budget.left -= 2
-    disc = abs(refined - whole)
-    if disc <= tol or (hi - lo) <= 1e-14 * max(1.0, abs(hi)):
-        return refined, disc / 63.0
-    if budget.left <= 0:
-        raise ConvergenceError("subinterval budget exhausted",
-                               best_estimate=running + refined,
-                               error_bound=disc)
-    v1, e1 = _refine_panel(f, lo, mid, 0.5 * tol, budget, running)
-    v2, e2 = _refine_panel(f, mid, hi, 0.5 * tol, budget, running + v1)
-    return v1 + v2, e1 + e2
+def _refine(f, los, mids, his, left, right, tol, budget, running, disc):
+    """Bisect panels split at ``mids`` into halves ``left`` and ``right``,
+    one integrand call per level, until every half is within ``tol``
+    (halved per level).  Returns (value, error, budget left); a level the
+    budget cannot pay for raises `ConvergenceError` with every known value."""
+    value = err = 0.0
+    while len(los):
+        los, his = np.concatenate([los, mids]), np.concatenate([mids, his])
+        vals = np.concatenate([left, right])
+        if 2 * len(los) > budget:
+            raise ConvergenceError("subinterval budget exhausted",
+                                   best_estimate=running + value
+                                   + float(np.sum(vals)), error_bound=disc)
+        budget -= 2 * len(los)
+        mids, left, right, discs = _halve(f, los, his, vals)
+        keep = (discs > tol) & (his - los > 1e-14 * np.maximum(1.0, abs(his)))
+        value += float(np.sum((left + right)[~keep]))
+        err += float(np.sum(discs[~keep])) / 63.0
+        disc = float(np.sum(discs[keep]))
+        los, mids, his, left, right = (a[keep] for a in
+                                       (los, mids, his, left, right))
+        tol *= 0.5
+    return value, err, budget
 
 
 def _uniform_widths(widths) -> bool:
@@ -1054,13 +1075,16 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
 
     Panels come either from an iterable of increasing breakpoints (e.g.
     scaled Bessel zeros for oscillatory kernels) or from a default doubling
-    sequence.  Panels are evaluated in batches (one integrand call per
-    block) by adaptive Gauss-Legendre; the running sequence of panel
-    contributions is summed directly when it decays geometrically and
-    through Euler / van Wijngaarden averaging when it alternates, which is
-    what makes slowly decaying oscillatory tails affordable.  Raises
-    `ConvergenceError` (carrying the best estimate) when the subinterval
-    budget or the truncation cap is exhausted first.
+    sequence.  Panels are evaluated in blocks (two integrand calls each:
+    the panels, then their halves) by adaptive Gauss-Legendre; a panel
+    that misses its tolerance is bisected level by level, one integrand
+    call per level, at half the tolerance per level.  The running sequence
+    of panel contributions is summed directly when it decays geometrically
+    and through Euler / van Wijngaarden averaging when it alternates, which
+    is what makes slowly decaying oscillatory tails affordable.  Raises
+    `ConvergenceError` (carrying the best estimate) when the truncation cap
+    is reached first, or when the next level costs more than is left of
+    the budget of `MAX_SUBINTERVALS` GL panels (each halved panel costs 2).
 
     With ``full_output=True`` returns ``(value, error_bound)``.
     """
@@ -1069,7 +1093,7 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     if lower < 0:
         raise ValueError("lower limit must be nonnegative")
     edges = _build_edges(breakpoints, lower, TRUNCATION_CAP)
-    budget = _Budget(MAX_SUBINTERVALS)
+    budget = MAX_SUBINTERVALS
 
     contributions = []
     widths = []
@@ -1084,26 +1108,17 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
         stop = min(idx + _PANEL_BLOCK, n_edges - 1)
         los = np.asarray(edges[idx:stop])
         his = np.asarray(edges[idx + 1:stop + 1])
-        nblk = len(los)
-        whole = _gl_batch(f, los, his)
-        mids = 0.5 * (los + his)
-        halves = _gl_batch(f, np.concatenate([los, mids]),
-                           np.concatenate([mids, his]))
-        refined = halves[:nblk] + halves[nblk:]
-        discs = np.abs(refined - whole)
-        budget.left -= 2 * nblk
-        for i in range(nblk):
+        mids, left, right, discs = _halve(f, los, his, _gl_batch(f, los, his))
+        refined = left + right
+        budget -= 2 * len(los)
+        for i in range(len(los)):
             scale = max(abs(total), float(np.abs(refined[i])))
             tol = max(spec.abs_tol, spec.rel_tol * scale) / 8.0
-            if discs[i] <= tol:
-                contrib, perr = refined[i], discs[i] / 63.0
-            else:
-                if budget.left <= 0:
-                    raise ConvergenceError("subinterval budget exhausted",
-                                           best_estimate=total,
-                                           error_bound=float(discs[i]))
-                contrib, perr = _refine_panel(f, los[i], his[i], tol, budget,
-                                              total)
+            contrib, perr = refined[i], discs[i] / 63.0
+            if discs[i] > tol:
+                contrib, perr, budget = _refine(
+                    f, *(a[i:i + 1] for a in (los, mids, his, left, right)),
+                    0.5 * tol, budget, total, float(discs[i]))
             contributions.append(float(contrib))
             widths.append(float(his[i] - los[i]))
             err_total += perr

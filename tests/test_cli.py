@@ -150,6 +150,24 @@ def test_parse_sweep_rejects_bad_specs(spec):
         cli.parse_sweep(spec)
 
 
+@pytest.mark.parametrize("spec", ["tx_power_dbm=0:1:1000000000",
+                                  "r_h=1:100:1001:log"])
+def test_sweep_steps_are_bounded_before_any_grid(tmp_path, capsys,
+                                                 monkeypatch, spec):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for an out-of-range step count")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(cli.np, "geomspace", no_grid)
+    code, out, err = run(["metric", "--config", write_cfg(tmp_path),
+                          "--sweep", spec], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and f"[1, {cli.MAX_SWEEP_STEPS}]" in err
+    monkeypatch.undo()
+    top = f"tx_power_dbm=0:1:{cli.MAX_SWEEP_STEPS}"
+    assert len(cli.parse_sweep(top).values) == cli.MAX_SWEEP_STEPS
+
+
 # ---------------------------------------------------------------------
 # method support matrix
 # ---------------------------------------------------------------------

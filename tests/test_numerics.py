@@ -329,6 +329,17 @@ def test_series_budget_raises():
         nm._one_minus_z_two_term(1.5, 2.7, 4.45, np.array([0.995 + 0j]))
 
 
+def test_series_refuses_an_overflowed_sum():
+    # sum z^k / k! at z = 1e300 overflows to inf, and any term passes a
+    # stop test against an infinite partial sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nm.ConvergenceError):
+            nm._series((1.0,), (1.0,), np.array([1e300]))
+        # Kummer series e^-X M(-398.5; 1.5; X): alternating terms overflow
+        with pytest.raises(nm.ConvergenceError):
+            nm.hyp1f1(400.0, 1.5, -599.0)
+
+
 def test_log_connection_forms_raise_instead_of_truncating():
     # both used to return a wrong sum: 6.19e9 against 2F1(1.5, 2.5; 5;
     # 0.001) = 1.00075 (3000-term budget), and 0.1588 against 2F1(1.5,
@@ -433,6 +444,39 @@ def test_integrate_lower_limit_and_full_output():
                                           full_output=True)
     assert val == pytest.approx(math.exp(-2.0), rel=1e-12)
     assert err >= 0.0
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(t):
+        calls.append(len(t))
+        return f(t)
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("f, want", [
+    # a kink and a jump at 1/3, inside the first default panel [0, 1]
+    (lambda t: np.abs(t - 1.0 / 3.0) * np.exp(-t),
+     1.0 / 3.0 - 1.0 + 2.0 * math.exp(-1.0 / 3.0)),
+    (lambda t: np.exp(-t) * (t > 1.0 / 3.0), math.exp(-1.0 / 3.0)),
+], ids=["kink", "jump"])
+def test_integrate_refines_level_by_level(f, want):
+    f, calls = _counted(f)
+    assert nm.integrate_semi_infinite(f) == pytest.approx(want, rel=1e-9)
+    # the block's two calls (its panels, then their halves), then one per
+    # bisection level; splitting [0, 1] stops at width 1e-14, 47 levels in
+    assert len(calls) <= 2 + math.ceil(math.log2(1e14))
+
+
+def test_integrate_refinement_budget_raises_with_an_estimate():
+    f, calls = _counted(lambda t: np.exp(-t) * (1.0 + np.sin(1e9 * t)))
+    with pytest.raises(nm.ConvergenceError,
+                       match="subinterval budget exhausted") as info:
+        nm.integrate_semi_infinite(f)
+    assert info.value.best_estimate is not None
+    # one level holds at most 2048 sub-panels of 20 nodes, halved
+    assert max(calls) <= 2 * 2048 * 20
 
 
 def test_integrate_reports_truncation():
