@@ -30,6 +30,7 @@ EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
 MAX_SWEEP_STEPS = 1000
+MAX_TRIALS = 10 ** 9
 
 _METRICS = ("op", "ber", "ec")
 _METHOD_ORDER = ("exact", "asymptotic", "mc")
@@ -287,10 +288,11 @@ def compute_rows(specs: Sequence[RowSpec], gamma_th: float,
                  lam_scale: float = 1.0) -> List[Row]:
     """Evaluate row specs on the calling thread, in spec order.  Every
     simulator row goes to the simulator in one call (which fills its own
-    chunk pool), so rows whose configs differ only in power, noise or
-    pathloss share their draws.  Exact and asymptotic rows then run one
-    after another, with the cascade spread scaled by ``lam_scale``.  A
-    numerical failure becomes a None estimate rather than aborting the
+    chunk pool), so rows with the same N and hop shapes share their hop
+    draws, and rows whose configs differ only in power, noise or
+    pathloss share all their draws.  Exact and asymptotic rows then run
+    one after another, with the cascade spread scaled by ``lam_scale``.
+    A numerical failure becomes a None estimate rather than aborting the
     table; in the simulator it fails every simulator row."""
     sims = [spec for spec in specs if spec.method == "mc"]
     try:
@@ -339,8 +341,8 @@ def write_table(rows: Sequence[Row], stream: TextIO) -> bool:
 # ---------------------------------------------------------------------
 
 def _check_run_args(args) -> None:
-    if args.trials < 10_000:
-        raise CliError("--trials must be at least 10000")
+    if not 10_000 <= args.trials <= MAX_TRIALS:
+        raise CliError(f"--trials must be in [10000, {MAX_TRIALS}]")
     if not 0 <= args.seed < 2 ** 64:
         raise CliError("--seed must be an unsigned 64-bit integer")
     if args.gamma_th_db is not None and not math.isfinite(args.gamma_th_db):
@@ -440,7 +442,8 @@ def _base_mapping(**overrides) -> dict:
 
 
 def _preset_curves(name: str):
-    """(suffix, param, points, metrics, method, gamma_th_db) per curve."""
+    """(gamma_th_db, curves): the preset's outage threshold and, per
+    curve, (suffix, param, points, metrics, method)."""
     curves = []
     if name == "fig1":
         powers = [float(p) for p in range(-10, 31, 2)]
@@ -448,8 +451,9 @@ def _preset_curves(name: str):
             points = [(p, build_config(_base_mapping(
                 n_elements=n, tx_power_dbm=p))) for p in powers]
             curves.append((f"fig1_N{n}", "tx_power_dbm", points,
-                           ("op", "ec"), "all", -30.0))
-    elif name == "fig2":
+                           ("op", "ec"), "all"))
+        return -30.0, curves
+    if name == "fig2":
         powers = [float(p) for p in range(-10, 31, 2)]
         for design in ("rps", "ops"):
             for direct in (False, True):
@@ -463,8 +467,9 @@ def _preset_curves(name: str):
                     tag = "direct" if direct else "nodirect"
                     curves.append((f"fig2_{design}_{tag}_N{n}",
                                    "tx_power_dbm", points, ("ber",),
-                                   ("exact", "mc"), 0.0))
-    elif name == "fig3":
+                                   ("exact", "mc")))
+        return 0.0, curves
+    if name == "fig3":
         for design in ("rps", "quantized", "ops"):
             for n in (64, 320):
                 points = []
@@ -477,25 +482,29 @@ def _preset_curves(name: str):
                     points.append((float(r_h),
                                    build_config(_base_mapping(**over))))
                 curves.append((f"fig3_{design}_N{n}", "r_h", points,
-                               ("ec",), ("exact", "mc"), 0.0))
-    else:
-        raise CliError(f"unknown preset {name!r}")
-    return curves
+                               ("ec",), ("exact", "mc")))
+        return 0.0, curves
+    raise CliError(f"unknown preset {name!r}")
 
 
 def _run_preset(args, modulation: Modulation) -> int:
-    status = EXIT_OK
-    curves = _preset_curves(args.preset)
+    """All curves of a preset go to one compute_rows call, so the
+    simulator shares hop draws across them; the rows are then written
+    one CSV per curve."""
+    th_db, curves = _preset_curves(args.preset)
     for curve in curves:
         _check_writable(f"{args.out}_{curve[0]}.csv")
-    for suffix, param, points, metrics, method, th_db in curves:
-        gamma_db = args.gamma_th_db if args.gamma_th_db is not None else th_db
-        rows = compute_rows(_specs_for_curve(param, points, metrics, method),
-                            10.0 ** (gamma_db / 10.0), modulation,
-                            args.trials, args.seed)
+    per_curve = [_specs_for_curve(param, points, metrics, method)
+                 for _, param, points, metrics, method in curves]
+    gamma_db = args.gamma_th_db if args.gamma_th_db is not None else th_db
+    rows = iter(compute_rows([spec for specs in per_curve for spec in specs],
+                             10.0 ** (gamma_db / 10.0), modulation,
+                             args.trials, args.seed))
+    status = EXIT_OK
+    for (suffix, *_), specs in zip(curves, per_curve):
         path = f"{args.out}_{suffix}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if not write_table(rows, fh):
+            if not write_table([next(rows) for _ in specs], fh):
                 status = EXIT_NUMERIC
         print(f"wrote {path}", file=sys.stderr)
     return status

@@ -7,13 +7,16 @@ partial sums are reduced in chunk order, so every estimate is
 bit-identical for any thread count or scheduling.
 
 Every estimate runs through one grouped reduction (`estimate_group`).
-Queries whose configs differ only in transmit power, noise or pathloss
-form one group: these reach the SNR only as rho and as the Gamma scales
-omega/m, so each chunk draws its unit-scale variates once for the whole
-group, builds one SNR base per distinct scale, and applies each query's
-rho and metric to it.  A grouped estimate is bit-identical to the same
-query run alone.  The single-metric `estimate_*` functions are groups
-of one.
+Queries with the same element count and hop shapes (N, m_h, m_g) form
+one group: each chunk draws their hop variates once and forms each
+element's unit-scale amplitude once, whatever the phase design, phase
+model or direct path.  Within a group, queries whose configs differ only
+in transmit power, noise or pathloss share all their draws: these reach
+the SNR only as rho and as the Gamma scales omega/m, so the elements are
+summed once at unit scale and each distinct scale multiplies the
+per-trial sums.  Every query reads exactly the stream it reads alone, so
+a grouped estimate is bit-identical to the same query run alone.  The
+single-metric `estimate_*` functions are groups of one.
 
 BER estimators average the conditional error kernel over SNR draws
 instead of counting bit decisions, which reaches deep-tail error rates
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
@@ -39,6 +43,8 @@ _GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # RISLINK_THREADS is clamped to this, so no value of it can ask for more
 # operating-system threads
 _MAX_THREADS = 64
+# chunks in flight per simulator thread: bounds the memory of a long run
+_WINDOW = 4
 
 
 # ---------------------------------------------------------------------
@@ -76,6 +82,8 @@ def _thread_count() -> int:
         except ValueError:
             raise ValueError(f"RISLINK_THREADS must be an integer, got {env!r}")
         return max(1, min(cap, _MAX_THREADS))
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -229,39 +237,49 @@ def _direct_phases(config: ScenarioConfig, model: PhaseModel, count: int,
     return np.zeros(count)
 
 
+def _hop_amplitudes(config: ScenarioConfig, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``count`` trials of unit-scale cascade amplitudes sqrt(gh * gg),
+    shape (count, n), from standard Gamma power draws of hop h then hop
+    g.  These are the first draws of every chunk, so every config with
+    the same N, m_h and m_g reads the same ones.  Scaled by sqrt(s_h) *
+    sqrt(s_g), they are the cascade amplitudes of hops with Gamma scales
+    s_h and s_g, so one draw serves every distance."""
+    n = config.n_elements
+    gh = rng.standard_gamma(config.m_h, (count, n))
+    gg = rng.standard_gamma(config.m_g, (count, n))
+    np.multiply(gh, gg, out=gh)
+    return np.sqrt(gh, out=gh)
+
+
 class _Draws(NamedTuple):
     """One chunk's variates at unit scale, shared by every config of a
-    group: standard Gamma power draws of the two hops (count, n) and of
-    the direct path (count,), and the residual phases (None where the
-    design draws none)."""
+    draw_key(): the cascade amplitudes (count, n), the residual phases
+    (None where the design draws none), and the standard Gamma power
+    draws of the direct path (count,) with its phases."""
 
-    gh: np.ndarray
-    gg: np.ndarray
+    amp: np.ndarray
     phi: Optional[np.ndarray]
     gd: Optional[np.ndarray]
     phi_d: Optional[np.ndarray]
 
 
-def _draw(config: ScenarioConfig, model: PhaseModel, count: int,
+def _draw(config: ScenarioConfig, model: PhaseModel, amp: np.ndarray,
           rng: np.random.Generator) -> _Draws:
-    """``count`` trials of variates.  Draw order is part of the
-    determinism contract: hop powers h then g, then design-specific
-    phases, then the direct-path draws.  ``Generator.gamma(m, s)`` is
-    bitwise ``s * standard_gamma(m)``, so rescaling these draws gives the
-    Gamma(m, omega/m) draws of any distance."""
-    n = config.n_elements
-    gh = rng.standard_gamma(config.m_h, (count, n))
-    gg = rng.standard_gamma(config.m_g, (count, n))
+    """The variates that follow the hop draws of ``amp``.  Draw order is
+    part of the determinism contract: hop powers h then g, then
+    design-specific phases, then the direct-path draws."""
+    count, n = amp.shape
     direct = config.geometry.direct_link
     if config.phase_design.kind == "ops":
         gd = rng.standard_gamma(config.m_d, count) if direct else None
-        return _Draws(gh, gg, None, gd, None)
+        return _Draws(amp, None, gd, None)
     phi = _element_phases(config, model, (count, n), rng)
     gd = phi_d = None
     if direct:
         gd = rng.standard_gamma(config.m_d, count)
         phi_d = _direct_phases(config, model, count, rng)
-    return _Draws(gh, gg, phi, gd, phi_d)
+    return _Draws(amp, phi, gd, phi_d)
 
 
 def _link_scales(config: ScenarioConfig) -> tuple:
@@ -277,41 +295,52 @@ _BASE_BLOCK = 1 << 15
 
 
 def _snr_bases(draws: _Draws, scales: Sequence[tuple]) -> List[np.ndarray]:
-    """Per set of Gamma scales, the SNR over rho before its last
-    multiply: the received amplitude for co-phased elements (SNR =
-    rho * amp * amp), else the received power re^2 + im^2 (SNR = rho *
-    power).  Runs in row blocks, each taking the cosine and sine of its
-    phases once for every scale; a row's sum is the same in any block.
+    """Per set of Gamma scales (s_h, s_g, s_d), the SNR over rho before
+    its last multiply: the received amplitude for co-phased elements
+    (SNR = rho * amp * amp), else the received power re^2 + im^2 (SNR =
+    rho * power).  The elements are summed once, at unit scale; random
+    phases are summed in row blocks that take the cosine and sine of
+    their phases once, and a row's sum is the same in any block.  Each
+    set of scales then multiplies the per-trial sums: sqrt(s_h) *
+    sqrt(s_g) the element sums and sqrt(s_d) the direct term.
     Overwrites the element phases with their sines."""
-    count, n = draws.gh.shape
+    count, n = draws.amp.shape
     coherent = draws.phi is None
-    re = [np.empty(count) for _ in scales]
-    im = None if coherent else [np.empty(count) for _ in scales]
-    step = max(1, _BASE_BLOCK // n)
-    for lo in range(0, count, step):
-        rows = slice(lo, lo + step)
-        if not coherent:
-            phi = draws.phi[rows]
+    if coherent:
+        re, im = np.sum(draws.amp, axis=1), None
+    else:
+        re, im = np.empty(count), np.empty(count)
+        step = max(1, _BASE_BLOCK // n)
+        for lo in range(0, count, step):
+            rows = slice(lo, lo + step)
+            amp, phi = draws.amp[rows], draws.phi[rows]
             cos = np.cos(phi)
+            re[rows] = np.sum(np.multiply(cos, amp, out=cos), axis=1)
             sin = np.sin(phi, out=phi)
-        for k, (s_h, s_g, _) in enumerate(scales):
-            x = np.sqrt(s_h * draws.gh[rows]) * np.sqrt(s_g * draws.gg[rows])
-            if coherent:
-                re[k][rows] = np.sum(x, axis=1)
-            else:
-                re[k][rows] = np.sum(x * cos, axis=1)
-                im[k][rows] = np.sum(x * sin, axis=1)
+            im[rows] = np.sum(np.multiply(sin, amp, out=sin), axis=1)
+    re_d = im_d = None
     if draws.gd is not None:
-        if not coherent:
-            cos_d, sin_d = np.cos(draws.phi_d), np.sin(draws.phi_d)
-        for k, (_, _, s_d) in enumerate(scales):
-            hd = np.sqrt(s_d * draws.gd)
-            if coherent:
-                re[k] += hd
-            else:
-                re[k] += hd * cos_d
-                im[k] += hd * sin_d
-    return re if coherent else [r * r + i * i for r, i in zip(re, im)]
+        hd = np.sqrt(draws.gd)
+        re_d = hd if coherent else hd * np.cos(draws.phi_d)
+        im_d = None if coherent else hd * np.sin(draws.phi_d)
+
+    def scaled(elements, direct, c, c_d):
+        out = c * elements
+        if direct is not None:
+            out += c_d * direct
+        return out
+
+    bases = []
+    for s_h, s_g, s_d in scales:
+        c = math.sqrt(s_h) * math.sqrt(s_g)
+        c_d = None if s_d is None else math.sqrt(s_d)
+        r = scaled(re, re_d, c, c_d)
+        if coherent:
+            bases.append(r)
+        else:
+            i = scaled(im, im_d, c, c_d)
+            bases.append(r * r + i * i)
+    return bases
 
 
 def _snr(base: np.ndarray, rho: float, coherent: bool) -> np.ndarray:
@@ -388,41 +417,78 @@ class McQuery:
                           n_trials=n_trials, seed=seed)
 
 
+class _Subgroup(NamedTuple):
+    """Queries of one draw_key(): the config and phase model they draw
+    with, their distinct Gamma scales (each mapped to the index of its
+    SNR base), and the query indices per (base index, rho)."""
+
+    config: ScenarioConfig
+    phase_model: PhaseModel
+    scales: dict
+    snrs: dict
+
+
+def _subgroups(queries: Sequence[McQuery]) -> List[_Subgroup]:
+    subs: dict = {}
+    for q, query in enumerate(queries):
+        sub = subs.setdefault(query.draw_key(), _Subgroup(
+            query.config, query.phase_model, {}, {}))
+        rho, scale = _link_scales(query.config)
+        base = sub.scales.setdefault(scale, len(sub.scales))
+        sub.snrs.setdefault((base, rho), []).append(q)
+    return list(subs.values())
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, count: int, window: int):
+    """fn(0), ..., fn(count - 1) run on the pool and yielded in index
+    order, with at most ``window`` of them submitted and not yet
+    yielded."""
+    pending: deque = deque()
+    for i in range(count):
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, i))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _reduce(queries: Sequence[McQuery], n_trials: int,
             seed: int) -> List[np.ndarray]:
     """Each query's partial sums over the chunked streams, added in chunk
-    order.  The queries share draw_key(): each chunk draws once, builds
-    one SNR base per distinct Gamma scale and releases the draws, then
-    applies each distinct rho once and hands that SNR to its queries."""
-    first = queries[0]
-    coherent = first.config.phase_design.kind == "ops"
-    scales: dict = {}      # Gamma scales -> index of their base
-    snrs: dict = {}        # (base index, rho) -> indices of its queries
-    for q, query in enumerate(queries):
-        rho, scale = _link_scales(query.config)
-        base = scales.setdefault(scale, len(scales))
-        snrs.setdefault((base, rho), []).append(q)
-    cs = _chunk_size(first.config.n_elements)
+    order.  The queries share (N, m_h, m_g): each chunk draws the hops
+    and forms the unit-scale amplitudes once, then every draw_key()
+    subgroup rewinds the stream to just after the hop draws, draws its
+    own phases and direct path, builds one SNR base per distinct Gamma
+    scale, and applies each distinct rho once for its queries."""
+    subs = _subgroups(queries)
+    first = queries[0].config
+    cs = _chunk_size(first.n_elements)
     n_chunks = (n_trials + cs - 1) // cs
 
     def run(i: int) -> list:
         count = min(cs, n_trials - i * cs)
         rng = RngStream(seed, i).generator()
-        draws = _draw(first.config, first.phase_model, count, rng)
-        bases = _snr_bases(draws, list(scales))
-        del draws
+        amp = _hop_amplitudes(first, count, rng)
+        after_hops = rng.bit_generator.state
         parts = [None] * len(queries)
-        for (base, rho), members in snrs.items():
-            g = _snr(bases[base], rho, coherent)
-            for q in members:
-                parts[q] = queries[q].partial(g)
+        for sub in subs:
+            rng.bit_generator.state = after_hops
+            coherent = sub.config.phase_design.kind == "ops"
+            bases = _snr_bases(_draw(sub.config, sub.phase_model, amp, rng),
+                               list(sub.scales))
+            for (base, rho), members in sub.snrs.items():
+                g = _snr(bases[base], rho, coherent)
+                for q in members:
+                    parts[q] = queries[q].partial(g)
         return parts
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        chunks = list(pool.map(run, range(n_chunks)))
-    totals = chunks[0]
-    for parts in chunks[1:]:  # fixed order: chunk index
-        totals = [total + part for total, part in zip(totals, parts)]
+    threads = _thread_count()
+    totals = None
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # fixed order: chunk index
+        for parts in _in_order(pool, run, n_chunks, _WINDOW * threads):
+            totals = parts if totals is None else [
+                total + part for total, part in zip(totals, parts)]
     return totals
 
 
@@ -430,16 +496,19 @@ def estimate_group(queries: Sequence[McQuery], n_trials: int,
                    seed: int) -> List[McEstimate]:
     """Estimates of several queries, in query order.
 
-    Queries with the same draw_key() are one group, reduced together:
-    each chunk's variates are drawn once for the whole group, so a power,
-    noise or geometry sweep and all its metrics consume one sample set.
-    Every estimate is bit-identical to the one its query gets alone,
-    since both consume the same chunk substreams in the same order.
+    Queries with the same N, m_h and m_g are one group, reduced together:
+    each chunk's hop variates are drawn once for the whole group, across
+    phase designs, phase models and direct paths, and queries with the
+    same draw_key() share every draw, so a power, noise or geometry
+    sweep and all its metrics consume one sample set.  Every estimate is
+    bit-identical to the one its query gets alone, since both consume
+    the same chunk substreams in the same order.
     """
     _check_run(n_trials, seed)
     groups: dict = {}
     for q, query in enumerate(queries):
-        groups.setdefault(query.draw_key(), []).append(q)
+        c = query.config
+        groups.setdefault((c.n_elements, c.m_h, c.m_g), []).append(q)
     out: List[Optional[McEstimate]] = [None] * len(queries)
     for members in groups.values():
         totals = _reduce([queries[q] for q in members], n_trials, seed)

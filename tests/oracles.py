@@ -58,7 +58,8 @@ def snr_batch(config, phase_model, count, rng):
     """``count`` SNR draws of one config through the simulator's own draw
     and SNR-base kernels."""
     rho, scales = mc._link_scales(config)
-    base, = mc._snr_bases(mc._draw(config, phase_model, count, rng), [scales])
+    amp = mc._hop_amplitudes(config, count, rng)
+    base, = mc._snr_bases(mc._draw(config, phase_model, amp, rng), [scales])
     return mc._snr(base, rho, config.phase_design.kind == "ops")
 
 

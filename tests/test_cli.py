@@ -473,22 +473,23 @@ def test_preset_rejects_sweep(capsys):
 
 
 def test_preset_curve_definitions():
-    fig1 = cli._preset_curves("fig1")
+    th_db, fig1 = cli._preset_curves("fig1")
+    assert th_db == -30.0
     assert [c[0] for c in fig1] == ["fig1_N16", "fig1_N64", "fig1_N256"]
-    for _, param, points, metrics, method, th_db in fig1:
-        assert (param, metrics, method, th_db) == (
-            "tx_power_dbm", ("op", "ec"), "all", -30.0)
+    for _, param, points, metrics, method in fig1:
+        assert (param, metrics, method) == ("tx_power_dbm", ("op", "ec"),
+                                            "all")
         assert len(points) == 21
 
-    fig2 = cli._preset_curves("fig2")
-    assert len(fig2) == 8
+    th_db, fig2 = cli._preset_curves("fig2")
+    assert th_db == 0.0 and len(fig2) == 8
     assert {c[0] for c in fig2} == {
         f"fig2_{d}_{t}_N{n}" for d in ("rps", "ops")
         for t in ("nodirect", "direct") for n in (4, 16)}
     assert all(c[3] == ("ber",) and c[4] == ("exact", "mc") for c in fig2)
 
-    fig3 = cli._preset_curves("fig3")
-    assert len(fig3) == 6
+    th_db, fig3 = cli._preset_curves("fig3")
+    assert th_db == 0.0 and len(fig3) == 6
     quant = next(c for c in fig3 if c[0] == "fig3_quantized_N64")
     r_h, config = quant[2][0]
     assert r_h == 25.0 and config.phase_design.bits == 2
@@ -496,6 +497,36 @@ def test_preset_curve_definitions():
 
     with pytest.raises(cli.CliError, match="unknown preset"):
         cli._preset_curves("fig9")
+
+
+@pytest.mark.parametrize("preset,draws", [("fig1", 14), ("fig2", 2),
+                                          ("fig3", 16)])
+def test_preset_draws_each_hop_shape_once(tmp_path, capsys, monkeypatch,
+                                          preset, draws):
+    # every curve of a preset goes to one simulator call, so one chunk
+    # substream per (N, m_h, m_g) and chunk serves every design and
+    # distance; the analytic rows are stubbed out
+    monkeypatch.setattr(cli, "exact_value", lambda *a, **k: 0.5)
+    monkeypatch.setattr(cli, "asymptotic_value", lambda *a, **k: 0.5)
+    calls = _count_generators(monkeypatch)
+    code, _, _ = run(["metric", "--preset", preset, "--trials", "10000",
+                      "--seed", "1", "--out", str(tmp_path / "p")], capsys)
+    assert code == cli.EXIT_OK
+    assert len(calls) == draws
+
+
+@pytest.mark.parametrize("command", ["preset", "metric", "validate"])
+def test_trials_above_bound_is_usage_error(tmp_path, capsys, monkeypatch,
+                                           command):
+    monkeypatch.setattr(cli, "compute_rows", _no_rows)
+    if command == "preset":
+        argv = ["metric", "--preset", "fig3", "--out", str(tmp_path / "p")]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path)]
+    for trials in (cli.MAX_TRIALS + 1, 10 ** 15):
+        code, out, err = run(argv + ["--trials", str(trials)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--trials" in err
 
 
 def test_preset_fig2_writes_curve_files(tmp_path, capsys):

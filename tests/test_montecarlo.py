@@ -3,11 +3,13 @@ analytical modules as oracles for the estimators."""
 
 import math
 import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import k1
 
 from oracles import link, op_grid, snr_batch
 from rislink import asymptotic as la
@@ -80,30 +82,38 @@ def test_phase_model_validation():
 # channel draws
 # ---------------------------------------------------------------------
 
-def hop_envelopes(cfg, count, rng):
-    """The simulator's source-RIS hop envelopes and their spread."""
-    draws = mc._draw(cfg, mc.UNIFORM, count, rng)
-    _, (scale_h, _, _) = mc._link_scales(cfg)
-    return np.sqrt(scale_h * draws.gh).ravel(), scale_h * cfg.m_h
+def cascade_envelopes(cfg, count, rng):
+    """The simulator's cascade amplitudes at the config's hop scales, and
+    the two hops' spreads."""
+    _, (scale_h, scale_g, _) = mc._link_scales(cfg)
+    amp = mc._hop_amplitudes(cfg, count, rng)
+    x = math.sqrt(scale_h) * math.sqrt(scale_g) * amp.ravel()
+    return x, scale_h * cfg.m_h, scale_g * cfg.m_g
 
 
 def test_envelope_moments():
     rng = mc.RngStream(11, 0).generator()
-    x, omega = hop_envelopes(make_config(10, m_h=2.3), 100_000, rng)
+    cfg = make_config(10, m_h=2.3)
+    x, omega_h, omega_g = cascade_envelopes(cfg, 100_000, rng)
     p2 = x * x
     se2 = np.std(p2) / math.sqrt(len(x))
-    assert abs(np.mean(p2) - omega) < 3 * se2
+    assert abs(np.mean(p2) - omega_h * omega_g) < 3 * se2
     p4 = p2 * p2
-    want4 = omega ** 2 * (2.3 + 1.0) / 2.3
+    want4 = ((omega_h * omega_g) ** 2 * (2.3 + 1.0) / 2.3
+             * (cfg.m_g + 1.0) / cfg.m_g)
     se4 = np.std(p4) / math.sqrt(len(x))
     assert abs(np.mean(p4) - want4) < 3 * se4
 
 
 def test_envelope_rayleigh_ks():
+    # double Rayleigh: P(X Y <= t) = 1 - 2 sqrt(t) K1(2 sqrt(t)) for
+    # independent unit exponentials X and Y
     rng = mc.RngStream(3, 0).generator()
-    x, omega = hop_envelopes(make_config(10, m_h=1.0), 100_000, rng)
+    x, omega_h, omega_g = cascade_envelopes(
+        make_config(10, m_h=1.0, m_g=1.0), 100_000, rng)
     x = np.sort(x)
-    cdf = -np.expm1(-x * x / omega)
+    root = 2.0 * x / math.sqrt(omega_h * omega_g)
+    cdf = 1.0 - root * k1(root)
     i = np.arange(1, len(x) + 1)
     ks = max(np.max(np.abs(i / len(x) - cdf)),
              np.max(np.abs((i - 1) / len(x) - cdf)))
@@ -206,32 +216,45 @@ def test_quantized_many_bits_approaches_coherent():
                                    mc.quantized_phases(2)])
 @pytest.mark.parametrize("design", ["rps", "ops"])
 def test_snr_batch_draw_order(design, model):
-    # the determinism contract written out with Generator.gamma: hop
-    # envelopes h then g, the design's phases, then the direct path; the
-    # count spans more than one row block of the SNR base
+    # the determinism contract written out with standard_gamma: hop
+    # powers h then g, the design's phases, then the direct path.  The
+    # elements are summed at unit scale and the Gamma scales multiply
+    # the sums; the count spans more than one row block of the SNR base
     cfg = make_config(8, design, tx=3.0, direct=True, m_h=1.5, m_g=2.5)
     d = derive(cfg)
     count = mc._BASE_BLOCK // 8 + 904
     rng = mc.RngStream(4, 2).generator()
-
-    def env(m, omega, size):
-        return np.sqrt(rng.gamma(m, omega / m, size))
-    x = (env(cfg.m_h, d.omega_h, (count, 8))
-         * env(cfg.m_g, d.omega_g, (count, 8)))
+    gh = rng.standard_gamma(cfg.m_h, (count, 8))
+    gg = rng.standard_gamma(cfg.m_g, (count, 8))
+    amp = np.sqrt(gh * gg)
+    s_h, s_g, s_d = (d.omega_h / cfg.m_h, d.omega_g / cfg.m_g,
+                     d.omega_d / cfg.m_d)
+    c, c_d = math.sqrt(s_h) * math.sqrt(s_g), math.sqrt(s_d)
+    # the same draws with every element scaled before the sum
+    x = np.sqrt(s_h * gh) * np.sqrt(s_g * gg)
     if design == "ops":
-        amp = np.sum(x, axis=1) + env(cfg.m_d, d.omega_d, count)
-        want = d.rho * amp * amp
+        gd = rng.standard_gamma(cfg.m_d, count)
+        total = c * np.sum(amp, axis=1) + c_d * np.sqrt(gd)
+        want = d.rho * total * total
+        old = d.rho * (np.sum(x, axis=1) + np.sqrt(s_d * gd)) ** 2
     else:
         phi = mc._element_phases(cfg, model, (count, 8), rng)
-        re = np.sum(x * np.cos(phi), axis=1)
-        im = np.sum(x * np.sin(phi), axis=1)
-        hd = env(cfg.m_d, d.omega_d, count)
+        gd = rng.standard_gamma(cfg.m_d, count)
         phi_d = mc._direct_phases(cfg, model, count, rng)
-        re = re + hd * np.cos(phi_d)
-        im = im + hd * np.sin(phi_d)
+        hd = np.sqrt(gd)
+        re = (c * np.sum(amp * np.cos(phi), axis=1)
+              + c_d * (hd * np.cos(phi_d)))
+        im = (c * np.sum(amp * np.sin(phi), axis=1)
+              + c_d * (hd * np.sin(phi_d)))
         want = d.rho * (re * re + im * im)
+        hd_old = np.sqrt(s_d * gd)
+        old = d.rho * ((np.sum(x * np.cos(phi), axis=1)
+                        + hd_old * np.cos(phi_d)) ** 2
+                       + (np.sum(x * np.sin(phi), axis=1)
+                          + hd_old * np.sin(phi_d)) ** 2)
     got = snr_batch(cfg, model, count, mc.RngStream(4, 2).generator())
     assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, old, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -368,6 +391,68 @@ def test_thread_count_is_capped(monkeypatch):
     assert mc._thread_count() == 1
 
 
+def test_thread_count_defaults_to_affinity(monkeypatch):
+    monkeypatch.delenv("RISLINK_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    assert mc._thread_count() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert mc._thread_count() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert mc._thread_count() == 5
+
+
+class _ReadCountingPool:
+    """Stands in for the chunk pool without starting a thread: runs each
+    chunk when it is submitted and tracks how many chunks are submitted
+    and not yet read."""
+
+    def __init__(self):
+        self.in_flight = self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        read = fut.result
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+
+        def result(timeout=None):
+            self.in_flight -= 1
+            return read(timeout)
+        fut.result = result
+        return fut
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reduce_bounds_chunks_in_flight(monkeypatch, threads):
+    cfg = make_config(256, tx=10.0, direct=True)
+    queries = [mc.McQuery(cfg, mc.UNIFORM, "op", 1e-3),
+               mc.McQuery(cfg, mc.UNIFORM, "ec")]
+    trials = 10_000
+    n_chunks = -(-trials // mc._chunk_size(256))
+    assert n_chunks > mc._WINDOW * threads
+    monkeypatch.setenv("RISLINK_THREADS", str(threads))
+    want = mc.estimate_group(queries, trials, 8)
+    pools = []
+
+    def make_pool(max_workers):
+        pools.append(_ReadCountingPool())
+        return pools[-1]
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", make_pool)
+    assert mc.estimate_group(queries, trials, 8) == want
+    assert [(p.peak, p.in_flight) for p in pools] == [
+        (mc._WINDOW * threads, 0)]
+
+
 # ---------------------------------------------------------------------
 # grouped estimates
 # ---------------------------------------------------------------------
@@ -434,6 +519,28 @@ def _count_generators(monkeypatch):
     return calls
 
 
+def test_mixed_group_bit_identical_to_single_estimates(monkeypatch):
+    # designs, direct paths and phase models that share (N, m_h, m_g)
+    # share hop draws, yet each query reads the stream it reads alone
+    queries = []
+    for design in ("rps", "ops", "quantized"):
+        for direct in (False, True):
+            cfg = make_config(32, design, tx=-5.0, direct=direct, m_h=1.5,
+                              m_g=2.5, m_d=1.5)
+            far = replace(cfg, geometry=replace(cfg.geometry, r_h=31.0))
+            for model in (mc.default_phase_model(cfg), mc.EXACT_NAKAGAMI):
+                queries += [mc.McQuery(cfg, model, "op", 3.0),
+                            mc.McQuery(far, model, "ber"),
+                            mc.McQuery(replace(far, tx_power_dbm=4.0), model,
+                                       "ec")]
+    trials, seed = 10_000, 29     # two chunks at N = 32
+    monkeypatch.setenv("RISLINK_THREADS", "1")
+    singles = [_single(q, trials, seed) for q in queries]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RISLINK_THREADS", threads)
+        assert mc.estimate_group(queries, trials, seed) == singles
+
+
 def test_group_draws_each_chunk_once(monkeypatch):
     cfg = make_config(64)
     trials = 10_000
@@ -445,15 +552,26 @@ def test_group_draws_each_chunk_once(monkeypatch):
         queries += [mc.McQuery(c, mc.UNIFORM, "op", 1e-3),
                     mc.McQuery(c, mc.UNIFORM, "ec")]
     assert len(queries) == 42
+    # other designs, phase models and direct paths with the same N, m_h
+    # and m_g share the hop draws too
+    queries += [mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec"),
+                mc.McQuery(make_config(64, "ops", direct=True), mc.UNIFORM,
+                           "ber"),
+                mc.McQuery(make_config(64, "quantized"),
+                           mc.quantized_phases(2), "ec")]
     calls = _count_generators(monkeypatch)
     mc.estimate_group(queries, trials, 5)
     assert sorted(calls) == list(range(n_chunks))
-    # configs that do not share draws are separate groups
+    # another hop shape or element count is another group
     del calls[:]
     mc.estimate_group([mc.McQuery(cfg, mc.UNIFORM, "ec"),
                        mc.McQuery(replace(cfg, m_h=2.0), mc.UNIFORM, "ec"),
-                       mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec")], trials, 5)
-    assert sorted(calls) == sorted(list(range(n_chunks)) * 3)
+                       mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec"),
+                       mc.McQuery(make_config(32, "ops"), mc.UNIFORM, "ec")],
+                      trials, 5)
+    n_chunks32 = -(-trials // mc._chunk_size(32))
+    assert sorted(calls) == sorted(list(range(n_chunks)) * 2
+                                   + list(range(n_chunks32)))
 
 
 def test_group_validation():
