@@ -10,6 +10,7 @@ failure in at least one row, 3 validation z-score breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -123,6 +124,15 @@ def parse_sweep(text: str) -> Sweep:
 # metric evaluation
 # ---------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _transform(kind, element: DoubleNakagami, n: int,
+               direct: Optional[NakagamiParams]):
+    """One transform object per (kind, element, N, direct path).  A power
+    sweep changes only rho, so its rows share one object and the
+    quantities it derives once (series, moments, probes)."""
+    return kind([element] * n, direct)
+
+
 class _Link(NamedTuple):
     """A scenario as the analytic engines read it: its link_parts, with
     the transform and large-N models built from them.  This is the only
@@ -134,12 +144,12 @@ class _Link(NamedTuple):
     direct: Optional[NakagamiParams]
 
     def hankel(self) -> rps.HankelProduct:
-        return rps.HankelProduct([self.element] * self.config.n_elements,
-                                 self.direct)
+        return _transform(rps.HankelProduct, self.element,
+                          self.config.n_elements, self.direct)
 
     def chf(self) -> ops.AmplitudeChf:
-        return ops.AmplitudeChf([self.element] * self.config.n_elements,
-                                self.direct)
+        return _transform(ops.AmplitudeChf, self.element,
+                          self.config.n_elements, self.direct)
 
     def largen(self, model):
         return model.from_element(self.element, self.config.n_elements,
@@ -340,13 +350,24 @@ def write_table(rows: Sequence[Row], stream: TextIO) -> bool:
 # metric command
 # ---------------------------------------------------------------------
 
+def _threshold(args, default_db: float = 0.0) -> float:
+    """The linear outage threshold 10^(x/10) of --gamma-th-db, or of
+    ``default_db`` when it is not given; inf where that overflows."""
+    x = default_db if args.gamma_th_db is None else args.gamma_th_db
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _check_run_args(args) -> None:
     if not 10_000 <= args.trials <= MAX_TRIALS:
         raise CliError(f"--trials must be in [10000, {MAX_TRIALS}]")
     if not 0 <= args.seed < 2 ** 64:
         raise CliError("--seed must be an unsigned 64-bit integer")
-    if args.gamma_th_db is not None and not math.isfinite(args.gamma_th_db):
-        raise CliError("--gamma-th-db must be a finite number")
+    if args.gamma_th_db is not None and not 0.0 < _threshold(args) < math.inf:
+        raise CliError("--gamma-th-db must be a number x whose threshold "
+                       "10^(x/10) is finite and positive")
     try:
         mc._thread_count()
     except ValueError as exc:
@@ -396,8 +417,7 @@ def cmd_metric(args) -> int:
 
     mapping = read_config_mapping(args.config)
     base = build_config(mapping, args.config)
-    gamma_th = 10.0 ** ((args.gamma_th_db if args.gamma_th_db is not None
-                         else 0.0) / 10.0)
+    gamma_th = _threshold(args)
     metrics = (args.metric,) if args.metric else _METRICS
 
     if args.sweep:
@@ -496,9 +516,8 @@ def _run_preset(args, modulation: Modulation) -> int:
         _check_writable(f"{args.out}_{curve[0]}.csv")
     per_curve = [_specs_for_curve(param, points, metrics, method)
                  for _, param, points, metrics, method in curves]
-    gamma_db = args.gamma_th_db if args.gamma_th_db is not None else th_db
     rows = iter(compute_rows([spec for specs in per_curve for spec in specs],
-                             10.0 ** (gamma_db / 10.0), modulation,
+                             _threshold(args, th_db), modulation,
                              args.trials, args.seed))
     status = EXIT_OK
     for (suffix, *_), specs in zip(curves, per_curve):
@@ -521,8 +540,7 @@ def cmd_validate(args) -> int:
     mapping = read_config_mapping(args.config)
     config = build_config(mapping, args.config)
     modulation = Modulation.from_label(args.modulation)
-    gamma_th = 10.0 ** ((args.gamma_th_db if args.gamma_th_db is not None
-                         else 0.0) / 10.0)
+    gamma_th = _threshold(args)
 
     _check_writable(args.out)
 
@@ -559,8 +577,10 @@ def cmd_validate(args) -> int:
                 any_numeric = True
                 lines.append(f"{metric},{row.method},error,,,error")
                 continue
-            z = ((row.estimate - sim.estimate) / se_floor if se_floor > 0.0
-                 else math.inf)
+            diff = row.estimate - sim.estimate
+            # with no spread to scale by, only exact agreement scores 0
+            z = (diff / se_floor if se_floor > 0.0
+                 else 0.0 if diff == 0.0 else math.inf)
             if row.method == "asymptotic":
                 status = "info"
             elif abs(z) > 4.0:

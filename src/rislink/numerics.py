@@ -998,11 +998,18 @@ def _build_edges(breakpoints, lower, cap):
     return edges
 
 
-def _halve(f, los, his, whole):
-    """(mids, left, right, |left + right - whole|) with one integrand call."""
+def _halve(f, los, his, whole=None):
+    """(mids, left, right, |left + right - whole|) with one integrand call;
+    without ``whole`` the whole panels are integrated in that same call."""
     mids = 0.5 * (los + his)
-    left, right = _gl_batch(f, np.concatenate([los, mids]),
-                            np.concatenate([mids, his])).reshape(2, -1)
+    starts, ends = [los, mids], [mids, his]
+    if whole is None:
+        starts, ends = [los] + starts, [his] + ends
+    parts = _gl_batch(f, np.concatenate(starts),
+                      np.concatenate(ends)).reshape(len(starts), -1)
+    left, right = parts[-2:]
+    if whole is None:
+        whole = parts[0]
     return mids, left, right, np.abs(left + right - whole)
 
 
@@ -1075,10 +1082,11 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
 
     Panels come either from an iterable of increasing breakpoints (e.g.
     scaled Bessel zeros for oscillatory kernels) or from a default doubling
-    sequence.  Panels are evaluated in blocks (two integrand calls each:
-    the panels, then their halves) by adaptive Gauss-Legendre; a panel
-    that misses its tolerance is bisected level by level, one integrand
-    call per level, at half the tolerance per level.  The running sequence
+    sequence.  Panels are evaluated in blocks of `_PANEL_BLOCK` by
+    adaptive Gauss-Legendre, with one integrand call per block that takes
+    the whole panels and both their halves at once; a panel that misses
+    its tolerance is bisected level by level, one integrand call per
+    level, at half the tolerance per level.  The running sequence
     of panel contributions is summed directly when it decays geometrically
     and through Euler / van Wijngaarden averaging when it alternates, which
     is what makes slowly decaying oscillatory tails affordable.  Raises
@@ -1108,7 +1116,7 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
         stop = min(idx + _PANEL_BLOCK, n_edges - 1)
         los = np.asarray(edges[idx:stop])
         his = np.asarray(edges[idx + 1:stop + 1])
-        mids, left, right, discs = _halve(f, los, his, _gl_batch(f, los, his))
+        mids, left, right, discs = _halve(f, los, his)
         refined = left + right
         budget -= 2 * len(los)
         for i in range(len(los)):

@@ -11,8 +11,9 @@ import pytest
 
 from rislink import cli
 from rislink import montecarlo as mc
+from rislink import numerics
 from rislink.rps import Modulation
-from rislink.scenario import config_from_mapping
+from rislink.scenario import config_from_mapping, link_parts
 
 
 DESK = {
@@ -220,6 +221,44 @@ def test_engines_agree_with_supported_methods(design, direct, metric,
     value = engine(*args)
     upper = {"op": 1.0, "ber": 0.5, "ec": math.inf}[metric]
     assert 0.0 <= value <= upper and math.isfinite(value)
+
+
+def _link(config):
+    d, element, direct = link_parts(config)
+    return cli._Link(config, d.rho, element, direct)
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_power_sweep_shares_one_transform(direct):
+    config = _config("rps", direct)
+    louder = _link(replace(config, tx_power_dbm=30.0))
+    assert louder.rho != _link(config).rho
+    assert louder.hankel() is _link(config).hankel()
+    assert louder.chf() is _link(config).chf()
+    # another N is another transform
+    other = _link(replace(config, n_elements=8))
+    assert other.hankel() is not louder.hankel()
+    assert other.chf() is not louder.chf()
+
+
+def test_curve_computes_its_series_once(monkeypatch):
+    # the exact ec rows of one fig1 curve read H's Maclaurin series
+    # through two orders, once per curve instead of once per row
+    _, curves = cli._preset_curves("fig1")
+    _, param, points, _, _ = curves[0]
+    specs = cli._specs_for_curve(param, points, ("ec",), "exact")
+    assert len(specs) == 21
+    product = numerics.taylor_coefficients_product
+    calls = []
+
+    def counted(series_list, order):
+        calls.append(order)
+        return product(series_list, order)
+    monkeypatch.setattr(numerics, "taylor_coefficients_product", counted)
+    cli._transform.cache_clear()
+    rows = cli.compute_rows(specs, 1e-3, Modulation.BPSK, 10_000, 1)
+    assert all(row.estimate is not None for row in rows)
+    assert len(calls) == 2
 
 
 def test_mc_value_rejects_unknown_metric():
@@ -529,6 +568,21 @@ def test_trials_above_bound_is_usage_error(tmp_path, capsys, monkeypatch,
         assert out == "" and "--trials" in err
 
 
+@pytest.mark.parametrize("command", ["preset", "metric", "validate"])
+def test_gamma_threshold_out_of_range_is_usage_error(tmp_path, capsys,
+                                                     monkeypatch, command):
+    monkeypatch.setattr(cli, "compute_rows", _no_rows)
+    if command == "preset":
+        argv = ["metric", "--preset", "fig2", "--out", str(tmp_path / "p")]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path)]
+    # 10^(x/10) overflows, or underflows to 0
+    for x in ("4000", "1e308", "-4000", "-inf"):
+        code, out, err = run(argv + [f"--gamma-th-db={x}"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--gamma-th-db" in err
+
+
 def test_preset_fig2_writes_curve_files(tmp_path, capsys):
     prefix = str(tmp_path / "t")
     code, out, err = run(["metric", "--preset", "fig2", "--out", prefix,
@@ -633,6 +687,29 @@ def test_validate_fault_injection_trips_z_gate(tmp_path, capsys):
     assert all(abs(float(r[4])) > 4.0 for r in fails)
     # the asymptotic rows drift too but stay advisory
     assert all(r[5] == "info" for r in rows if r[1] == "asymptotic")
+
+
+@pytest.mark.parametrize("exact_ber, z, status, code", [
+    (None, "0", "ok", cli.EXIT_OK),
+    (1e-300, "inf", "fail", cli.EXIT_VALIDATION),
+])
+def test_validate_zero_spread(tmp_path, capsys, monkeypatch, exact_ber, z,
+                              status, code):
+    # at 60 dBm the simulator sees no bit error (BER 0, standard error 0),
+    # and the exact BER is 0 too: agreement scores z = 0; any other value
+    # over a zero standard error stays a failure
+    if exact_ber is not None:
+        exact = cli.exact_value
+        monkeypatch.setattr(cli, "exact_value", lambda config, metric, *a: (
+            exact_ber if metric == "ber" else exact(config, metric, *a)))
+    path = write_cfg(tmp_path, n_elements=128, phase_design="ops",
+                     tx_power_dbm=60)
+    got, out, _ = run(["validate", "--config", path, "--trials", "10000",
+                       "--seed", "1"], capsys)
+    assert got == code
+    lines = out.splitlines()
+    assert "ber,mc,0,0,,ok" in lines
+    assert f"ber,exact,{'%.17g' % (exact_ber or 0.0)},,{z},{status}" in lines
 
 
 def test_validate_lambda_scale_must_be_positive(tmp_path, capsys):

@@ -464,9 +464,19 @@ def _counted(f):
 def test_integrate_refines_level_by_level(f, want):
     f, calls = _counted(f)
     assert nm.integrate_semi_infinite(f) == pytest.approx(want, rel=1e-9)
-    # the block's two calls (its panels, then their halves), then one per
+    # the block's one call (its panels and their halves), then one per
     # bisection level; splitting [0, 1] stops at width 1e-14, 47 levels in
-    assert len(calls) <= 2 + math.ceil(math.log2(1e14))
+    assert len(calls) <= 1 + math.ceil(math.log2(1e14))
+
+
+def test_integrate_one_call_per_block():
+    # exp(-t) needs no bisection, and the walk over the default doubling
+    # panels stops well inside the first block
+    f, calls = _counted(lambda t: np.exp(-t))
+    assert nm.integrate_semi_infinite(f) == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) == 1
+    # 20 nodes for each whole panel and each of its two halves
+    assert calls[0] % 60 == 0 and calls[0] <= 60 * nm._PANEL_BLOCK
 
 
 def test_integrate_refinement_budget_raises_with_an_estimate():
