@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import _erfc_ufunc
+from .numerics import erfc
 from .rps import LN2, Modulation
 from .scenario import ScenarioConfig, link_parts
 
@@ -397,8 +397,7 @@ class McQuery:
         if self.metric == "ec":
             vals = np.log1p(g) / LN2
         elif self.modulation.coherent:
-            vals = 0.5 * _erfc_ufunc(
-                np.sqrt(self.modulation.snr_scale * g)).astype(float)
+            vals = 0.5 * erfc(np.sqrt(self.modulation.snr_scale * g))
         else:
             vals = 0.5 * np.exp(-g)
         return np.array([np.sum(vals), np.sum(vals * vals)])

@@ -221,6 +221,32 @@ def _single_cascade_cdf(dn: DoubleNakagami, r: float) -> float:
     return nm.integrate_semi_infinite(integrand, breakpoints=list(bps))
 
 
+def _phasor_disk_bound(dn: DoubleNakagami, r: float) -> float:
+    """An upper bound on P(|S| <= r) for a random-phase sum S with the
+    element dn among its terms.
+
+    Given the other terms, the element's phasor a e^{j phi} has to land in
+    a disk of radius r, which a uniform phase does with probability at most
+    r / (2a) once a > r.  So P(|S| <= r) <= P(a <= delta) + r / (2 delta)
+    for any delta >= r.  With a = X_h X_g, P(a <= delta) is at most the
+    sum of the hops' P(X <= y) <= (m y^2 / Omega)^m / Gamma(m + 1), taken at
+    y_h^2 / Omega_h = y_g^2 / Omega_g = delta / sqrt(Omega_h Omega_g).  In
+    that scale-free unit the bound uses delta = sqrt(r), which is >= r for
+    r <= 1.
+    """
+    rt = r / math.sqrt(dn.mean_power)
+    if rt == 0.0:
+        return 0.0
+    if rt >= 1.0:
+        return 1.0
+    kappa = math.sqrt(rt)
+    # a hop's term bounds a probability, so capping it at 1 keeps it a bound
+    hops = sum(math.exp(min(0.0, hop.m * math.log(hop.m * kappa)
+                            - math.lgamma(hop.m + 1.0)))
+               for hop in (dn.hop_h, dn.hop_g))
+    return hops + 0.5 * kappa
+
+
 def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     """CDF of the e2e SNR under random phases.
 
@@ -241,6 +267,10 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     if len(hp.elements) == 1 and hp.direct is None:
         val = _single_cascade_cdf(hp.elements[0], r)
         return min(max(val, 0.0), 1.0)
+    # far below the amplitude scale the CDF is below the quadrature's
+    # absolute tolerance, and u / r would overflow the transform argument
+    if _phasor_disk_bound(hp.elements[0], r) < nm.DEFAULT_QUADRATURE.abs_tol:
+        return 0.0
     bps = _oscillatory_breakpoints(1, r * hp.decay_scale)
     val = nm.integrate_semi_infinite(
         lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)

@@ -199,3 +199,42 @@ def one_minus_z_log_loop(a, b, m, w):
                                   best_estimate=total)
     peak = np.abs(head) + abs(pre_t) * np.abs(w) ** m * peak
     return head + pre_t * (w ** m) * total, peak, k
+
+
+def series_loop(nums, dens, z, *, count=None, budget=4000, peak=False,
+                deriv=False):
+    """`numerics._series` with a new array per operation, as it was
+    before its term loop wrote in place: the reference the in-place loop
+    must match bit for bit."""
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    top = np.ones(z.shape) if peak else None
+    slope = np.zeros_like(z) if deriv else None
+    for k in range(budget if count is None else count):
+        num = 1.0
+        for p in nums:
+            num *= p + k
+        den = k + 1.0
+        for q in dens:
+            den *= q + k
+        term = term * (num / den) * z
+        total = total + term
+        if peak:
+            top = np.maximum(top, np.abs(term))
+        if deriv:
+            slope = slope + (k + 1.0) * term / z
+        # the stop test runs every 4th term; np.maximum.reduce is the
+        # reduction of ndarray.max without its Python-level frame.  An
+        # overflowed sum would pass it (any term is below 1e-17 * inf).
+        if count is None and k % 4 == 3:
+            size = np.maximum.reduce(np.abs(total), axis=None)
+            if not math.isfinite(size):
+                raise nm._not_converged(total)
+            if np.maximum.reduce(np.abs(term), axis=None) \
+                    <= 1e-17 * max(size, 1e-300):
+                break
+    else:
+        if count is None:
+            raise nm._not_converged(total)
+    extras = [x for x in (top, slope) if x is not None]
+    return (total, *extras) if extras else total

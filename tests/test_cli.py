@@ -583,6 +583,23 @@ def test_gamma_threshold_out_of_range_is_usage_error(tmp_path, capsys,
         assert out == "" and "--gamma-th-db" in err
 
 
+@pytest.mark.parametrize("design, gamma_th_db, want", [
+    ("ops", "1800", "1"),       # r ** 4 overflowed the Markov test
+    ("rps", "-3000", "0"),      # u / r overflowed the Hankel argument
+    ("rps", "-2500", "0"),
+])
+def test_extreme_outage_thresholds_give_numbers(tmp_path, capsys, design,
+                                                gamma_th_db, want):
+    path = write_cfg(tmp_path, n_elements=128, phase_design=design)
+    code, out, err = run(["metric", "--config", path, "--metric", "op",
+                          "--gamma-th-db", gamma_th_db, "--trials", "10000"],
+                         capsys)
+    assert code == cli.EXIT_OK
+    rows = {line.split(",")[3]: line.split(",")[4]
+            for line in out.splitlines()[1:]}
+    assert rows["exact"] == want and rows["mc"] == want
+
+
 def test_preset_fig2_writes_curve_files(tmp_path, capsys):
     prefix = str(tmp_path / "t")
     code, out, err = run(["metric", "--preset", "fig2", "--out", prefix,

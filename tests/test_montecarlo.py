@@ -311,6 +311,20 @@ def test_estimate_ber_low_snr_limit():
         assert est.value == pytest.approx(0.5, rel=1e-3)
 
 
+def test_ber_partial_sums_are_float64_erfc_values():
+    # the coherent BER kernel Q(sqrt(2 g)) runs through numerics.erfc
+    q = mc.McQuery(make_config(4), mc.UNIFORM, "ber",
+                   modulation=Modulation.BPSK)
+    g = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 30.0, 400.0, 900.0])
+    part = q.partial(g)
+    assert part.dtype == np.float64 and part.shape == (2,)
+    vals = [0.5 * math.erfc(math.sqrt(Modulation.BPSK.snr_scale * v))
+            for v in g]
+    assert part[0] == pytest.approx(math.fsum(vals), rel=1e-15)
+    assert part[1] == pytest.approx(math.fsum(v * v for v in vals),
+                                    rel=1e-15)
+
+
 def test_estimate_ber_matches_analytics():
     # single-element coherent link against the CHF-inversion BER
     scene = link(make_config(1, "ops", tx=25.0))

@@ -74,6 +74,53 @@ def test_gauss_q():
     assert arr[0] == 0.5
 
 
+def _ulps(got, want):
+    # distance in units in the last place; both sides are finite doubles
+    # of one sign here, so their bit patterns order like their values
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def test_erfc_within_4_ulp_of_math_erfc():
+    rng = np.random.default_rng(12)
+    x = [rng.uniform(-6.0, 28.0, 1_000_000)]
+    for edge in (0.25, 0.84375, 1.25, 1.0 / 0.35, nm._ERFC_EDGES[3], 6.0,
+                 28.0, 2.0 ** -56):
+        for v in (edge, -edge):
+            # the edge and its 8 neighbours on either side
+            x.append(v + np.spacing(v) * np.arange(-8, 9))
+    x = np.concatenate(x)
+    want = np.array([math.erfc(v) for v in x])
+    got = nm.erfc(x)
+    assert got.dtype == np.float64
+    assert _ulps(got, want).max() <= 4
+    # the whole real line, exact where math.erfc is exact
+    assert nm.erfc(np.array([-1e300, -30.0, 30.0, 1e300])).tolist() \
+        == [2.0, 2.0, 0.0, 0.0]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
+    assert nm.erfc(special).tolist() == [math.erfc(v) for v in special]
+    assert np.isnan(nm.erfc(np.array([np.nan, -np.nan]))).all()
+    # shape in, shape out, across several blocks of the evaluation
+    grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    assert nm.erfc(grid).shape == (3, 4)
+    assert nm.erfc(np.array(0.5)) == math.erfc(0.5)
+    long = np.tile(grid.ravel(), 3 * nm._ERFC_BLOCK // 12 + 1)
+    assert np.array_equal(nm.erfc(long), np.tile(nm.erfc(grid).ravel(),
+                                                 3 * nm._ERFC_BLOCK // 12 + 1))
+    assert nm.erfc(np.array([])).shape == (0,)
+
+
+def test_erfc_range_edges_are_fdlibm_high_words():
+    # the range tests of fdlibm compare the upper 32 bits of |x|
+    words = [0x3C700000, 0x3FEB0000, 0x3FF40000, 0x4006DB6D, 0x403C0000]
+    edges = np.array([w << 32 for w in words], dtype=np.int64).view(float)
+    assert edges.tolist() == list(nm._ERFC_EDGES)
+
+
+def test_erfc_has_no_python_level_ufunc():
+    assert not hasattr(nm, "_erfc_ufunc")
+    assert nm.gauss_q(np.array([0.3, -2.0])).dtype == np.float64
+
+
 # ---------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------
@@ -395,6 +442,45 @@ def test_one_minus_z_log_budget_keeps_the_full_sum():
 # ---------------------------------------------------------------------
 # series helpers
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("nums, dens, z, kwargs", [
+    ((1.5, 2.5), (1.0,), np.linspace(-0.75, 0.75, 41), {}),
+    ((1.5, 2.5), (1.0,), 0.7 * np.exp(1j * np.linspace(-3.0, 3.0, 25)), {}),
+    ((0.75,), (1.0,), np.linspace(0.0, 40.0, 33), {"budget": 10000}),
+    ((1.5, -0.5), (3.25,), np.linspace(-0.9, 0.9, 17), {"peak": True}),
+    ((2.0, 3.5), (1.0,), 0.5 * np.exp(1j * np.linspace(-2.0, 2.0, 9)),
+     {"deriv": True}),
+    ((2.0, 3.5), (1.0,), np.array([-0.5, 0.5]),
+     {"peak": True, "deriv": True}),
+    ((-6.0, 2.5), (1.5,), np.linspace(-3.0, 1.0, 11), {"count": 6}),
+    ((-4.0, 1.25), (0.5,), 2.0 * np.exp(1j * np.arange(5.0)),
+     {"count": 4, "peak": True}),
+])
+def test_series_matches_the_allocating_loop(nums, dens, z, kwargs):
+    # the in-place term loop takes the same operands in the same order
+    got = nm._series(nums, dens, z, **kwargs)
+    want = oracles.series_loop(nums, dens, z, **kwargs)
+    if not isinstance(want, tuple):
+        got, want = (got,), (want,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("nums, dens, z, budget", [
+    ((1.5, 2.5), (1.0,), np.array([0.999, 0.5]), 40),      # budget
+    ((400.0, 400.0), (1.0,), np.array([0.9, 0.1]), 4000),  # overflow
+])
+def test_series_raises_like_the_allocating_loop(nums, dens, z, budget):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nm.ConvergenceError) as got:
+            nm._series(nums, dens, z, budget=budget)
+        with pytest.raises(nm.ConvergenceError) as want:
+            oracles.series_loop(nums, dens, z, budget=budget)
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got.value.best_estimate, want.value.best_estimate,
+                          equal_nan=True)
+
 
 def test_taylor_coefficients_product():
     # (1 + x)^2 * (1 - x) = 1 + x - x^2 - x^3

@@ -205,6 +205,13 @@ def test_gamma_c_cdf_limits_and_monotonicity():
         ops.gamma_c_cdf(chf, 1.0, 0.0)
 
 
+def test_gamma_c_cdf_markov_test_does_not_overflow():
+    # r = sqrt(gamma / rho) past ~1e77 overflowed r ** 4
+    chf = ops.AmplitudeChf([FIG2] * 2, NakagamiParams(1.2, 0.8))
+    assert ops.gamma_c_cdf(chf, 1e180, 1.0) == 1.0
+    assert ops.gamma_c_cdf(chf, 1e300, 1e-100) == 1.0
+
+
 def test_coherent_combining_dominates_random_phases():
     cfg = scenario(n=4)
     scene = link(cfg)

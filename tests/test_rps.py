@@ -6,6 +6,7 @@ defining densities or by frozen-seed sampling.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,35 @@ def test_cdf_limits_and_monotonicity():
     grid = [rps.gamma_r_cdf(hp, g, 1.0) for g in np.geomspace(0.01, 50.0, 12)]
     assert all(0.0 <= v <= 1.0 for v in grid)
     assert np.all(np.diff(grid) >= 0)
+
+
+@pytest.mark.parametrize("dn, n", [(UNIT, 2), (FIG2, 4),
+                                   (rps.DoubleNakagami(NakagamiParams(0.5, 2.0),
+                                                       NakagamiParams(0.5, 0.3)),
+                                    2)])
+def test_phasor_disk_bound_bounds_the_cdf(dn, n):
+    hp = rps.HankelProduct([dn] * n)
+    scale = math.sqrt(dn.mean_power)
+    for rt in (0.5, 1e-2, 1e-4, 1e-7):
+        r = rt * scale
+        bound = rps._phasor_disk_bound(dn, r)
+        assert bound > 0.0
+        assert rps.gamma_r_cdf(hp, r * r, 1.0) <= bound
+    assert rps._phasor_disk_bound(dn, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("gamma_th_db", [-2500.0, -3000.0, -3200.0])
+def test_cdf_far_below_the_amplitude_scale_is_zero_without_warnings(
+        gamma_th_db):
+    # scenario d's element with random phases: u / r overflowed the
+    # transform argument near -3000 dB
+    hop = NakagamiParams(5.761904761904762, 5.3004716979604283e-08)
+    hp = rps.HankelProduct([rps.DoubleNakagami(hop, hop)] * 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rps.gamma_r_cdf(hp, 10.0 ** (gamma_th_db / 10.0),
+                              31622776601.683792)
+    assert got == 0.0
 
 
 def test_pdf_normalizes_to_one():
