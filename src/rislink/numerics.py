@@ -74,6 +74,7 @@ is O(1)-sized: `TRUNCATION_CAP` assumes as much.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -337,7 +338,8 @@ def upper_incomplete_gamma(a, x):
     """Upper incomplete gamma Gamma(a, x) for a >= 0, x > 0.
 
     Lentz continued fraction for x >= a + 1, series complement below, and
-    the E1 series for a == 0 with small x.
+    the E1 series for a == 0 with small x.  Returns 0.0 for x = inf and
+    wherever x^a e^-x underflows.
     """
     a = float(a)
     x = float(x)
@@ -362,6 +364,11 @@ def upper_incomplete_gamma(a, x):
             raise ConvergenceError("incomplete-gamma series stalled")
         lower = total * math.exp(-x + a * math.log(x))
         return math.exp(math.lgamma(a)) - lower
+    # x^a e^-x underflows: every x there that the fraction converges on
+    # gives exactly 0.0, and far out (x >= ~2.3e16) its stop test
+    # |delta - 1| < 1e-16, below the spacing of doubles above 1, can stall
+    if x == math.inf or a * math.log(x) - x < -746.0:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -1072,7 +1079,11 @@ def taylor_coefficients_product(series_list, order):
 # =====================================================================
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_PANEL_BLOCK = 32
+# The CLI's walks stop after 11 to about 80 panels, so a block of 16
+# evaluates far panels (where the transforms take their slowest routes)
+# only when the walk reaches them.  Blocks of 8 or 12 move a fig2 row by
+# 1 ulp, because `_series` stops on a test over the whole batch.
+_PANEL_BLOCK = 16
 
 
 def _gl_batch(f, los, his):
@@ -1087,17 +1098,16 @@ def _gl_batch(f, los, his):
 
 
 def _euler_accelerate(terms):
-    """van Wijngaarden averaging of the partial sums of `terms`.
+    """van Wijngaarden averaging of the partial sums of `terms`, a
+    nonempty sequence of floats.
 
     Returns (estimate, uncertainty); effective when the terms alternate in
     sign with slowly decaying magnitude.
     """
-    partial = np.cumsum(terms)
-    best = partial[-1]
-    err = abs(terms[-1]) if len(terms) else np.inf
-    row = partial.astype(float)
+    row = list(itertools.accumulate(terms))
+    best, err = row[-1], abs(terms[-1])
     while len(row) >= 2:
-        row = 0.5 * (row[:-1] + row[1:])
+        row = [0.5 * (a + b) for a, b in zip(row, row[1:])]
         delta = abs(row[-1] - best)
         if delta <= err:
             err = delta
@@ -1108,12 +1118,11 @@ def _euler_accelerate(terms):
 
 
 def _alternating(tail):
+    # compare signs, not products: a product of tiny terms underflows to 0
     if len(tail) < 4:
         return False
-    signs = np.sign(tail)
-    if np.any(signs == 0.0):
-        return False
-    return bool(np.all(signs[1:] * signs[:-1] < 0))
+    signs = [(x > 0.0) - (x < 0.0) for x in tail]
+    return 0 not in signs and all(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _build_edges(breakpoints, lower, cap):
@@ -1179,15 +1188,16 @@ def _refine(f, los, mids, his, left, right, tol, budget, running, disc):
 
 
 def _uniform_widths(widths) -> bool:
-    w = np.asarray(widths)
-    lo = float(np.min(w))
-    return lo > 0 and float(np.max(w)) <= 1.5 * lo
+    cap = 1.5 * min(widths)
+    return all(0.0 < w <= cap for w in widths)
 
 
 def _termination_check(contributions, widths, peak, total, spec):
     """Decide whether the panel walk can stop; returns (result, residual).
 
-    The alternating-series shortcut is only trusted on a run of
+    ``contributions`` is the float64 array of panel contributions so far;
+    the stop tests read at most its last 12 entries, as Python floats.  The
+    alternating-series shortcut is only trusted on a run of
     near-uniform panel widths (a consistent half-period ladder); mixed
     ladders can produce coincidental sign patterns that extrapolate to the
     wrong limit.  The geometric shortcut likewise wants several
@@ -1198,21 +1208,22 @@ def _termination_check(contributions, widths, peak, total, spec):
         return None, None
     target = max(spec.abs_tol, spec.rel_tol * abs(total))
     start = max(0, n - 12)
-    tail = np.asarray(contributions[start:])
+    tail = contributions[start:].tolist()
     if _alternating(tail) and abs(tail[-1]) <= 0.2 * (peak + 1e-300) \
             and _uniform_widths(widths[start:]):
-        head = float(np.sum(contributions[:n - len(tail)]))
+        head = float(np.add.reduce(contributions[:start]))
         est, unc = _euler_accelerate(tail)
         if unc <= target:
             return head + est, unc
-    last = abs(contributions[-1])
+    last = abs(tail[-1])
     if last <= target and last <= 0.01 * (peak + 1e-300):
-        mags = np.abs(np.asarray(contributions[-5:]))
-        if np.all(mags[:-1] > 0):
-            ratios = mags[1:] / mags[:-1]
-            rmax = float(np.max(ratios))
-            if rmax < 0.9 and last * rmax / (1.0 - rmax) <= target:
-                return total, last * rmax / (1.0 - rmax)
+        mags = [abs(c) for c in tail[-5:]]
+        if all(m > 0 for m in mags[:-1]):
+            ratios = [b / a for a, b in zip(mags, mags[1:])]
+            if all(r < 0.9 for r in ratios):
+                rmax = max(ratios)
+                if last * rmax / (1.0 - rmax) <= target:
+                    return total, last * rmax / (1.0 - rmax)
     return None, None
 
 
@@ -1222,14 +1233,16 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
 
     Panels come either from an iterable of increasing breakpoints (e.g.
     scaled Bessel zeros for oscillatory kernels) or from a default doubling
-    sequence.  Panels are evaluated in blocks of `_PANEL_BLOCK` by
+    sequence.  Panels are evaluated in blocks of `_PANEL_BLOCK` (16) by
     adaptive Gauss-Legendre, with one integrand call per block that takes
-    the whole panels and both their halves at once; a panel that misses
+    the whole panels and both their halves at once, so a walk evaluates at
+    most one block past the panel it stops at; a panel that misses
     its tolerance is bisected level by level, one integrand call per
     level, at half the tolerance per level.  The running sequence
     of panel contributions is summed directly when it decays geometrically
     and through Euler / van Wijngaarden averaging when it alternates, which
-    is what makes slowly decaying oscillatory tails affordable.  Raises
+    is what makes slowly decaying oscillatory tails affordable; that stop
+    test runs after every panel, on Python floats.  Raises
     `ConvergenceError` (carrying the best estimate) when the truncation cap
     is reached first, or when the next level costs more than is left of
     the budget of `MAX_SUBINTERVALS` GL panels (each halved panel costs 2).
@@ -1241,9 +1254,13 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     if lower < 0:
         raise ValueError("lower limit must be nonnegative")
     edges = _build_edges(breakpoints, lower, TRUNCATION_CAP)
+    n_edges = len(edges)
     budget = MAX_SUBINTERVALS
 
-    contributions = []
+    # panel contributions in one float64 buffer: np.add.reduce over it is
+    # the pairwise sum np.sum forms, without a list-to-array copy a panel
+    contributions = np.empty(max(n_edges - 1, 0))
+    n = 0
     widths = []
     total = 0.0
     peak = 0.0
@@ -1251,29 +1268,30 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     result = residual = None
 
     idx = 0
-    n_edges = len(edges)
     while idx < n_edges - 1 and result is None:
         stop = min(idx + _PANEL_BLOCK, n_edges - 1)
         los = np.asarray(edges[idx:stop])
         his = np.asarray(edges[idx + 1:stop + 1])
         mids, left, right, discs = _halve(f, los, his)
-        refined = left + right
         budget -= 2 * len(los)
-        for i in range(len(los)):
-            scale = max(abs(total), float(np.abs(refined[i])))
+        for i, (whole, disc, width) in enumerate(zip(
+                (left + right).tolist(), discs.tolist(), (his - los).tolist())):
+            scale = max(abs(total), abs(whole))
             tol = max(spec.abs_tol, spec.rel_tol * scale) / 8.0
-            contrib, perr = refined[i], discs[i] / 63.0
-            if discs[i] > tol:
+            contrib, perr = whole, disc / 63.0
+            if disc > tol:
                 contrib, perr, budget = _refine(
                     f, *(a[i:i + 1] for a in (los, mids, his, left, right)),
-                    0.5 * tol, budget, total, float(discs[i]))
-            contributions.append(float(contrib))
-            widths.append(float(his[i] - los[i]))
+                    0.5 * tol, budget, total, disc)
+            contributions[n] = contrib
+            n += 1
+            widths.append(width)
             err_total += perr
-            total = float(np.sum(contributions))
-            peak = max(peak, abs(contributions[-1]))
-            result, residual = _termination_check(contributions, widths, peak,
-                                                  total, spec)
+            done = contributions[:n]
+            total = float(np.add.reduce(done))
+            peak = max(peak, abs(contrib))
+            result, residual = _termination_check(done, widths, peak, total,
+                                                  spec)
             if result is not None:
                 break
         idx = stop
@@ -1281,20 +1299,19 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     if result is None:
         # edge list exhausted; accept only if the tail is already negligible
         target = max(spec.abs_tol, spec.rel_tol * abs(total))
-        tail = np.asarray(contributions[-12:])
+        tail = contributions[max(0, n - 12):n].tolist()
         if _alternating(tail) and _uniform_widths(widths[-len(tail):]):
-            head = float(np.sum(contributions[:len(contributions) - len(tail)]))
+            head = float(np.add.reduce(contributions[:n - len(tail)]))
             est, unc = _euler_accelerate(tail)
             if unc <= 10.0 * target:
                 result, residual = head + est, unc
-        if result is None and contributions \
-                and abs(contributions[-1]) <= target:
-            result, residual = total, abs(contributions[-1])
+        last = abs(tail[-1]) if tail else None
+        if result is None and tail and last <= target:
+            result, residual = total, last
         if result is None:
             raise ConvergenceError(
                 "integral truncated before reaching the tolerance",
-                best_estimate=total,
-                error_bound=abs(contributions[-1]) if contributions else None)
+                best_estimate=total, error_bound=last)
 
     if full_output:
         return result, residual + err_total

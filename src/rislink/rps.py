@@ -177,12 +177,12 @@ def _j_zeros(order: int, count: int) -> np.ndarray:
     return nm.bessel_zeros(order, count)
 
 
-def _oscillatory_breakpoints(order: int, u_scale: float) -> np.ndarray:
-    # enough Bessel-zero panels to let series acceleration see the tail out
+def _oscillatory_breakpoints(u_scale: float) -> np.ndarray:
+    # enough J1-zero panels to let series acceleration see the tail out
     # to many times the H roll-off point, plus dyadics resolving that roll-off
     count = 64 * int(max(2, min(94, math.ceil(24.0 * max(u_scale, 1.0)
                                               / (64.0 * math.pi)))))
-    zeros = _j_zeros(order, count)
+    zeros = _j_zeros(1, count)
     dy = u_scale * 2.0 ** np.arange(-10.0, 5.0)
     dy = dy[(dy > 1e-9) & (dy < zeros[-1])]
     return np.union1d(zeros, dy)
@@ -193,10 +193,11 @@ def _nakagami_cdf(params: NakagamiParams, x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     gamma_m = math.exp(math.lgamma(params.m))
     out = np.empty_like(arr)
-    for i, v in enumerate(arr.ravel()):
+    for i, v in enumerate(arr.ravel().tolist()):
         if v <= 0.0:
             out.flat[i] = 0.0
         else:
+            # Python floats overflow to inf quietly, and Gamma(m, inf) = 0
             y = params.m * v * v / params.omega
             out.flat[i] = 1.0 - nm.upper_incomplete_gamma(params.m, y) / gamma_m
     out = np.clip(out, 0.0, 1.0)
@@ -271,7 +272,7 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     # absolute tolerance, and u / r would overflow the transform argument
     if _phasor_disk_bound(hp.elements[0], r) < nm.DEFAULT_QUADRATURE.abs_tol:
         return 0.0
-    bps = _oscillatory_breakpoints(1, r * hp.decay_scale)
+    bps = _oscillatory_breakpoints(r * hp.decay_scale)
     val = nm.integrate_semi_infinite(
         lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)
     return min(max(val, 0.0), 1.0)

@@ -8,6 +8,8 @@ runs; the suites compare the engines against them.
 import math
 
 import numpy as np
+from scipy import special
+from scipy.integrate import quad
 
 from rislink import cli
 from rislink import montecarlo as mc
@@ -66,10 +68,36 @@ def snr_batch(config, phase_model, count, rng):
 def gamma_r_pdf(hp, gamma, rho):
     """PDF of the random-phase SNR by order-0 Hankel inversion of H."""
     r = math.sqrt(gamma / rho)
-    bps = rps._oscillatory_breakpoints(0, r * hp.decay_scale)
+    # the J1-zero ladder of `rps._oscillatory_breakpoints` on J0's zeros
+    u_scale = r * hp.decay_scale
+    count = 64 * int(max(2, min(94, math.ceil(24.0 * max(u_scale, 1.0)
+                                              / (64.0 * math.pi)))))
+    zeros = nm.bessel_zeros(0, count)
+    dy = u_scale * 2.0 ** np.arange(-10.0, 5.0)
+    bps = np.union1d(zeros, dy[(dy > 1e-9) & (dy < zeros[-1])])
     val = nm.integrate_semi_infinite(
         lambda u: u * nm.bessel_j(0, u) * hp(u / r), breakpoints=bps)
     return max(val / (2.0 * rho * r * r), 0.0)
+
+
+def gamma_product_cdf(dn, y):
+    """P(g_h g_g <= y) for the hop power gains g = X^2 of a double-Nakagami
+    element: E[P(g_g <= y / g_h)], by scipy quadrature over ln of the
+    normalized first-hop gain."""
+    m_h, m_g = dn.hop_h.m, dn.hop_g.m
+    c = y * m_h * m_g / (dn.hop_h.omega * dn.hop_g.omega)
+    ln_norm = math.lgamma(m_h)
+
+    def integrand(s):
+        return (special.gammainc(m_g, c * math.exp(-s))
+                * math.exp(m_h * s - math.exp(s) - ln_norm))
+
+    lo, hi = -60.0 / m_h, math.log(750.0)
+    cuts = {lo, hi, math.log(m_h), 0.5 * math.log(c), math.log(c)}
+    cuts |= set(range(-80, 8, 4))
+    cuts = sorted(p for p in cuts if lo <= p <= hi)
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts, cuts[1:]))
 
 
 def tail_integral(hp):
@@ -238,3 +266,65 @@ def series_loop(nums, dens, z, *, count=None, budget=4000, peak=False,
             raise nm._not_converged(total)
     extras = [x for x in (top, slope) if x is not None]
     return (total, *extras) if extras else total
+
+
+def euler_accelerate_array(terms):
+    """`numerics._euler_accelerate` over numpy arrays, as it was before
+    the stop test moved to Python floats."""
+    partial = np.cumsum(terms)
+    best = partial[-1]
+    err = abs(terms[-1]) if len(terms) else np.inf
+    row = partial.astype(float)
+    while len(row) >= 2:
+        row = 0.5 * (row[:-1] + row[1:])
+        delta = abs(row[-1] - best)
+        if delta <= err:
+            err = delta
+            best = row[-1]
+        if err == 0.0:
+            break
+    return best, err
+
+
+def alternating_array(tail):
+    """`numerics._alternating` over numpy arrays."""
+    if len(tail) < 4:
+        return False
+    signs = np.sign(tail)
+    if np.any(signs == 0.0):
+        return False
+    return bool(np.all(signs[1:] * signs[:-1] < 0))
+
+
+def uniform_widths_array(widths):
+    """`numerics._uniform_widths` over numpy arrays."""
+    w = np.asarray(widths)
+    lo = float(np.min(w))
+    return lo > 0 and float(np.max(w)) <= 1.5 * lo
+
+
+def termination_check_array(contributions, widths, peak, total, spec):
+    """`numerics._termination_check` over a list of contributions, with
+    numpy arrays for its tail tests and `np.sum` for its head sum: the
+    reference the scalar stop test must match."""
+    n = len(contributions)
+    if n < 6:
+        return None, None
+    target = max(spec.abs_tol, spec.rel_tol * abs(total))
+    start = max(0, n - 12)
+    tail = np.asarray(contributions[start:])
+    if alternating_array(tail) and abs(tail[-1]) <= 0.2 * (peak + 1e-300) \
+            and uniform_widths_array(widths[start:]):
+        head = float(np.sum(contributions[:n - len(tail)]))
+        est, unc = euler_accelerate_array(tail)
+        if unc <= target:
+            return head + est, unc
+    last = abs(contributions[-1])
+    if last <= target and last <= 0.01 * (peak + 1e-300):
+        mags = np.abs(np.asarray(contributions[-5:]))
+        if np.all(mags[:-1] > 0):
+            ratios = mags[1:] / mags[:-1]
+            rmax = float(np.max(ratios))
+            if rmax < 0.9 and last * rmax / (1.0 - rmax) <= target:
+                return total, last * rmax / (1.0 - rmax)
+    return None, None

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -598,6 +599,21 @@ def test_extreme_outage_thresholds_give_numbers(tmp_path, capsys, design,
     rows = {line.split(",")[3]: line.split(",")[4]
             for line in out.splitlines()[1:]}
     assert rows["exact"] == want and rows["mc"] == want
+
+
+@pytest.mark.parametrize("gamma_th_db", ["10", "1800", "3000"])
+def test_one_path_outage_at_huge_thresholds_is_one(tmp_path, capsys,
+                                                   gamma_th_db):
+    # the conditioned one-cascade form: its incomplete gamma stalled far
+    # out, and m v^2 / Omega overflowed at 3000 dB
+    path = write_cfg(tmp_path, n_elements=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["metric", "--config", path, "--metric", "op",
+                            "--method", "exact", "--gamma-th-db", gamma_th_db],
+                           capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].split(",")[3:5] == ["exact", "1"]
 
 
 def test_preset_fig2_writes_curve_files(tmp_path, capsys):

@@ -12,6 +12,7 @@ import mpmath as mp
 from scipy import special as sp
 
 import oracles
+from rislink import cli, rps
 from rislink import numerics as nm
 
 
@@ -46,6 +47,15 @@ def test_upper_incomplete_gamma_limits_and_e1():
         nm.upper_incomplete_gamma(-1.0, 2.0)
     with pytest.raises(ValueError):
         nm.upper_incomplete_gamma(1.0, 0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.75, 1.5, 3.0, 5.761904761904762,
+                               10.756097560975602])
+def test_upper_incomplete_gamma_is_zero_where_it_underflows(a):
+    # x^a e^-x is below the smallest double; from x ~ 2.3e16 on, the
+    # continued fraction's stop test |delta - 1| < 1e-16 failed for some x
+    for x in np.concatenate([np.geomspace(1000.0, 1e300, 200), [math.inf]]):
+        assert nm.upper_incomplete_gamma(a, x) == 0.0
 
 
 def test_upper_incomplete_gamma_against_scipy_grid():
@@ -563,6 +573,140 @@ def test_integrate_one_call_per_block():
     assert len(calls) == 1
     # 20 nodes for each whole panel and each of its two halves
     assert calls[0] % 60 == 0 and calls[0] <= 60 * nm._PANEL_BLOCK
+
+
+# the stop test reads Python floats; the numpy forms in `oracles` are its
+# reference, equal value for value (NaN matching NaN, zeros by sign)
+_EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-200, -1e-200)
+
+
+def _same(got, want):
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if want is None or isinstance(want, bool):
+        return got is want
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _tails(rng):
+    """Seeded alternating, geometric and mixed tails of length 0-12, the
+    same with edge values dropped in, and underflowing sign pairs."""
+    tails = []
+    for n in range(13):
+        k = np.arange(n)
+        ratio = rng.uniform(0.3, 1.0)
+        decay = rng.uniform(1e-6, 10.0) * ratio ** k
+        tails += [(-1.0) ** k * decay * rng.uniform(0.9, 1.1, n),
+                  rng.choice([-1.0, 1.0]) * decay, rng.normal(size=n)]
+    for tail in list(tails):
+        if len(tail):
+            edged = tail.copy()
+            for i in rng.integers(0, len(tail), 2):
+                edged[i] = rng.choice(_EDGE_VALUES)
+            tails.append(edged)
+    tails += [np.array([1e-200, -1e-200] * 3), np.array([-1e-200, 1e-200] * 6),
+              np.array([5e-324, -5e-324, 5e-324, -5e-324, 5e-324])]
+    return tails
+
+
+def test_stop_test_helpers_match_the_array_forms():
+    rng = np.random.default_rng(20260)
+    for tail in _tails(rng):
+        values = tail.tolist()
+        assert _same(nm._alternating(values), oracles.alternating_array(tail))
+        if len(tail):
+            widths = np.abs(tail)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = oracles.euler_accelerate_array(tail)
+                uniform = oracles.uniform_widths_array(widths)
+            assert _same(nm._euler_accelerate(values), want)
+            assert _same(nm._uniform_widths(widths.tolist()), uniform)
+        else:
+            with pytest.raises(IndexError):
+                nm._euler_accelerate(values)
+            with pytest.raises(IndexError):
+                oracles.euler_accelerate_array(tail)
+
+
+def test_termination_check_matches_the_array_form():
+    rng = np.random.default_rng(20261)
+    specs = (nm.DEFAULT_QUADRATURE, nm.QuadratureSpec(abs_tol=1e-280),
+             nm.QuadratureSpec(abs_tol=1e-4, rel_tol=1e-3))
+    stops = {"alternating": 0, "geometric": 0}
+    for tail in _tails(rng) + _tails(rng) + _tails(rng):
+        head = rng.normal(size=rng.integers(0, 13)).tolist()
+        contributions = head + tail.tolist()
+        uniform = (1.0 + 0.1 * rng.random(len(contributions))).tolist()
+        doubling = (2.0 ** np.arange(len(contributions))).tolist()
+        peak = max([0.0] + [abs(c) for c in contributions])
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = float(np.sum(contributions))
+            for widths in (uniform, doubling):
+                for spec in specs:
+                    want = oracles.termination_check_array(
+                        contributions, widths, peak, total, spec)
+                    got = nm._termination_check(
+                        np.array(contributions), widths, peak, total, spec)
+                    assert _same(got, want), (contributions, widths, spec)
+                    if want[0] is not None:
+                        stops["geometric" if want[0] == total
+                              else "alternating"] += 1
+    assert min(stops.values()) >= 10, stops
+
+
+def _count_walks(monkeypatch):
+    """Patch the integrator so that each integral appends (whole panels
+    evaluated, panel the walk stopped at) to the returned list."""
+    stack, walks = [], []
+    integrate, halve, check = (nm.integrate_semi_infinite, nm._halve,
+                               nm._termination_check)
+
+    def counted_integrate(*args, **kwargs):
+        stack.append([0, None])
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            walks.append(tuple(stack.pop()))
+
+    def counted_halve(f, los, his, whole=None):
+        if whole is None:       # a block of whole panels, not a refinement
+            stack[-1][0] += len(los)
+        return halve(f, los, his, whole)
+
+    def counted_check(contributions, *args):
+        got = check(contributions, *args)
+        if got[0] is not None:
+            stack[-1][1] = len(contributions)
+        return got
+
+    monkeypatch.setattr(nm, "integrate_semi_infinite", counted_integrate)
+    monkeypatch.setattr(nm, "_halve", counted_halve)
+    monkeypatch.setattr(nm, "_termination_check", counted_check)
+    return walks
+
+
+@pytest.mark.parametrize("preset, curve, metric", [
+    ("fig2", "fig2_ops_direct_N4", "ber"),
+    ("fig1", "fig1_N16", "op"),
+])
+def test_walk_evaluates_at_most_one_block_past_its_stop(monkeypatch, preset,
+                                                        curve, metric):
+    # far panels are where the transforms take their slowest routes, so a
+    # walk pays for panels past its stop only within the block it ends in
+    gamma_th_db, curves = cli._preset_curves(preset)
+    points = dict((c[0], c[2]) for c in curves)[curve]
+    walks = _count_walks(monkeypatch)
+    for _, config in points[::4]:
+        walks.clear()
+        cli.exact_value(config, metric, 10.0 ** (gamma_th_db / 10.0),
+                        rps.Modulation.BPSK)
+        assert walks
+        for evaluated, stopped in walks:
+            assert stopped is not None
+            assert 0 <= evaluated - stopped < nm._PANEL_BLOCK
 
 
 def test_integrate_refinement_budget_raises_with_an_estimate():

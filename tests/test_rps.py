@@ -13,7 +13,7 @@ import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
-from oracles import gamma_r_pdf, link, tail_integral
+from oracles import gamma_product_cdf, gamma_r_pdf, link, tail_integral
 from rislink import numerics as nm
 from rislink import rps
 from rislink.scenario import LinkGeometry, NakagamiParams, ScenarioConfig
@@ -158,6 +158,24 @@ def test_cdf_far_below_the_amplitude_scale_is_zero_without_warnings(
         got = rps.gamma_r_cdf(hp, 10.0 ** (gamma_th_db / 10.0),
                               31622776601.683792)
     assert got == 0.0
+
+
+@pytest.mark.parametrize("m, tx_power_dbm", [
+    (0.75, 20.0), (0.75, 40.0), (0.75, 60.0), (0.75, 80.0), (0.75, 100.0),
+    (1.5, 20.0), (3.0, 20.0)])
+def test_one_path_outage_matches_the_gain_product_reference(m, tx_power_dbm):
+    # scenario e's geometry at a 0 dB threshold; the incomplete gamma of
+    # the conditioned form used to stall at these cells
+    cfg = ScenarioConfig(
+        n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+        tx_power_dbm=tx_power_dbm, m_h=m, m_g=m,
+        geometry=LinkGeometry(20.0, 20.0, 86.0))
+    lk = link(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rps.op_rps(lk.hankel(), 1.0, lk.rho)
+    want = gamma_product_cdf(lk.element, 1.0 / lk.rho)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_pdf_normalizes_to_one():
