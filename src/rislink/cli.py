@@ -238,8 +238,8 @@ def _analytic_value(method: str, config: ScenarioConfig, metric: str,
     engine = _engine(config, metric, method)
     if engine is None:
         raise ValueError(_unavailable(config, metric, method))
-    d, element, direct = link_parts(config, lam_scale)
-    return engine(_Link(config, d.rho, element, direct), gamma_th, modulation)
+    return engine(_Link(config, *link_parts(config, lam_scale)), gamma_th,
+                  modulation)
 
 
 def exact_value(config: ScenarioConfig, metric: str, gamma_th: float,
@@ -256,8 +256,7 @@ def asymptotic_value(config: ScenarioConfig, metric: str, gamma_th: float,
 
 def _mc_query(config: ScenarioConfig, metric: str, gamma_th: float,
               modulation: Modulation) -> mc.McQuery:
-    return mc.McQuery(config, mc.default_phase_model(config), metric,
-                      gamma_th, modulation)
+    return mc.McQuery(config, metric, gamma_th, modulation)
 
 
 def mc_value(config: ScenarioConfig, metric: str, gamma_th: float,

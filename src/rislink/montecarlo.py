@@ -9,14 +9,22 @@ bit-identical for any thread count or scheduling.
 Every estimate runs through one grouped reduction (`estimate_group`).
 Queries with the same element count and hop shapes (N, m_h, m_g) form
 one group: each chunk draws their hop variates once and forms each
-element's unit-scale amplitude once, whatever the phase design, phase
-model or direct path.  Within a group, queries whose configs differ only
-in transmit power, noise or pathloss share all their draws: these reach
-the SNR only as rho and as the Gamma scales omega/m, so the elements are
-summed once at unit scale and each distinct scale multiplies the
-per-trial sums.  Every query reads exactly the stream it reads alone, so
-a grouped estimate is bit-identical to the same query run alone.  The
+element's unit-scale amplitude once, whatever the phase design or direct
+path.  Within a group, queries whose configs differ only in transmit
+power, noise or pathloss share all their draws: these reach the SNR only
+as rho and as the Gamma scales omega/m, so the elements are summed once
+at unit scale and each distinct scale multiplies the per-trial sums.
+Every query reads exactly the stream it reads alone, so a grouped
+estimate is bit-identical to the same query run alone.  The
 single-metric `estimate_*` functions are groups of one.
+
+The config's phase design is the only phase input.  Random phase
+shifting draws every residual phase uniform on [0, 2pi): in Eq. (2),
+phi = theta_h + theta_g - theta_n is uniform whenever the applied
+theta_n is, whatever the hop phase laws, so the hop phases are never
+drawn.  A b-bit quantized design leaves each element the sum of two hop
+errors uniform on [-pi/2^b, pi/2^b) and co-phases the direct path;
+optimal phases draw none.
 
 BER estimators average the conditional error kernel over SNR draws
 instead of counting bit decisions, which reaches deep-tail error rates
@@ -39,7 +47,6 @@ from .rps import LN2, Modulation
 from .scenario import ScenarioConfig, link_parts
 
 _MASK64 = (1 << 64) - 1
-_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # RISLINK_THREADS is clamped to this, so no value of it can ask for more
 # operating-system threads
 _MAX_THREADS = 64
@@ -104,135 +111,24 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------
-# phase models
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseModel:
-    """How Eq.-(2)-style residual phases are drawn.
-
-    ``exact``     phi_n = theta_h + theta_g - theta_n with Nakagami-phase
-                  hop draws and a uniform applied phase;
-    ``uniform``   phi_n ~ U[0, 2pi);
-    ``quantized`` phi_n = eps_h + eps_g, each hop error uniform on
-                  [-pi/2^b, pi/2^b); the direct term stays co-phased.
-    """
-
-    kind: str
-    bits: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "uniform", "quantized"):
-            raise ValueError(f"unknown phase model {self.kind!r}")
-        if self.kind == "quantized":
-            if not (isinstance(self.bits, int) and self.bits >= 1):
-                raise ValueError("quantized phase model needs integer bits >= 1")
-        elif self.bits is not None:
-            raise ValueError(f"{self.kind} phase model takes no bits")
-
-
-EXACT_NAKAGAMI = PhaseModel("exact")
-UNIFORM = PhaseModel("uniform")
-
-
-def quantized_phases(bits: int) -> PhaseModel:
-    return PhaseModel("quantized", bits)
-
-
-def default_phase_model(config: ScenarioConfig) -> PhaseModel:
-    """The phase model the analytical modules assume for this design."""
-    if config.phase_design.kind == "quantized":
-        return quantized_phases(config.phase_design.bits)
-    return UNIFORM
-
-
-# ---------------------------------------------------------------------
 # channel draws
 # ---------------------------------------------------------------------
 
-def _phase_const(m: float) -> float:
-    # normalization Gamma(m) / (2^m Gamma(m/2)^2); equals 1/(2pi) at m=1
-    return math.exp(math.lgamma(m) - m * LN2 - 2.0 * math.lgamma(0.5 * m))
-
-
-_PHASE_KNOTS = 1 << 16
-_phase_tables: dict = {}
-
-
-def _phase_table(m: float):
-    """Monotone inverse-CDF knots for the singular m < 1 phase density."""
-    got = _phase_tables.get(m)
-    if got is None:
-        edges = np.linspace(-math.pi, math.pi, _PHASE_KNOTS + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        theta = mid[:, None] + half * _GL5_NODES[None, :]
-        dens = np.abs(np.sin(2.0 * theta)) ** (m - 1.0)
-        mass = (dens @ _GL5_WEIGHTS) * half
-        cdf = np.concatenate([[0.0], np.cumsum(mass)])
-        cdf /= cdf[-1]
-        if len(_phase_tables) >= 16:
-            _phase_tables.clear()
-        got = (cdf, edges)
-        _phase_tables[m] = got
-    return got
-
-
-def sample_nakagami_phase(m: float, rng: np.random.Generator, size=None):
-    """Draw(s) from f(theta) = C(m) |sin 2 theta|^(m-1) on [-pi, pi).
-
-    Rejection against a flat envelope for m >= 1; the m < 1 density has
-    integrable poles at multiples of pi/2, so it is inverted through a
-    precomputed monotone CDF table instead.
-    """
-    if m < 0.5:
-        raise ValueError(f"Nakagami shape m must be >= 0.5, got {m}")
-    count = 1 if size is None else int(np.prod(size))
-    if m == 1.0:
-        out = rng.uniform(-math.pi, math.pi, count)
-    elif m < 1.0:
-        cdf, edges = _phase_table(m)
-        out = np.interp(rng.uniform(0.0, 1.0, count), cdf, edges)
-    else:
-        const = _phase_const(m)
-        grid = np.linspace(-math.pi, math.pi, 10000)
-        fmax = 1.01 * const * float(
-            np.max(np.abs(np.sin(2.0 * grid)) ** (m - 1.0)))
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
-            k = int((count - filled) * 2.0 * math.pi * fmax * 1.2) + 16
-            theta = rng.uniform(-math.pi, math.pi, k)
-            height = rng.uniform(0.0, fmax, k)
-            acc = theta[height < const * np.abs(np.sin(2.0 * theta)) ** (m - 1.0)]
-            take = min(len(acc), count - filled)
-            out[filled:filled + take] = acc[:take]
-            filled += take
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
-
-
-def _element_phases(config: ScenarioConfig, model: PhaseModel, shape,
+def _element_phases(config: ScenarioConfig, shape,
                     rng: np.random.Generator) -> np.ndarray:
-    if model.kind == "uniform":
+    if config.phase_design.kind == "rps":
         return rng.uniform(0.0, 2.0 * math.pi, shape)
-    if model.kind == "exact":
-        theta_h = sample_nakagami_phase(config.m_h, rng, shape)
-        theta_g = sample_nakagami_phase(config.m_g, rng, shape)
-        return theta_h + theta_g - rng.uniform(0.0, 2.0 * math.pi, shape)
-    half = math.pi / 2.0 ** model.bits
+    # quantized: phi_n = eps_h + eps_g, each hop's error uniform on
+    # [-pi/2^b, pi/2^b)
+    half = math.pi / 2.0 ** config.phase_design.bits
     return (rng.uniform(-half, half, shape)
             + rng.uniform(-half, half, shape))
 
 
-def _direct_phases(config: ScenarioConfig, model: PhaseModel, count: int,
+def _direct_phases(config: ScenarioConfig, count: int,
                    rng: np.random.Generator) -> np.ndarray:
-    if model.kind == "uniform":
+    if config.phase_design.kind == "rps":
         return rng.uniform(0.0, 2.0 * math.pi, count)
-    if model.kind == "exact":
-        theta_hd = sample_nakagami_phase(config.m_d, rng, (count,))
-        return theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
     # quantized: the direct term is co-phased at the detector
     return np.zeros(count)
 
@@ -264,7 +160,7 @@ class _Draws(NamedTuple):
     phi_d: Optional[np.ndarray]
 
 
-def _draw(config: ScenarioConfig, model: PhaseModel, amp: np.ndarray,
+def _draw(config: ScenarioConfig, amp: np.ndarray,
           rng: np.random.Generator) -> _Draws:
     """The variates that follow the hop draws of ``amp``.  Draw order is
     part of the determinism contract: hop powers h then g, then
@@ -274,20 +170,20 @@ def _draw(config: ScenarioConfig, model: PhaseModel, amp: np.ndarray,
     if config.phase_design.kind == "ops":
         gd = rng.standard_gamma(config.m_d, count) if direct else None
         return _Draws(amp, None, gd, None)
-    phi = _element_phases(config, model, (count, n), rng)
+    phi = _element_phases(config, (count, n), rng)
     gd = phi_d = None
     if direct:
         gd = rng.standard_gamma(config.m_d, count)
-        phi_d = _direct_phases(config, model, count, rng)
+        phi_d = _direct_phases(config, count, rng)
     return _Draws(amp, phi, gd, phi_d)
 
 
 def _link_scales(config: ScenarioConfig) -> tuple:
     """(rho, Gamma scales omega/m of the h hop, g hop and direct path)."""
-    d, element, direct = link_parts(config)
-    return d.rho, (element.hop_h.omega / element.hop_h.m,
-                   element.hop_g.omega / element.hop_g.m,
-                   None if direct is None else direct.omega / direct.m)
+    rho, element, direct = link_parts(config)
+    return rho, (element.hop_h.omega / element.hop_h.m,
+                 element.hop_g.omega / element.hop_g.m,
+                 None if direct is None else direct.omega / direct.m)
 
 
 # elements per row block of _snr_bases: bounds its temporaries
@@ -363,13 +259,12 @@ _MC_METRICS = ("op", "ber", "ec")
 
 @dataclass(frozen=True)
 class McQuery:
-    """One simulator estimate: a config, its phase model and what to
-    average over its SNR draws -- the outage indicator at ``gamma_th``
-    (op), the conditional error rate of ``modulation`` (ber) or
-    log2(1 + gamma) (ec)."""
+    """One simulator estimate: a config and what to average over its SNR
+    draws -- the outage indicator at ``gamma_th`` (op), the conditional
+    error rate of ``modulation`` (ber) or log2(1 + gamma) (ec).  The
+    config's phase design picks the phases drawn."""
 
     config: ScenarioConfig
-    phase_model: PhaseModel
     metric: str
     gamma_th: float = 0.0
     modulation: Modulation = Modulation.BPSK
@@ -387,7 +282,7 @@ class McQuery:
         which reach the SNR as rho and as the Gamma scales."""
         c = self.config
         return (c.n_elements, c.m_h, c.m_g, c.m_d, c.geometry.direct_link,
-                c.phase_design, self.phase_model)
+                c.phase_design)
 
     def partial(self, g: np.ndarray) -> np.ndarray:
         """This chunk's sums: the outage count, or the kernel's sum and
@@ -417,12 +312,11 @@ class McQuery:
 
 
 class _Subgroup(NamedTuple):
-    """Queries of one draw_key(): the config and phase model they draw
-    with, their distinct Gamma scales (each mapped to the index of its
-    SNR base), and the query indices per (base index, rho)."""
+    """Queries of one draw_key(): the config they draw with, their
+    distinct Gamma scales (each mapped to the index of its SNR base), and
+    the query indices per (base index, rho)."""
 
     config: ScenarioConfig
-    phase_model: PhaseModel
     scales: dict
     snrs: dict
 
@@ -430,8 +324,8 @@ class _Subgroup(NamedTuple):
 def _subgroups(queries: Sequence[McQuery]) -> List[_Subgroup]:
     subs: dict = {}
     for q, query in enumerate(queries):
-        sub = subs.setdefault(query.draw_key(), _Subgroup(
-            query.config, query.phase_model, {}, {}))
+        sub = subs.setdefault(query.draw_key(),
+                              _Subgroup(query.config, {}, {}))
         rho, scale = _link_scales(query.config)
         base = sub.scales.setdefault(scale, len(sub.scales))
         sub.snrs.setdefault((base, rho), []).append(q)
@@ -473,8 +367,7 @@ def _reduce(queries: Sequence[McQuery], n_trials: int,
         for sub in subs:
             rng.bit_generator.state = after_hops
             coherent = sub.config.phase_design.kind == "ops"
-            bases = _snr_bases(_draw(sub.config, sub.phase_model, amp, rng),
-                               list(sub.scales))
+            bases = _snr_bases(_draw(sub.config, amp, rng), list(sub.scales))
             for (base, rho), members in sub.snrs.items():
                 g = _snr(bases[base], rho, coherent)
                 for q in members:
@@ -497,9 +390,9 @@ def estimate_group(queries: Sequence[McQuery], n_trials: int,
 
     Queries with the same N, m_h and m_g are one group, reduced together:
     each chunk's hop variates are drawn once for the whole group, across
-    phase designs, phase models and direct paths, and queries with the
-    same draw_key() share every draw, so a power, noise or geometry
-    sweep and all its metrics consume one sample set.  Every estimate is
+    phase designs and direct paths, and queries with the same draw_key()
+    share every draw, so a power, noise or geometry sweep and all its
+    metrics consume one sample set.  Every estimate is
     bit-identical to the one its query gets alone, since both consume
     the same chunk substreams in the same order.
     """
@@ -516,22 +409,23 @@ def estimate_group(queries: Sequence[McQuery], n_trials: int,
     return out
 
 
-def estimate_op(config: ScenarioConfig, phase_model: PhaseModel,
-                gamma_th: float, n_trials: int, seed: int) -> McEstimate:
+# one-query groups; the CLI never calls them, but the benchmark tracer
+# (perfbench/tracer.py) wraps them by name
+def estimate_op(config: ScenarioConfig, gamma_th: float, n_trials: int,
+                seed: int) -> McEstimate:
     """Outage probability: empirical CDF at gamma_th, binomial SE."""
-    return estimate_group([McQuery(config, phase_model, "op", gamma_th)],
-                          n_trials, seed)[0]
+    return estimate_group([McQuery(config, "op", gamma_th)], n_trials,
+                          seed)[0]
 
 
-def estimate_ber(config: ScenarioConfig, phase_model: PhaseModel,
-                 modulation: Modulation, n_trials: int, seed: int) -> McEstimate:
+def estimate_ber(config: ScenarioConfig, modulation: Modulation,
+                 n_trials: int, seed: int) -> McEstimate:
     """Average BER by analytic conditioning on the SNR draw."""
-    return estimate_group([McQuery(config, phase_model, "ber",
-                                   modulation=modulation)], n_trials, seed)[0]
-
-
-def estimate_ec(config: ScenarioConfig, phase_model: PhaseModel,
-                n_trials: int, seed: int) -> McEstimate:
-    """Ergodic capacity: sample mean of log2(1 + gamma)."""
-    return estimate_group([McQuery(config, phase_model, "ec")],
+    return estimate_group([McQuery(config, "ber", modulation=modulation)],
                           n_trials, seed)[0]
+
+
+def estimate_ec(config: ScenarioConfig, n_trials: int,
+                seed: int) -> McEstimate:
+    """Ergodic capacity: sample mean of log2(1 + gamma)."""
+    return estimate_group([McQuery(config, "ec")], n_trials, seed)[0]

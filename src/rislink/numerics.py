@@ -89,6 +89,7 @@ __all__ = [
     "erfc",
     "gauss_q",
     "upper_incomplete_gamma",
+    "regularized_lower_gamma",
     "exp_scaled_e1",
     "bessel_j",
     "bessel_zeros",
@@ -334,41 +335,24 @@ def _e1_series(x):
     raise ConvergenceError("E1 series did not converge", best_estimate=total)
 
 
-def upper_incomplete_gamma(a, x):
-    """Upper incomplete gamma Gamma(a, x) for a >= 0, x > 0.
+def _gamma_series(a, x):
+    """sum_k x^k / (a (a+1) ... (a+k)), so that gamma(a, x) = x^a e^-x
+    times it; converges fast for x < a + 1."""
+    total = 1.0 / a
+    term = total
+    ap = a
+    for _ in range(500):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * 1e-17:
+            return total
+    raise ConvergenceError("incomplete-gamma series stalled")
 
-    Lentz continued fraction for x >= a + 1, series complement below, and
-    the E1 series for a == 0 with small x.  Returns 0.0 for x = inf and
-    wherever x^a e^-x underflows.
-    """
-    a = float(a)
-    x = float(x)
-    if a < 0:
-        raise ValueError("upper_incomplete_gamma requires a >= 0")
-    if x <= 0:
-        raise ValueError("upper_incomplete_gamma requires x > 0")
-    if a == 0.0 and x < 1.2:
-        return _e1_series(x)
-    if x < a + 1.0:
-        # lower-function series, then complement
-        total = 1.0 / a
-        term = total
-        ap = a
-        for _ in range(500):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        else:
-            raise ConvergenceError("incomplete-gamma series stalled")
-        lower = total * math.exp(-x + a * math.log(x))
-        return math.exp(math.lgamma(a)) - lower
-    # x^a e^-x underflows: every x there that the fraction converges on
-    # gives exactly 0.0, and far out (x >= ~2.3e16) its stop test
-    # |delta - 1| < 1e-16, below the spacing of doubles above 1, can stall
-    if x == math.inf or a * math.log(x) - x < -746.0:
-        return 0.0
+
+def _gamma_fraction(a, x):
+    """Lentz continued fraction h, so that Gamma(a, x) = x^a e^-x h;
+    converges fast for x >= a + 1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -387,10 +371,63 @@ def upper_incomplete_gamma(a, x):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ConvergenceError("incomplete-gamma continued fraction stalled")
+            return h
+    raise ConvergenceError("incomplete-gamma continued fraction stalled")
+
+
+def upper_incomplete_gamma(a, x):
+    """Upper incomplete gamma Gamma(a, x) for a >= 0, x > 0.
+
+    Lentz continued fraction for x >= a + 1, series complement below, and
+    the E1 series for a == 0 with small x.  Returns 0.0 for x = inf and
+    wherever x^a e^-x underflows.
+    """
+    a = float(a)
+    x = float(x)
+    if a < 0:
+        raise ValueError("upper_incomplete_gamma requires a >= 0")
+    if x <= 0:
+        raise ValueError("upper_incomplete_gamma requires x > 0")
+    if a == 0.0 and x < 1.2:
+        return _e1_series(x)
+    if x < a + 1.0:
+        # lower-function series, then complement
+        lower = _gamma_series(a, x) * math.exp(-x + a * math.log(x))
+        return math.exp(math.lgamma(a)) - lower
+    # x^a e^-x underflows: every x there that the fraction converges on
+    # gives exactly 0.0, and far out (x >= ~2.3e16) its stop test
+    # |delta - 1| < 1e-16, below the spacing of doubles above 1, can stall
+    if x == math.inf or a * math.log(x) - x < -746.0:
+        return 0.0
+    h = _gamma_fraction(a, x)
     return math.exp(-x + a * math.log(x)) * h if a > 0 else math.exp(-x) * h
+
+
+def regularized_lower_gamma(a, x):
+    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x >= 0.
+
+    The prefactor x^a e^-x / Gamma(a) is formed as one exponential of
+    a ln x - x - lgamma(a), so no shape overflows Gamma(a).  Below
+    x = a + 1 the series gives P with full relative accuracy; above it
+    the continued fraction gives 1 - P.
+    """
+    a = float(a)
+    x = float(x)
+    if not a > 0:
+        raise ValueError("regularized_lower_gamma requires a > 0")
+    if not x >= 0:
+        raise ValueError("regularized_lower_gamma requires x >= 0")
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    log_pre = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        return min(_gamma_series(a, x) * math.exp(log_pre), 1.0)
+    # 1 - P underflows (see upper_incomplete_gamma on the fraction's stall)
+    if log_pre < -746.0:
+        return 1.0
+    return 1.0 - _gamma_fraction(a, x) * math.exp(log_pre)
 
 
 def exp_scaled_e1(z):

@@ -191,15 +191,11 @@ def _oscillatory_breakpoints(u_scale: float) -> np.ndarray:
 def _nakagami_cdf(params: NakagamiParams, x):
     """Envelope CDF: regularized lower incomplete gamma at m x^2 / Omega."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    gamma_m = math.exp(math.lgamma(params.m))
     out = np.empty_like(arr)
     for i, v in enumerate(arr.ravel().tolist()):
-        if v <= 0.0:
-            out.flat[i] = 0.0
-        else:
-            # Python floats overflow to inf quietly, and Gamma(m, inf) = 0
-            y = params.m * v * v / params.omega
-            out.flat[i] = 1.0 - nm.upper_incomplete_gamma(params.m, y) / gamma_m
+        # Python floats overflow to inf quietly, and P(m, inf) = 1
+        y = params.m * v * v / params.omega if v > 0.0 else 0.0
+        out.flat[i] = nm.regularized_lower_gamma(params.m, y)
     out = np.clip(out, 0.0, 1.0)
     return out if np.ndim(x) else float(out[0])
 

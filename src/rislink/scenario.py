@@ -1,13 +1,14 @@
-"""Physical link configuration and derived distribution parameters.
+"""Physical link configuration and its distribution parameters.
 
-Geometry, pathloss, fading shapes, and power budget live here; the
-analytical modules consume only the derived quantities (rho, Lambda_n,
-Lambda_d, per-hop spreads).
+Geometry, pathloss, fading shapes, and power budget live here;
+`link_parts` is the one place they become what the engines and the
+simulator read: rho, the per-element cascade and the direct path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -126,18 +127,8 @@ class ScenarioConfig:
                 raise ValueError("m_d must be >= 0.5")
         elif self.m_d is not None:
             raise ValueError("m_d given but direct_link is false")
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Distribution parameters consumed by the analytical modules."""
-
-    rho: float
-    lambda_n: float
-    omega_h: float
-    omega_g: float
-    lambda_d: Optional[float] = None
-    omega_d: Optional[float] = None
+        # rho and the path spreads must come out as usable numbers
+        link_parts(self)
 
 
 def pathloss_omega(distance_m: float, carrier_hz: float, alpha: float) -> float:
@@ -167,35 +158,44 @@ def ricean_k_to_m(k_factor: float) -> float:
     return 1.0 / (1.0 - ratio * ratio)
 
 
-def derive(config: ScenarioConfig) -> DerivedParams:
-    """Resolve geometry and power budget into distribution parameters."""
-    geom = config.geometry
-    omega_h = pathloss_omega(geom.r_h, config.carrier_hz, config.alpha)
-    omega_g = pathloss_omega(geom.r_g, config.carrier_hz, config.alpha)
-    rho = 10.0 ** ((config.tx_power_dbm - config.noise_dbm) / 10.0)
-    lambda_n = omega_h * omega_g / (config.m_h * config.m_g)
-    lambda_d = omega_d = None
-    if geom.direct_link:
-        omega_d = pathloss_omega(direct_distance(geom), config.carrier_hz,
-                                 config.alpha)
-        lambda_d = omega_d / config.m_d
-    return DerivedParams(rho=rho, lambda_n=lambda_n, omega_h=omega_h,
-                         omega_g=omega_g, lambda_d=lambda_d, omega_d=omega_d)
+def _in_range(what: str, fields: str, compute) -> float:
+    """compute(), which must be a positive normal double, or a ValueError
+    naming the config fields that put ``what`` out of that range."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    except ValueError as exc:
+        raise ValueError(f"{fields}: {exc}") from None
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{fields} put {what} at {value!r}, outside the "
+                         "range of normal doubles")
+    return value
 
 
 def link_parts(config: ScenarioConfig, lam_scale: float = 1.0) -> tuple:
-    """(derived params, per-element cascade, direct path or None).
+    """Resolve geometry and power budget into (rho, per-element cascade,
+    direct path or None).
 
-    ``lam_scale`` multiplies the cascade spread only; the derived params
-    stay those of the honest config.
+    ``lam_scale`` multiplies the cascade's h-hop spread only; rho and the
+    direct path stay those of the honest config.
     """
-    d = derive(config)
-    element = DoubleNakagami(NakagamiParams(config.m_h, d.omega_h * lam_scale),
-                             NakagamiParams(config.m_g, d.omega_g))
+    geom, carrier, alpha = config.geometry, config.carrier_hz, config.alpha
+    omega_h = _in_range("the h-hop spread", "r_h, carrier_hz and alpha",
+                        lambda: pathloss_omega(geom.r_h, carrier, alpha))
+    omega_g = _in_range("the g-hop spread", "r_g, carrier_hz and alpha",
+                        lambda: pathloss_omega(geom.r_g, carrier, alpha))
+    rho = _in_range("rho", "tx_power_dbm and noise_dbm", lambda: 10.0 ** (
+        (config.tx_power_dbm - config.noise_dbm) / 10.0))
+    element = DoubleNakagami(NakagamiParams(config.m_h, omega_h * lam_scale),
+                             NakagamiParams(config.m_g, omega_g))
     direct = None
-    if config.geometry.direct_link:
-        direct = NakagamiParams(config.m_d, d.omega_d)
-    return d, element, direct
+    if geom.direct_link:
+        direct = NakagamiParams(config.m_d, _in_range(
+            "the direct-path spread",
+            "r_h, r_g, psi_deg, carrier_hz and alpha",
+            lambda: pathloss_omega(direct_distance(geom), carrier, alpha)))
+    return rho, element, direct
 
 
 # --- flat key/value schema -------------------------------------------

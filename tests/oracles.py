@@ -5,6 +5,7 @@ table does.  The other functions are reference forms that no CLI path
 runs; the suites compare the engines against them.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -23,8 +24,7 @@ def link(config):
     """The scenario as the CLI's engines read it: its `link_parts`, with
     ``.hankel()``, ``.chf()`` and ``.largen(model)`` building the
     transforms and large-N models from them."""
-    d, element, direct = link_parts(config)
-    return cli._Link(config, d.rho, element, direct)
+    return cli._Link(config, *link_parts(config))
 
 
 def outage_memo(outage, transform, rho):
@@ -50,19 +50,125 @@ def outage_memo(outage, transform, rho):
     return f
 
 
-def op_grid(config, phase_model, thresholds, n_trials, seed):
+def op_grid(config, thresholds, n_trials, seed):
     """Simulated outage at several thresholds from one shared sample set."""
-    return mc.estimate_group([mc.McQuery(config, phase_model, "op", float(th))
+    return mc.estimate_group([mc.McQuery(config, "op", float(th))
                               for th in thresholds], n_trials, seed)
 
 
-def snr_batch(config, phase_model, count, rng):
+def snr_batch(config, count, rng):
     """``count`` SNR draws of one config through the simulator's own draw
     and SNR-base kernels."""
     rho, scales = mc._link_scales(config)
     amp = mc._hop_amplitudes(config, count, rng)
-    base, = mc._snr_bases(mc._draw(config, phase_model, amp, rng), [scales])
+    base, = mc._snr_bases(mc._draw(config, amp, rng), [scales])
     return mc._snr(base, rho, config.phase_design.kind == "ops")
+
+
+# ---------------------------------------------------------------------
+# Nakagami hop phases: Eq. (2) with its hop phase laws drawn out
+# ---------------------------------------------------------------------
+
+_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def nakagami_phase_const(m):
+    """Normalization Gamma(m) / (2^m Gamma(m/2)^2) of the Nakagami phase
+    density; equals 1/(2pi) at m = 1."""
+    return math.exp(math.lgamma(m) - m * rps.LN2 - 2.0 * math.lgamma(0.5 * m))
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_table(m):
+    """Monotone inverse-CDF knots for the singular m < 1 phase density."""
+    edges = np.linspace(-math.pi, math.pi, (1 << 16) + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    theta = mid[:, None] + half * _GL5_NODES[None, :]
+    dens = np.abs(np.sin(2.0 * theta)) ** (m - 1.0)
+    mass = (dens @ _GL5_WEIGHTS) * half
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    cdf /= cdf[-1]
+    return cdf, edges
+
+
+def sample_nakagami_phase(m, rng, size=None):
+    """Draw(s) from f(theta) = C(m) |sin 2 theta|^(m-1) on [-pi, pi).
+
+    Rejection against a flat envelope for m >= 1; the m < 1 density has
+    integrable poles at multiples of pi/2, so it is inverted through a
+    precomputed monotone CDF table instead.
+    """
+    if m < 0.5:
+        raise ValueError(f"Nakagami shape m must be >= 0.5, got {m}")
+    count = 1 if size is None else int(np.prod(size))
+    if m == 1.0:
+        out = rng.uniform(-math.pi, math.pi, count)
+    elif m < 1.0:
+        cdf, edges = _phase_table(m)
+        out = np.interp(rng.uniform(0.0, 1.0, count), cdf, edges)
+    else:
+        const = nakagami_phase_const(m)
+        grid = np.linspace(-math.pi, math.pi, 10000)
+        fmax = 1.01 * const * float(
+            np.max(np.abs(np.sin(2.0 * grid)) ** (m - 1.0)))
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            k = int((count - filled) * 2.0 * math.pi * fmax * 1.2) + 16
+            theta = rng.uniform(-math.pi, math.pi, k)
+            height = rng.uniform(0.0, fmax, k)
+            dens = const * np.abs(np.sin(2.0 * theta)) ** (m - 1.0)
+            acc = theta[height < dens]
+            take = min(len(acc), count - filled)
+            out[filled:filled + take] = acc[:take]
+            filled += take
+    if size is None:
+        return float(out[0])
+    return out.reshape(size)
+
+
+def nakagami_phase_draws(config, amp, rng):
+    """The variates that follow the hop draws of ``amp`` when Eq. (2) is
+    drawn term by term: phi = theta_h + theta_g - theta_n with Nakagami
+    hop phases and a uniform applied phase, and theta_hd - theta_d on the
+    direct path.  Same draw order as `montecarlo._draw`: element phases,
+    then the direct path's power and phase."""
+    count, n = amp.shape
+    theta_h = sample_nakagami_phase(config.m_h, rng, (count, n))
+    theta_g = sample_nakagami_phase(config.m_g, rng, (count, n))
+    phi = theta_h + theta_g - rng.uniform(0.0, 2.0 * math.pi, (count, n))
+    gd = phi_d = None
+    if config.geometry.direct_link:
+        gd = rng.standard_gamma(config.m_d, count)
+        theta_hd = sample_nakagami_phase(config.m_d, rng, (count,))
+        phi_d = theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
+    return mc._Draws(amp, phi, gd, phi_d)
+
+
+def nakagami_phase_op_grid(config, thresholds, n_trials, seed):
+    """Simulated random-phase outage at several thresholds with the
+    residual phases drawn through `nakagami_phase_draws`.
+
+    Chunk i reads `RngStream(seed, i)` over `_chunk_size(N)` trials: the
+    simulator's hop amplitudes, then the Eq. (2) phases, then its SNR
+    kernels.  The counts are estimated by `McQuery.estimate`, so the
+    values are the ones the simulator gave when it drew hop phases.
+    """
+    if config.phase_design.kind != "rps":
+        raise ValueError("Nakagami hop phases apply to random phase shifting")
+    queries = [mc.McQuery(config, "op", float(th)) for th in thresholds]
+    rho, scales = mc._link_scales(config)
+    cs = mc._chunk_size(config.n_elements)
+    totals = [0] * len(queries)
+    for i in range(-(-n_trials // cs)):
+        rng = mc.RngStream(seed, i).generator()
+        amp = mc._hop_amplitudes(config, min(cs, n_trials - i * cs), rng)
+        base, = mc._snr_bases(nakagami_phase_draws(config, amp, rng),
+                              [scales])
+        g = mc._snr(base, rho, False)
+        totals = [t + q.partial(g) for t, q in zip(totals, queries)]
+    return [q.estimate(t, n_trials, seed) for q, t in zip(queries, totals)]
 
 
 def gamma_r_pdf(hp, gamma, rho):
@@ -141,7 +247,7 @@ def gamma_c_moment_multinomial(config, k):
     n = config.n_elements
     if k > 2 and n > 8:
         raise ValueError("multinomial expansion too large for k > 2 with N > 8")
-    d, element, direct = link_parts(config)
+    rho, element, direct = link_parts(config)
     power = 2 * int(k)
     part_moments = [[1.0] + [rps.x_moment(element, j)
                              for j in range(1, power + 1)]] * n
@@ -156,7 +262,7 @@ def gamma_c_moment_multinomial(config, k):
                    * expand(idx + 1, remaining - j)
                    for j in range(remaining + 1))
 
-    return d.rho ** k * math.factorial(power) * expand(0, power)
+    return rho ** k * math.factorial(power) * expand(0, power)
 
 
 def largen_rps_chf(model, t):

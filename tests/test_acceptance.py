@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import link, op_grid, outage_memo, snr_batch
+from oracles import (link, nakagami_phase_op_grid, op_grid, outage_memo,
+                     snr_batch)
 from rislink import cli
 from rislink import asymptotic as la
 from rislink import montecarlo as mc
@@ -68,14 +69,14 @@ def rps_outage_probe(outage):
     return f
 
 
-def draw_snr(config, phase_model, count, seed, chunk=20_000):
+def draw_snr(config, count, seed, chunk=20_000):
     """Raw end-to-end SNR sample with the simulator's own kernels."""
     rng = mc.RngStream(seed, 0).generator()
     parts = []
     left = count
     while left:
         k = min(left, chunk)
-        parts.append(snr_batch(config, phase_model, k, rng))
+        parts.append(snr_batch(config, k, rng))
         left -= k
     return np.concatenate(parts)
 
@@ -111,12 +112,12 @@ def test_criterion_01_outage_rps_exact_vs_mc():
         # the transport reuses identical draws: re-running the middle
         # point as its own power-plus-0dB-threshold scenario reproduces
         # the grid estimate up to dB round-trip rounding of the threshold
-        probe = op_grid(config, mc.UNIFORM, [gammas[2]], 100_000, 101)[0]
+        probe = op_grid(config, [gammas[2]], 100_000, 101)[0]
         shifted = make_config(n_elements=n, tx_power_dbm=powers_dbm[2])
-        direct_run = mc.estimate_op(shifted, mc.UNIFORM, 1.0, 100_000, 101)
+        direct_run = mc.estimate_op(shifted, 1.0, 100_000, 101)
         assert direct_run.value == pytest.approx(probe.value, abs=3e-5)
 
-        estimates = op_grid(config, mc.UNIFORM, gammas, 10_000_000, 101)
+        estimates = op_grid(config, gammas, 10_000_000, 101)
         for target, gamma, est in zip(targets, gammas, estimates):
             exact = outage(gamma)
             assert exact == pytest.approx(target, rel=1e-6)
@@ -143,8 +144,7 @@ def test_criterion_02_amplitude_cdf_ops_exact_vs_mc():
 
             gammas = [bisect_increasing(outage, q, 1e-12, 1e9)
                       for q in quantiles]
-            estimates = op_grid(config, mc.EXACT_NAKAGAMI, gammas,
-                                10_000_000, 202)
+            estimates = op_grid(config, gammas, 10_000_000, 202)
             for q, gamma, est in zip(quantiles, gammas, estimates):
                 exact = outage(gamma)
                 assert exact == pytest.approx(q, rel=1e-5)
@@ -168,7 +168,7 @@ def test_criterion_03_ber_exact_vs_mc_and_largen_bdpsk():
                               tx_power_dbm=power)
         rho = link(powered).rho
         exact = R.ber_rps(hp, rho, BPSK)
-        est = mc.estimate_ber(powered, mc.UNIFORM, BPSK, 1_000_000, 303)
+        est = mc.estimate_ber(powered, BPSK, 1_000_000, 303)
         assert abs(exact - est.value) <= 3.0 * est.std_error
 
     # coherent phases, CHF-based integral
@@ -179,8 +179,7 @@ def test_criterion_03_ber_exact_vs_mc_and_largen_bdpsk():
                               phase_design="ops", tx_power_dbm=power)
         rho = link(powered).rho
         exact = O.ber_ops_coherent(chf, rho, BPSK)
-        est = mc.estimate_ber(powered, mc.EXACT_NAKAGAMI, BPSK,
-                              1_000_000, 304)
+        est = mc.estimate_ber(powered, BPSK, 1_000_000, 304)
         assert abs(exact - est.value) <= 3.0 * est.std_error
 
     # differential detection at N = 64: closed form within 3 % of the
@@ -222,7 +221,7 @@ def test_criterion_04_diversity_orders():
 def test_criterion_05_largen_snr_distribution():
     config = make_config(n_elements=256)
     scene = link(config)
-    y_sq = draw_snr(config, mc.UNIFORM, 200_000, 505) / scene.rho
+    y_sq = draw_snr(config, 200_000, 505) / scene.rho
     mean = 256 * scene.element.mean_power
     ks = ks_distance(y_sq, lambda x: -np.expm1(-x / mean))
     assert ks <= 0.01
@@ -232,7 +231,7 @@ def test_criterion_05_largen_snr_distribution():
         scene = link(config)
         mean_zt, var_zt = la.zt_stats(scene.element)
         law = n * scene.rho * (n * mean_zt ** 2 + var_zt)
-        observed = draw_snr(config, mc.EXACT_NAKAGAMI, 100_000, 506).mean()
+        observed = draw_snr(config, 100_000, 506).mean()
         assert observed == pytest.approx(law, rel=0.01)
 
 
@@ -248,13 +247,12 @@ def test_criterion_06_capacity_approximations():
                 config = make_config(n_elements=n, phase_design=design,
                                      tx_power_dbm=power)
                 approx = cli.exact_value(config, "ec", 1.0, BPSK)
-                est = mc.estimate_ec(config, mc.default_phase_model(config),
-                                     200_000, 606)
+                est = mc.estimate_ec(config, 200_000, 606)
                 assert approx == pytest.approx(est.value, rel=0.02)
 
     config = make_config(n_elements=256)
     model = link(config).largen(la.LargeNRps)
-    est = mc.estimate_ec(config, mc.UNIFORM, 200_000, 607)
+    est = mc.estimate_ec(config, 200_000, 607)
     assert la.largen_rps_ec(model) == pytest.approx(est.value, rel=0.01)
 
     # high-SNR offset at rho = 1e10 on unit spreads
@@ -298,17 +296,20 @@ def test_criterion_07_capacity_vs_hop_split():
 
 
 # ---------------------------------------------------------------------
-# 8. exact element-phase statistics vs the uniform-phase analytics
+# 8. Nakagami hop phases in Eq. (2) vs the uniform-phase analytics
 # ---------------------------------------------------------------------
 
 def test_criterion_08_exact_phase_vs_uniform_model():
+    # the residual phase theta_h + theta_g - theta_n drawn term by term,
+    # with Nakagami hop phases, against the uniform phases the simulator
+    # draws and the Hankel inversion assumes
     config = make_config(n_elements=16, m_h=1.5, m_g=2.5)
     scene = link(config)
     outage = outage_memo(R.op_rps, scene.hankel(), scene.rho)
     gammas = [bisect_increasing(rps_outage_probe(outage), q, 1e-14, 10.0)
               for q in np.linspace(0.05, 0.95, 10)]
-    with_exact = op_grid(config, mc.EXACT_NAKAGAMI, gammas, 200_000, 808)
-    with_uniform = op_grid(config, mc.UNIFORM, gammas, 200_000, 809)
+    with_exact = nakagami_phase_op_grid(config, gammas, 200_000, 808)
+    with_uniform = op_grid(config, gammas, 200_000, 809)
     for gamma, ex, un in zip(gammas, with_exact, with_uniform):
         analytic = outage(gamma)
         assert abs(ex.value - analytic) <= 3.0 * ex.std_error

@@ -17,7 +17,7 @@ from rislink import asymptotic as la
 from rislink import cli, rps
 from rislink.rps import DoubleNakagami, HankelProduct, Modulation
 from rislink.scenario import (LinkGeometry, NakagamiParams, ScenarioConfig,
-                              derive, ricean_k_to_m)
+                              link_parts, ricean_k_to_m)
 
 DN = DoubleNakagami(NakagamiParams(2.0, 1.0), NakagamiParams(3.0, 1.0))
 
@@ -109,20 +109,19 @@ def test_model_validation():
 
 def test_from_scenario_parameter_values():
     cfg = scenario(64)
-    d = derive(cfg)
+    rho, element, _ = link_parts(cfg)
+    omega_h, omega_g = element.hop_h.omega, element.hop_g.omega
     model = link(cfg).largen(la.LargeNRps)
     assert model.sigma1_sq == pytest.approx(
-        0.5 * 64 * d.rho * d.omega_h * d.omega_g, rel=1e-14)
-    assert model.mean == pytest.approx(64 * d.rho * d.omega_h * d.omega_g,
+        0.5 * 64 * rho * omega_h * omega_g, rel=1e-14)
+    assert model.mean == pytest.approx(64 * rho * omega_h * omega_g,
                                        rel=1e-14)
     ops_model = link(cfg).largen(la.LargeNOps)
-    dn = DoubleNakagami(NakagamiParams(cfg.m_h, d.omega_h),
-                        NakagamiParams(cfg.m_g, d.omega_g))
-    mean, var = la.zt_stats(dn)
+    mean, var = la.zt_stats(element)
     assert ops_model.xi == pytest.approx(64 * mean ** 2 / var, rel=1e-13)
-    assert ops_model.s == pytest.approx(1.0 / (d.rho * 64 * var), rel=1e-13)
+    assert ops_model.s == pytest.approx(1.0 / (rho * 64 * var), rel=1e-13)
     assert ops_model.mean == pytest.approx(
-        64 * d.rho * (64 * mean ** 2 + var), rel=1e-12)
+        64 * rho * (64 * mean ** 2 + var), rel=1e-12)
 
 
 # ---------------------------------------------------------------------

@@ -225,8 +225,7 @@ def test_engines_agree_with_supported_methods(design, direct, metric,
 
 
 def _link(config):
-    d, element, direct = link_parts(config)
-    return cli._Link(config, d.rho, element, direct)
+    return cli._Link(config, *link_parts(config))
 
 
 @pytest.mark.parametrize("direct", [False, True])
@@ -405,6 +404,7 @@ def test_metric_modulation_selects_kernel(tmp_path, capsys):
     ["--gamma-th-db", "nan"],
     ["--sweep", "tx_power_dbm=0:inf:2"],
     ["--sweep", "n_elements=4097:4097:1"],
+    ["--sweep", "tx_power_dbm=0:4000:2"],    # rho overflows at 4000 dBm
 ])
 def test_metric_usage_errors(tmp_path, capsys, extra):
     path = write_cfg(tmp_path)

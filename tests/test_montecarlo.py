@@ -11,13 +11,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k1
 
-from oracles import link, op_grid, snr_batch
+from oracles import (link, nakagami_phase_const, op_grid,
+                     sample_nakagami_phase, snr_batch)
 from rislink import asymptotic as la
 from rislink import montecarlo as mc
 from rislink import ops, rps
 from rislink.rps import Modulation
 from rislink.scenario import (LinkGeometry, PhaseDesign, ScenarioConfig,
-                              derive, quantized, ricean_k_to_m)
+                              link_parts, quantized, ricean_k_to_m)
 
 M_LOS = ricean_k_to_m(10.0)
 
@@ -32,12 +33,12 @@ def make_config(n, design="rps", tx=0.0, direct=False, m_h=M_LOS, m_g=M_LOS,
         phase_design=pd, m_d=m_d if direct else None)
 
 
-def ks_one_sample(samples, cdf):
-    s = np.sort(samples)
-    n = len(s)
-    vals = np.asarray([cdf(x) for x in s])
+def ks_uniform(samples, lo, hi):
+    """KS distance of a sample from the uniform law on [lo, hi)."""
+    cdf = (np.sort(samples) - lo) / (hi - lo)
+    n = len(cdf)
     i = np.arange(1, n + 1)
-    return max(np.max(np.abs(i / n - vals)), np.max(np.abs((i - 1) / n - vals)))
+    return max(np.max(np.abs(i / n - cdf)), np.max(np.abs((i - 1) / n - cdf)))
 
 
 # ---------------------------------------------------------------------
@@ -62,20 +63,6 @@ def test_mc_estimate_validation():
         mc.McEstimate(0.1, -0.01, 100, 0)
     with pytest.raises(ValueError):
         mc.McEstimate(0.1, 0.01, 0, 0)
-
-
-def test_phase_model_validation():
-    assert mc.quantized_phases(3).bits == 3
-    with pytest.raises(ValueError):
-        mc.PhaseModel("weird")
-    with pytest.raises(ValueError):
-        mc.quantized_phases(0)
-    with pytest.raises(ValueError):
-        mc.PhaseModel("uniform", bits=2)
-    assert mc.default_phase_model(make_config(4)) == mc.UNIFORM
-    assert mc.default_phase_model(make_config(4, "ops")) == mc.UNIFORM
-    assert mc.default_phase_model(make_config(4, "quantized", bits=3)) \
-        == mc.quantized_phases(3)
 
 
 # ---------------------------------------------------------------------
@@ -121,8 +108,7 @@ def test_envelope_rayleigh_ks():
 
 
 def phase_density(m):
-    const = math.exp(math.lgamma(m) - m * math.log(2.0)
-                     - 2.0 * math.lgamma(0.5 * m))
+    const = nakagami_phase_const(m)
     return lambda th: const * abs(math.sin(2.0 * th)) ** (m - 1.0)
 
 
@@ -139,19 +125,15 @@ def test_phase_density_normalizes(m):
 
 def test_phase_sampler_uniform_at_m1():
     rng = mc.RngStream(8, 0).generator()
-    th = np.sort(mc.sample_nakagami_phase(1.0, rng, 500_000))
-    cdf = (th + math.pi) / (2.0 * math.pi)
-    i = np.arange(1, len(th) + 1)
-    ks = max(np.max(np.abs(i / len(th) - cdf)),
-             np.max(np.abs((i - 1) / len(th) - cdf)))
-    assert ks < 0.002
+    th = sample_nakagami_phase(1.0, rng, 500_000)
+    assert ks_uniform(th, -math.pi, math.pi) < 0.002
 
 
 @pytest.mark.parametrize("m,seed", [(0.7, 21), (2.0, 22), (5.76, 23)])
 def test_phase_sampler_matches_density(m, seed):
     f = phase_density(m)
     rng = mc.RngStream(seed, 0).generator()
-    th = mc.sample_nakagami_phase(m, rng, 200_000)
+    th = sample_nakagami_phase(m, rng, 200_000)
     grid = np.linspace(-math.pi, math.pi, 9)
     # quadrant-cell occupancy against the quadrature mass
     for a, b in zip(grid[:-1], grid[1:]):
@@ -163,7 +145,7 @@ def test_phase_sampler_matches_density(m, seed):
 
 def test_phase_sampler_fourfold_symmetry():
     rng = mc.RngStream(5, 0).generator()
-    th = mc.sample_nakagami_phase(3.0, rng, 400_000)
+    th = sample_nakagami_phase(3.0, rng, 400_000)
     quarters = [np.count_nonzero((th >= -math.pi + k * math.pi / 2)
                                  & (th < -math.pi + (k + 1) * math.pi / 2))
                 for k in range(4)]
@@ -172,7 +154,20 @@ def test_phase_sampler_fourfold_symmetry():
     for q in quarters:
         assert abs(q - n / 4) < 4 * se
     with pytest.raises(ValueError):
-        mc.sample_nakagami_phase(0.4, rng)
+        sample_nakagami_phase(0.4, rng)
+
+
+@pytest.mark.parametrize("m,seed", [(0.7, 41), (2.0, 42), (5.76, 43)])
+def test_eq2_residual_phase_is_uniform(m, seed):
+    # Eq. (2): phi = theta_h + theta_g - theta_n is uniform whenever the
+    # applied theta_n is, whatever the hop phase laws; so random phase
+    # shifting draws phi directly
+    rng = mc.RngStream(seed, 0).generator()
+    count = 1_000_000
+    theta_h = sample_nakagami_phase(m, rng, count)
+    theta_g = sample_nakagami_phase(m, rng, count)
+    phi = theta_h + theta_g - rng.uniform(0.0, 2.0 * math.pi, count)
+    assert ks_uniform(np.mod(phi, 2.0 * math.pi), 0.0, 2.0 * math.pi) < 0.002
 
 
 def test_realize_snr_deterministic_limit():
@@ -181,19 +176,19 @@ def test_realize_snr_deterministic_limit():
         tx_power_dbm=0.0, m_h=5e4, m_g=5e4,
         geometry=LinkGeometry(20.0, 20.0, 86.0, True),
         phase_design=PhaseDesign("ops"), m_d=5e4)
-    d = derive(cfg)
-    want = d.rho * (math.sqrt(d.omega_h * d.omega_g) + math.sqrt(d.omega_d)) ** 2
+    rho, element, direct = link_parts(cfg)
+    want = rho * (math.sqrt(element.mean_power) + math.sqrt(direct.omega)) ** 2
     rng = mc.RngStream(1, 0).generator()
-    draws = snr_batch(cfg, mc.UNIFORM, 8, rng)
+    draws = snr_batch(cfg, 8, rng)
     assert np.mean(draws) == pytest.approx(want, rel=0.02)
 
 
 def test_realize_snr_rps_mean_identity():
     cfg = make_config(8, "rps", tx=5.0, direct=True)
-    d = derive(cfg)
-    want = d.rho * (8 * d.omega_h * d.omega_g + d.omega_d)
+    rho, element, direct = link_parts(cfg)
+    want = rho * (8 * element.mean_power + direct.omega)
     rng = mc.RngStream(17, 0).generator()
-    g = snr_batch(cfg, mc.UNIFORM, 400_000, rng)
+    g = snr_batch(cfg, 400_000, rng)
     se = np.std(g) / math.sqrt(len(g))
     assert abs(np.mean(g) - want) < 3 * se
 
@@ -201,10 +196,8 @@ def test_realize_snr_rps_mean_identity():
 def test_quantized_many_bits_approaches_coherent():
     fine = make_config(16, "quantized", tx=0.0, bits=10)
     coherent = make_config(16, "ops", tx=0.0)
-    g1 = np.sort(snr_batch(fine, mc.default_phase_model(fine), 100_000,
-                           mc.RngStream(2, 0).generator()))
-    g2 = np.sort(snr_batch(coherent, mc.UNIFORM, 100_000,
-                           mc.RngStream(3, 0).generator()))
+    g1 = np.sort(snr_batch(fine, 100_000, mc.RngStream(2, 0).generator()))
+    g2 = np.sort(snr_batch(coherent, 100_000, mc.RngStream(3, 0).generator()))
     # two-sample KS
     allv = np.concatenate([g1, g2])
     cdf1 = np.searchsorted(g1, allv, side="right") / len(g1)
@@ -212,47 +205,53 @@ def test_quantized_many_bits_approaches_coherent():
     assert np.max(np.abs(cdf1 - cdf2)) < 0.01
 
 
-@pytest.mark.parametrize("model", [mc.UNIFORM, mc.EXACT_NAKAGAMI,
-                                   mc.quantized_phases(2)])
-@pytest.mark.parametrize("design", ["rps", "ops"])
-def test_snr_batch_draw_order(design, model):
-    # the determinism contract written out with standard_gamma: hop
-    # powers h then g, the design's phases, then the direct path.  The
-    # elements are summed at unit scale and the Gamma scales multiply
-    # the sums; the count spans more than one row block of the SNR base
+@pytest.mark.parametrize("design", ["rps", "ops", "quantized"])
+def test_snr_batch_draw_order(design):
+    # the determinism contract written out with standard_gamma and
+    # uniform: hop powers h then g, the design's phases, then the direct
+    # path.  The elements are summed at unit scale and the Gamma scales
+    # multiply the sums; the count spans more than one row block of the
+    # SNR base
     cfg = make_config(8, design, tx=3.0, direct=True, m_h=1.5, m_g=2.5)
-    d = derive(cfg)
+    rho, element, direct = link_parts(cfg)
     count = mc._BASE_BLOCK // 8 + 904
     rng = mc.RngStream(4, 2).generator()
     gh = rng.standard_gamma(cfg.m_h, (count, 8))
     gg = rng.standard_gamma(cfg.m_g, (count, 8))
     amp = np.sqrt(gh * gg)
-    s_h, s_g, s_d = (d.omega_h / cfg.m_h, d.omega_g / cfg.m_g,
-                     d.omega_d / cfg.m_d)
+    s_h, s_g, s_d = (element.hop_h.omega / cfg.m_h,
+                     element.hop_g.omega / cfg.m_g, direct.omega / cfg.m_d)
     c, c_d = math.sqrt(s_h) * math.sqrt(s_g), math.sqrt(s_d)
     # the same draws with every element scaled before the sum
     x = np.sqrt(s_h * gh) * np.sqrt(s_g * gg)
     if design == "ops":
         gd = rng.standard_gamma(cfg.m_d, count)
         total = c * np.sum(amp, axis=1) + c_d * np.sqrt(gd)
-        want = d.rho * total * total
-        old = d.rho * (np.sum(x, axis=1) + np.sqrt(s_d * gd)) ** 2
+        want = rho * total * total
+        old = rho * (np.sum(x, axis=1) + np.sqrt(s_d * gd)) ** 2
     else:
-        phi = mc._element_phases(cfg, model, (count, 8), rng)
+        if design == "rps":
+            phi = rng.uniform(0.0, 2.0 * math.pi, (count, 8))
+        else:
+            # two hop errors uniform on [-pi/4, pi/4) at 2 bits
+            phi = (rng.uniform(-math.pi / 4, math.pi / 4, (count, 8))
+                   + rng.uniform(-math.pi / 4, math.pi / 4, (count, 8)))
         gd = rng.standard_gamma(cfg.m_d, count)
-        phi_d = mc._direct_phases(cfg, model, count, rng)
+        # the quantized design co-phases the direct path
+        phi_d = (rng.uniform(0.0, 2.0 * math.pi, count) if design == "rps"
+                 else np.zeros(count))
         hd = np.sqrt(gd)
         re = (c * np.sum(amp * np.cos(phi), axis=1)
               + c_d * (hd * np.cos(phi_d)))
         im = (c * np.sum(amp * np.sin(phi), axis=1)
               + c_d * (hd * np.sin(phi_d)))
-        want = d.rho * (re * re + im * im)
+        want = rho * (re * re + im * im)
         hd_old = np.sqrt(s_d * gd)
-        old = d.rho * ((np.sum(x * np.cos(phi), axis=1)
+        old = rho * ((np.sum(x * np.cos(phi), axis=1)
                         + hd_old * np.cos(phi_d)) ** 2
                        + (np.sum(x * np.sin(phi), axis=1)
                           + hd_old * np.sin(phi_d)) ** 2)
-    got = snr_batch(cfg, model, count, mc.RngStream(4, 2).generator())
+    got = snr_batch(cfg, count, mc.RngStream(4, 2).generator())
     assert np.array_equal(got, want)
     np.testing.assert_allclose(got, old, rtol=1e-12)
 
@@ -263,25 +262,24 @@ def test_snr_batch_draw_order(design, model):
 
 def test_estimate_op_trivial_and_validation():
     cfg = make_config(4)
-    est = mc.estimate_op(cfg, mc.UNIFORM, 0.0, 10_000, 1)
+    est = mc.estimate_op(cfg, 0.0, 10_000, 1)
     assert est.value == 0.0
     assert est.std_error == 0.0
     assert est.n_trials == 10_000 and est.seed == 1
     with pytest.raises(ValueError):
-        mc.estimate_op(cfg, mc.UNIFORM, 1.0, 9_999, 1)
+        mc.estimate_op(cfg, 1.0, 9_999, 1)
     with pytest.raises(ValueError):
-        mc.estimate_op(cfg, mc.UNIFORM, -1.0, 10_000, 1)
+        mc.estimate_op(cfg, -1.0, 10_000, 1)
     with pytest.raises(ValueError):
-        mc.estimate_op(cfg, mc.UNIFORM, 1.0, 10_000, -5)
+        mc.estimate_op(cfg, 1.0, 10_000, -5)
 
 
 def test_estimate_op_matches_exact_small_n():
     cfg = make_config(4, tx=0.0)
-    d = derive(cfg)
-    hp = link(cfg).hankel()
-    gamma_th = 4 * d.rho * d.omega_h * d.omega_g  # around the bulk
-    want = rps.gamma_r_cdf(hp, gamma_th, d.rho)
-    est = mc.estimate_op(cfg, mc.UNIFORM, gamma_th, 200_000, 42)
+    scene = link(cfg)
+    gamma_th = 4 * scene.rho * scene.element.mean_power  # around the bulk
+    want = rps.gamma_r_cdf(scene.hankel(), gamma_th, scene.rho)
+    est = mc.estimate_op(cfg, gamma_th, 200_000, 42)
     assert abs(est.value - want) < 3 * est.std_error
 
 
@@ -290,30 +288,30 @@ def test_estimate_op_matches_exponential_model():
     model = link(cfg).largen(la.LargeNRps)
     gamma_th = model.mean * math.log(2.0)
     want = la.largen_rps_cdf(model, gamma_th)
-    est = mc.estimate_op(cfg, mc.UNIFORM, gamma_th, 60_000, 9)
+    est = mc.estimate_op(cfg, gamma_th, 60_000, 9)
     assert abs(est.value - want) < 3 * est.std_error
 
 
 def test_estimate_op_grid_bit_identical_to_single():
     cfg = make_config(4, tx=0.0)
-    d = derive(cfg)
-    ths = [k * d.rho * d.omega_h * d.omega_g for k in (1.0, 4.0, 9.0)]
-    grid = op_grid(cfg, mc.UNIFORM, ths, 30_000, 77)
+    scene = link(cfg)
+    ths = [k * scene.rho * scene.element.mean_power for k in (1.0, 4.0, 9.0)]
+    grid = op_grid(cfg, ths, 30_000, 77)
     for th, got in zip(ths, grid):
-        single = mc.estimate_op(cfg, mc.UNIFORM, th, 30_000, 77)
+        single = mc.estimate_op(cfg, th, 30_000, 77)
         assert got == single
 
 
 def test_estimate_ber_low_snr_limit():
     cfg = make_config(4, tx=-120.0)
     for mod in (Modulation.BPSK, Modulation.BDPSK):
-        est = mc.estimate_ber(cfg, mc.UNIFORM, mod, 10_000, 4)
+        est = mc.estimate_ber(cfg, mod, 10_000, 4)
         assert est.value == pytest.approx(0.5, rel=1e-3)
 
 
 def test_ber_partial_sums_are_float64_erfc_values():
     # the coherent BER kernel Q(sqrt(2 g)) runs through numerics.erfc
-    q = mc.McQuery(make_config(4), mc.UNIFORM, "ber",
+    q = mc.McQuery(make_config(4), "ber",
                    modulation=Modulation.BPSK)
     g = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 30.0, 400.0, 900.0])
     part = q.partial(g)
@@ -330,10 +328,10 @@ def test_estimate_ber_matches_analytics():
     scene = link(make_config(1, "ops", tx=25.0))
     cfg, chf, rho = scene.config, scene.chf(), scene.rho
     want = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)
-    est = mc.estimate_ber(cfg, mc.UNIFORM, Modulation.BPSK, 300_000, 15)
+    est = mc.estimate_ber(cfg, Modulation.BPSK, 300_000, 15)
     assert abs(est.value - want) < 3 * est.std_error
     want_d = ops.ber_ops_bdpsk(chf, rho)
-    est_d = mc.estimate_ber(cfg, mc.UNIFORM, Modulation.BDPSK, 300_000, 16)
+    est_d = mc.estimate_ber(cfg, Modulation.BDPSK, 300_000, 16)
     assert abs(est_d.value - want_d) < 3 * est_d.std_error
 
 
@@ -342,7 +340,7 @@ def test_estimate_ber_matches_rps_with_direct():
                       m_d=1.5)
     scene = link(cfg)
     want = rps.ber_rps(scene.hankel(), scene.rho, Modulation.BPSK)
-    est = mc.estimate_ber(cfg, mc.UNIFORM, Modulation.BPSK, 300_000, 23)
+    est = mc.estimate_ber(cfg, Modulation.BPSK, 300_000, 23)
     assert abs(est.value - want) < 3 * est.std_error
 
 
@@ -352,21 +350,21 @@ def test_estimate_ec_deterministic_and_model_checks():
         tx_power_dbm=40.0, m_h=5e4, m_g=5e4,
         geometry=LinkGeometry(20.0, 20.0, 86.0, False),
         phase_design=PhaseDesign("ops"))
-    d = derive(cfg)
-    want = math.log2(1.0 + d.rho * d.omega_h * d.omega_g)
-    est = mc.estimate_ec(cfg, mc.UNIFORM, 10_000, 2)
+    scene = link(cfg)
+    want = math.log2(1.0 + scene.rho * scene.element.mean_power)
+    est = mc.estimate_ec(cfg, 10_000, 2)
     assert est.value == pytest.approx(want, rel=2e-3)
 
     big = make_config(256, tx=10.0)
     model = link(big).largen(la.LargeNRps)
-    est = mc.estimate_ec(big, mc.UNIFORM, 60_000, 31)
+    est = mc.estimate_ec(big, 60_000, 31)
     assert abs(est.value - la.largen_rps_ec(model)) < 3 * est.std_error
 
 
 def test_std_error_scaling():
     cfg = make_config(16, tx=10.0)
-    one = mc.estimate_ec(cfg, mc.UNIFORM, 50_000, 12)
-    two = mc.estimate_ec(cfg, mc.UNIFORM, 100_000, 12)
+    one = mc.estimate_ec(cfg, 50_000, 12)
+    two = mc.estimate_ec(cfg, 100_000, 12)
     ratio = one.std_error / two.std_error
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.1)
 
@@ -374,11 +372,11 @@ def test_std_error_scaling():
 def test_stochastic_ordering_of_designs():
     rand = make_config(8, "rps", tx=0.0)
     coh = make_config(8, "ops", tx=0.0)
-    d = derive(rand)
-    scale = d.rho * 8 * d.omega_h * d.omega_g
+    scene = link(rand)
+    scale = scene.rho * 8 * scene.element.mean_power
     ths = [scale * k for k in (0.3, 1.0, 3.0, 10.0, 30.0)]
-    g_r = op_grid(rand, mc.UNIFORM, ths, 60_000, 50)
-    g_c = op_grid(coh, mc.UNIFORM, ths, 60_000, 51)
+    g_r = op_grid(rand, ths, 60_000, 50)
+    g_c = op_grid(coh, ths, 60_000, 51)
     for er, ec_ in zip(g_r, g_c):
         band = 3.0 * math.hypot(er.std_error, ec_.std_error)
         assert ec_.value <= er.value + band
@@ -389,13 +387,13 @@ def test_thread_count_invariance(monkeypatch):
     results = []
     for threads in ("1", "8"):
         monkeypatch.setenv("RISLINK_THREADS", threads)
-        op = mc.estimate_op(cfg, mc.UNIFORM, 1e-4, 40_000, 3)
-        ec_est = mc.estimate_ec(cfg, mc.UNIFORM, 40_000, 3)
+        op = mc.estimate_op(cfg, 1e-4, 40_000, 3)
+        ec_est = mc.estimate_ec(cfg, 40_000, 3)
         results.append((op, ec_est))
     assert results[0] == results[1]
     monkeypatch.setenv("RISLINK_THREADS", "bogus")
     with pytest.raises(ValueError):
-        mc.estimate_ec(cfg, mc.UNIFORM, 10_000, 3)
+        mc.estimate_ec(cfg, 10_000, 3)
 
 
 def test_thread_count_is_capped(monkeypatch):
@@ -449,8 +447,8 @@ class _ReadCountingPool:
 @pytest.mark.parametrize("threads", [1, 2])
 def test_reduce_bounds_chunks_in_flight(monkeypatch, threads):
     cfg = make_config(256, tx=10.0, direct=True)
-    queries = [mc.McQuery(cfg, mc.UNIFORM, "op", 1e-3),
-               mc.McQuery(cfg, mc.UNIFORM, "ec")]
+    queries = [mc.McQuery(cfg, "op", 1e-3),
+               mc.McQuery(cfg, "ec")]
     trials = 10_000
     n_chunks = -(-trials // mc._chunk_size(256))
     assert n_chunks > mc._WINDOW * threads
@@ -481,34 +479,31 @@ def _sweep_variants(cfg):
             replace(cfg, alpha=2.8)]
 
 
-def _group_queries(configs, model):
+def _group_queries(configs):
     queries = []
     for c in configs:
-        queries += [mc.McQuery(c, model, "op", 3.0),
-                    mc.McQuery(c, model, "ber", modulation=Modulation.BPSK),
-                    mc.McQuery(c, model, "ber", modulation=Modulation.BDPSK),
-                    mc.McQuery(c, model, "ec")]
+        queries += [mc.McQuery(c, "op", 3.0),
+                    mc.McQuery(c, "ber", modulation=Modulation.BPSK),
+                    mc.McQuery(c, "ber", modulation=Modulation.BDPSK),
+                    mc.McQuery(c, "ec")]
     return queries
 
 
 def _single(query, trials, seed):
-    c, model = query.config, query.phase_model
+    c = query.config
     if query.metric == "op":
-        return mc.estimate_op(c, model, query.gamma_th, trials, seed)
+        return mc.estimate_op(c, query.gamma_th, trials, seed)
     if query.metric == "ber":
-        return mc.estimate_ber(c, model, query.modulation, trials, seed)
-    return mc.estimate_ec(c, model, trials, seed)
+        return mc.estimate_ber(c, query.modulation, trials, seed)
+    return mc.estimate_ec(c, trials, seed)
 
 
-@pytest.mark.parametrize("exact_phases", [False, True])
 @pytest.mark.parametrize("direct", [False, True])
 @pytest.mark.parametrize("design", ["rps", "ops", "quantized"])
-def test_group_bit_identical_to_single_estimates(monkeypatch, design, direct,
-                                                 exact_phases):
+def test_group_bit_identical_to_single_estimates(monkeypatch, design, direct):
     cfg = make_config(32, design, tx=-5.0, direct=direct, m_h=1.5, m_g=2.5,
                       m_d=1.5)
-    model = mc.EXACT_NAKAGAMI if exact_phases else mc.default_phase_model(cfg)
-    queries = _group_queries(_sweep_variants(cfg), model)
+    queries = _group_queries(_sweep_variants(cfg))
     trials, seed = 10_000, 13     # two chunks at N = 32
     monkeypatch.setenv("RISLINK_THREADS", "1")
     singles = [_single(q, trials, seed) for q in queries]
@@ -534,19 +529,18 @@ def _count_generators(monkeypatch):
 
 
 def test_mixed_group_bit_identical_to_single_estimates(monkeypatch):
-    # designs, direct paths and phase models that share (N, m_h, m_g)
-    # share hop draws, yet each query reads the stream it reads alone
+    # designs, quantizer resolutions and direct paths that share (N, m_h,
+    # m_g) share hop draws, yet each query reads the stream it reads alone
     queries = []
-    for design in ("rps", "ops", "quantized"):
+    for design, bits in (("rps", 2), ("ops", 2), ("quantized", 2),
+                         ("quantized", 3)):
         for direct in (False, True):
             cfg = make_config(32, design, tx=-5.0, direct=direct, m_h=1.5,
-                              m_g=2.5, m_d=1.5)
+                              m_g=2.5, m_d=1.5, bits=bits)
             far = replace(cfg, geometry=replace(cfg.geometry, r_h=31.0))
-            for model in (mc.default_phase_model(cfg), mc.EXACT_NAKAGAMI):
-                queries += [mc.McQuery(cfg, model, "op", 3.0),
-                            mc.McQuery(far, model, "ber"),
-                            mc.McQuery(replace(far, tx_power_dbm=4.0), model,
-                                       "ec")]
+            queries += [mc.McQuery(cfg, "op", 3.0),
+                        mc.McQuery(far, "ber"),
+                        mc.McQuery(replace(far, tx_power_dbm=4.0), "ec")]
     trials, seed = 10_000, 29     # two chunks at N = 32
     monkeypatch.setenv("RISLINK_THREADS", "1")
     singles = [_single(q, trials, seed) for q in queries]
@@ -563,25 +557,23 @@ def test_group_draws_each_chunk_once(monkeypatch):
     queries = []
     for p in range(-10, 31, 2):
         c = replace(cfg, tx_power_dbm=float(p))
-        queries += [mc.McQuery(c, mc.UNIFORM, "op", 1e-3),
-                    mc.McQuery(c, mc.UNIFORM, "ec")]
+        queries += [mc.McQuery(c, "op", 1e-3),
+                    mc.McQuery(c, "ec")]
     assert len(queries) == 42
-    # other designs, phase models and direct paths with the same N, m_h
-    # and m_g share the hop draws too
-    queries += [mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec"),
-                mc.McQuery(make_config(64, "ops", direct=True), mc.UNIFORM,
-                           "ber"),
-                mc.McQuery(make_config(64, "quantized"),
-                           mc.quantized_phases(2), "ec")]
+    # other designs and direct paths with the same N, m_h and m_g share
+    # the hop draws too
+    queries += [mc.McQuery(make_config(64, direct=True), "ec"),
+                mc.McQuery(make_config(64, "ops", direct=True), "ber"),
+                mc.McQuery(make_config(64, "quantized"), "ec")]
     calls = _count_generators(monkeypatch)
     mc.estimate_group(queries, trials, 5)
     assert sorted(calls) == list(range(n_chunks))
     # another hop shape or element count is another group
     del calls[:]
-    mc.estimate_group([mc.McQuery(cfg, mc.UNIFORM, "ec"),
-                       mc.McQuery(replace(cfg, m_h=2.0), mc.UNIFORM, "ec"),
-                       mc.McQuery(cfg, mc.EXACT_NAKAGAMI, "ec"),
-                       mc.McQuery(make_config(32, "ops"), mc.UNIFORM, "ec")],
+    mc.estimate_group([mc.McQuery(cfg, "ec"),
+                       mc.McQuery(replace(cfg, m_h=2.0), "ec"),
+                       mc.McQuery(make_config(64, "quantized"), "ec"),
+                       mc.McQuery(make_config(32, "ops"), "ec")],
                       trials, 5)
     n_chunks32 = -(-trials // mc._chunk_size(32))
     assert sorted(calls) == sorted(list(range(n_chunks)) * 2
@@ -592,8 +584,8 @@ def test_group_validation():
     cfg = make_config(4)
     assert mc.estimate_group([], 10_000, 1) == []
     with pytest.raises(ValueError):
-        mc.McQuery(cfg, mc.UNIFORM, "bogus")
+        mc.McQuery(cfg, "bogus")
     with pytest.raises(ValueError):
-        mc.McQuery(cfg, mc.UNIFORM, "op", -1.0)
+        mc.McQuery(cfg, "op", -1.0)
     with pytest.raises(ValueError):
-        mc.estimate_group([mc.McQuery(cfg, mc.UNIFORM, "ec")], 9_999, 1)
+        mc.estimate_group([mc.McQuery(cfg, "ec")], 9_999, 1)

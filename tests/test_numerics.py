@@ -66,6 +66,25 @@ def test_upper_incomplete_gamma_against_scipy_grid():
                                                                     rel=1e-11)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.7, 10.756097560975602, 200.0, 1000.0])
+def test_regularized_lower_gamma_against_scipy(a):
+    # relative accuracy on both sides of x = a + 1, at shapes whose
+    # Gamma(a) overflows too
+    for x in a * np.array([1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0]):
+        got = nm.regularized_lower_gamma(a, x)
+        assert got == pytest.approx(sp.gammainc(a, x), rel=1e-11, abs=1e-300)
+        if x >= a + 1.0:
+            assert 1.0 - got == pytest.approx(sp.gammaincc(a, x), rel=1e-9,
+                                              abs=1e-15)
+    assert nm.regularized_lower_gamma(a, 0.0) == 0.0
+    assert nm.regularized_lower_gamma(a, math.inf) == 1.0
+    assert nm.regularized_lower_gamma(a, 1e300) == 1.0
+    with pytest.raises(ValueError):
+        nm.regularized_lower_gamma(0.0, 1.0)
+    with pytest.raises(ValueError):
+        nm.regularized_lower_gamma(a, -1.0)
+
+
 def test_exp_scaled_e1():
     assert nm.exp_scaled_e1(300.0) == pytest.approx(0.003322295565270707,
                                                     rel=1e-12)

@@ -16,7 +16,7 @@ from rislink.scenario import (
     LinkGeometry,
     NakagamiParams,
     ScenarioConfig,
-    derive,
+    link_parts,
 )
 
 
@@ -152,11 +152,9 @@ def test_gamma_c_moment_matches_multinomial(k):
 def test_gamma_c_moment_single_element_is_x_moment():
     from rislink.rps import x_moment
     cfg = scenario(n=1)
-    d = derive(cfg)
-    el = DoubleNakagami(NakagamiParams(1.5, d.omega_h),
-                        NakagamiParams(2.5, d.omega_g))
+    rho, el, _ = link_parts(cfg)
     assert snr_moment(cfg, 2) == pytest.approx(
-        d.rho ** 2 * x_moment(el, 4), rel=1e-12)
+        rho ** 2 * x_moment(el, 4), rel=1e-12)
 
 
 def test_gamma_c_moment_validation():
@@ -233,18 +231,19 @@ def test_op_ops_is_the_cdf():
 
 def test_gamma_c_cdf_against_monte_carlo():
     cfg = scenario(n=4, direct=True)
-    d = derive(cfg)
-    chf = link(cfg).chf()
+    scene = link(cfg)
+    chf = scene.chf()
+    omega_h, omega_g = scene.element.hop_h.omega, scene.element.hop_g.omega
     rng = np.random.default_rng(20240817)
     n = 400_000
-    x = (np.sqrt(rng.gamma(1.5, d.omega_h / 1.5, (n, 4)))
-         * np.sqrt(rng.gamma(2.5, d.omega_g / 2.5, (n, 4))))
-    amp = x.sum(axis=1) + np.sqrt(rng.gamma(1.2, d.omega_d / 1.2, n))
-    snr = d.rho * amp * amp
+    x = (np.sqrt(rng.gamma(1.5, omega_h / 1.5, (n, 4)))
+         * np.sqrt(rng.gamma(2.5, omega_g / 2.5, (n, 4))))
+    amp = x.sum(axis=1) + np.sqrt(rng.gamma(1.2, scene.direct.omega / 1.2, n))
+    snr = scene.rho * amp * amp
     for q in (0.05, 0.5, 0.95):
         gq = float(np.quantile(snr, q))
         se = math.sqrt(q * (1 - q) / n)
-        assert abs(ops.gamma_c_cdf(chf, gq, d.rho) - q) < 4.0 * se
+        assert abs(ops.gamma_c_cdf(chf, gq, scene.rho) - q) < 4.0 * se
 
 
 # ---------------------------------------------------------------------
@@ -317,14 +316,15 @@ def test_laplace_transform_power_law_tail():
 
 def test_ber_ops_coherent_against_monte_carlo():
     cfg = scenario(n=2, direct=True)
-    d = derive(cfg)
-    chf = link(cfg).chf()
-    rho = 10.0 ** -0.5 * d.rho  # a few dB below the base point
+    scene = link(cfg)
+    chf = scene.chf()
+    omega_h, omega_g = scene.element.hop_h.omega, scene.element.hop_g.omega
+    rho = 10.0 ** -0.5 * scene.rho  # a few dB below the base point
     rng = np.random.default_rng(77)
     n = 300_000
-    x = (np.sqrt(rng.gamma(1.5, d.omega_h / 1.5, (n, 2)))
-         * np.sqrt(rng.gamma(2.5, d.omega_g / 2.5, (n, 2))))
-    amp = x.sum(axis=1) + np.sqrt(rng.gamma(1.2, d.omega_d / 1.2, n))
+    x = (np.sqrt(rng.gamma(1.5, omega_h / 1.5, (n, 2)))
+         * np.sqrt(rng.gamma(2.5, omega_g / 2.5, (n, 2))))
+    amp = x.sum(axis=1) + np.sqrt(rng.gamma(1.2, scene.direct.omega / 1.2, n))
     kern = 0.5 * ss.erfc(np.sqrt(rho) * amp)
     se = float(kern.std()) / math.sqrt(n)
     got = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)

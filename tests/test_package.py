@@ -1,7 +1,10 @@
 """The package surface: its export list, and the names the benchmark
 harness in ``perfbench/`` patches, resolved by running its scripts."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,12 +17,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 # names the package exported before its library surface was cut to
-# what the CLI runs
-WITHDRAWN = ("IntegrabilityError", "QuadratureSpec", "ber_rps_asymptotic",
-             "diversity_order_ops", "estimate_op_grid", "gamma_c_moment",
+# what the CLI runs, and before the phase design became the simulator's
+# only phase input
+WITHDRAWN = ("EXACT_NAKAGAMI", "IntegrabilityError", "PhaseModel",
+             "QuadratureSpec", "UNIFORM", "ber_rps_asymptotic",
+             "default_phase_model", "derive", "diversity_order_ops",
+             "estimate_op_grid", "gamma_c_moment",
              "gamma_c_moment_multinomial", "gamma_r_pdf", "largen_ops_chf",
-             "largen_ops_pdf", "largen_rps_chf", "realize_snr",
-             "sample_nakagami_envelope")
+             "largen_ops_pdf", "largen_rps_chf", "quantized_phases",
+             "realize_snr", "sample_nakagami_envelope",
+             "sample_nakagami_phase")
 
 TINY = {
     "n_elements": 4, "carrier_hz": "2.45e9", "alpha": 2.5, "noise_dbm": -85,
@@ -40,6 +47,18 @@ def test_exports_resolve_without_duplicates():
     for name in nm.__all__:
         getattr(nm, name)
     assert "ln_gamma" not in nm.__all__
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quick start (API)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    analytic, value, std_error = map(float, out.getvalue().split())
+    assert all(map(math.isfinite, (analytic, value, std_error)))
+    assert abs(analytic - value) <= 3.0 * std_error
 
 
 def _run_helper(script, args, tmp_path):

@@ -178,6 +178,20 @@ def test_one_path_outage_matches_the_gain_product_reference(m, tx_power_dbm):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("tx_power_dbm", [50.0, 60.0, 70.0])
+def test_one_path_outage_at_shapes_beyond_gamma_overflow(tx_power_dbm):
+    # Gamma(200) overflows a double; the envelope CDF must not form it.
+    # The outage here is about 1, 0.89177 and 2.657e-76
+    cfg = ScenarioConfig(
+        n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+        tx_power_dbm=tx_power_dbm, m_h=200.0, m_g=200.0,
+        geometry=LinkGeometry(20.0, 20.0, 86.0))
+    lk = link(cfg)
+    got = rps.op_rps(lk.hankel(), 1.0, lk.rho)
+    want = gamma_product_cdf(lk.element, 1.0 / lk.rho)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 def test_pdf_normalizes_to_one():
     hp = rps.HankelProduct([UNIT, UNIT])
     val, err = quad(lambda g: gamma_r_pdf(hp, g, 1.0), 0.0, np.inf,

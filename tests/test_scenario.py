@@ -84,14 +84,21 @@ def test_derive_rho_and_lambdas():
         n_elements=16, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
         tx_power_dbm=0.0, m_h=1.5, m_g=2.5, geometry=_fig_geometry(True),
         m_d=1.5, phase_design=sc.OPS)
-    d = sc.derive(cfg)
-    assert d.rho == pytest.approx(10.0 ** 8.5, rel=1e-12)
-    assert d.lambda_n == pytest.approx(d.omega_h * d.omega_g / (1.5 * 2.5),
-                                       rel=1e-15)
-    assert d.omega_d == pytest.approx(
-        sc.pathloss_omega(sc.direct_distance(cfg.geometry), 2.45e9, 2.5),
-        rel=1e-15)
-    assert d.lambda_d == pytest.approx(d.omega_d / 1.5, rel=1e-15)
+    rho, element, direct = sc.link_parts(cfg)
+    assert rho == pytest.approx(10.0 ** 8.5, rel=1e-12)
+    assert element.hop_h == sc.NakagamiParams(
+        1.5, sc.pathloss_omega(cfg.geometry.r_h, 2.45e9, 2.5))
+    assert element.hop_g == sc.NakagamiParams(
+        2.5, sc.pathloss_omega(cfg.geometry.r_g, 2.45e9, 2.5))
+    assert element.lambda_n == pytest.approx(
+        element.mean_power / (1.5 * 2.5), rel=1e-15)
+    assert direct == sc.NakagamiParams(1.5, sc.pathloss_omega(
+        sc.direct_distance(cfg.geometry), 2.45e9, 2.5))
+    # lam_scale scales the h-hop spread only
+    scaled_rho, scaled, scaled_direct = sc.link_parts(cfg, 2.0)
+    assert (scaled_rho, scaled_direct) == (rho, direct)
+    assert scaled.hop_h.omega == element.hop_h.omega * 2.0
+    assert scaled.hop_g == element.hop_g
 
 
 def test_derive_unit_lambda_case():
@@ -99,9 +106,9 @@ def test_derive_unit_lambda_case():
     cfg = sc.ScenarioConfig(
         n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
         tx_power_dbm=0.0, m_h=1.0, m_g=1.0, geometry=_fig_geometry())
-    d = sc.derive(cfg)
-    assert d.lambda_n == pytest.approx(d.omega_h * d.omega_g, rel=1e-15)
-    assert d.lambda_d is None and d.omega_d is None
+    _, element, direct = sc.link_parts(cfg)
+    assert element.lambda_n == pytest.approx(element.mean_power, rel=1e-15)
+    assert direct is None
 
 
 def test_config_invariants():
@@ -155,10 +162,15 @@ def test_config_from_mapping_roundtrip():
     {"r_h": "inf"},
     {"n_elements": "inf"},
     {"n_elements": "4097"},
+    {"tx_power_dbm": "4000"},                    # rho overflows
+    {"tx_power_dbm": "-4000"},                   # rho underflows to 0
+    {"r_h": "1e300"},                            # the h-hop spread underflows
+    {"r_g": "0.5"},                              # inside the 1 m reference
 ])
 def test_config_from_mapping_rejections(mutate):
     bad = dict(_GOOD, **mutate)
-    with pytest.raises(ValueError):
+    key, = mutate
+    with pytest.raises(ValueError, match=key):
         sc.config_from_mapping(bad)
 
 
