@@ -11,11 +11,11 @@ from .asymptotic import (LargeNOps, LargeNRps, largen_ops_cdf, largen_rps_ber,
 from .montecarlo import (McEstimate, McQuery, RngStream, estimate_ber,
                          estimate_ec, estimate_group, estimate_op)
 from .numerics import ConvergenceError
-from .ops import (AmplitudeChf, ber_ops_bdpsk, ber_ops_coherent, chf_cascade,
-                  chf_direct, gamma_c_cdf, nakagami_moment, op_ops)
+from .ops import (AmplitudeChf, ber_ops, chf_cascade, chf_direct, gamma_c_cdf,
+                  nakagami_moment)
 from .rps import (HankelProduct, Modulation, ber_rps, ec_taylor,
                   gamma_q_moment, gamma_r_cdf, gamma_r_moment, hankel_cascade,
-                  hankel_direct, op_rps, quantized_phase_factors, x_moment)
+                  hankel_direct, quantized_phase_factors, x_moment)
 from .scenario import (DoubleNakagami, LinkGeometry, NakagamiParams,
                        PhaseDesign, ScenarioConfig, config_from_mapping,
                        pathloss_omega, quantized, ricean_k_to_m)
@@ -26,12 +26,11 @@ __all__ = [
     "AmplitudeChf", "ConvergenceError", "DoubleNakagami", "HankelProduct",
     "LargeNOps", "LargeNRps", "LinkGeometry", "McEstimate", "McQuery",
     "Modulation", "NakagamiParams", "PhaseDesign", "RngStream",
-    "ScenarioConfig", "ber_ops_bdpsk", "ber_ops_coherent", "ber_rps",
-    "chf_cascade", "chf_direct", "config_from_mapping", "ec_taylor",
-    "estimate_ber", "estimate_ec", "estimate_group", "estimate_op",
-    "gamma_c_cdf", "gamma_q_moment", "gamma_r_cdf", "gamma_r_moment",
-    "hankel_cascade", "hankel_direct", "largen_ops_cdf", "largen_rps_ber",
-    "largen_rps_cdf", "largen_rps_ec", "nakagami_moment", "op_ops", "op_rps",
-    "pathloss_omega", "quantized", "quantized_phase_factors", "ricean_k_to_m",
-    "x_moment", "zt_stats",
+    "ScenarioConfig", "ber_ops", "ber_rps", "chf_cascade", "chf_direct",
+    "config_from_mapping", "ec_taylor", "estimate_ber", "estimate_ec",
+    "estimate_group", "estimate_op", "gamma_c_cdf", "gamma_q_moment",
+    "gamma_r_cdf", "gamma_r_moment", "hankel_cascade", "hankel_direct",
+    "largen_ops_cdf", "largen_rps_ber", "largen_rps_cdf", "largen_rps_ec",
+    "nakagami_moment", "pathloss_omega", "quantized",
+    "quantized_phase_factors", "ricean_k_to_m", "x_moment", "zt_stats",
 ]

@@ -162,12 +162,6 @@ def _rps_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
                          rps.gamma_r_moment(hp, 2, link.rho))
 
 
-def _ops_ber(link: _Link, gamma_th: float, modulation: Modulation) -> float:
-    if modulation.coherent:
-        return ops.ber_ops_coherent(link.chf(), link.rho, modulation)
-    return ops.ber_ops_bdpsk(link.chf(), link.rho)
-
-
 def _ops_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
     chf = link.chf()
     return rps.ec_taylor(link.rho * chf.amplitude_moment(2),
@@ -188,13 +182,16 @@ def _quantized_ec(link: _Link, gamma_th: float,
 # has one.  The simulator ("mc") covers every combination.
 _ENGINES = {
     ("rps", "op", "exact"): (
-        lambda link, th, mod: rps.op_rps(link.hankel(), th, link.rho), False),
+        lambda link, th, mod: rps.gamma_r_cdf(link.hankel(), th, link.rho),
+        False),
     ("rps", "ber", "exact"): (
         lambda link, th, mod: rps.ber_rps(link.hankel(), link.rho, mod), False),
     ("rps", "ec", "exact"): (_rps_ec, False),
     ("ops", "op", "exact"): (
-        lambda link, th, mod: ops.op_ops(link.chf(), th, link.rho), False),
-    ("ops", "ber", "exact"): (_ops_ber, False),
+        lambda link, th, mod: ops.gamma_c_cdf(link.chf(), th, link.rho),
+        False),
+    ("ops", "ber", "exact"): (
+        lambda link, th, mod: ops.ber_ops(link.chf(), link.rho, mod), False),
     ("ops", "ec", "exact"): (_ops_ec, False),
     ("quantized", "ec", "exact"): (_quantized_ec, True),
     ("rps", "op", "asymptotic"): (
@@ -254,15 +251,10 @@ def asymptotic_value(config: ScenarioConfig, metric: str, gamma_th: float,
                            modulation, lam_scale)
 
 
-def _mc_query(config: ScenarioConfig, metric: str, gamma_th: float,
-              modulation: Modulation) -> mc.McQuery:
-    return mc.McQuery(config, metric, gamma_th, modulation)
-
-
 def mc_value(config: ScenarioConfig, metric: str, gamma_th: float,
              modulation: Modulation, trials: int, seed: int) -> mc.McEstimate:
-    return mc.estimate_group([_mc_query(config, metric, gamma_th, modulation)],
-                             trials, seed)[0]
+    query = mc.McQuery(config, metric, gamma_th, modulation)
+    return mc.estimate_group([query], trials, seed)[0]
 
 
 # ---------------------------------------------------------------------
@@ -306,7 +298,7 @@ def compute_rows(specs: Sequence[RowSpec], gamma_th: float,
     sims = [spec for spec in specs if spec.method == "mc"]
     try:
         ests = iter(mc.estimate_group(
-            [_mc_query(spec.config, spec.metric, gamma_th, modulation)
+            [mc.McQuery(spec.config, spec.metric, gamma_th, modulation)
              for spec in sims], trials, seed) if sims else [])
     except (ValueError, ArithmeticError):
         ests = iter([None] * len(sims))

@@ -273,8 +273,9 @@ class McQuery:
         if self.metric not in _MC_METRICS:
             raise ValueError(
                 f"method 'mc' is not available for metric {self.metric!r}")
-        if self.metric == "op" and self.gamma_th < 0.0:
-            raise ValueError("gamma_th must be nonnegative")
+        if self.metric == "op" and not self.gamma_th >= 0.0:
+            raise ValueError(
+                f"gamma_th must be nonnegative, got {self.gamma_th!r}")
 
     def draw_key(self) -> tuple:
         """Queries with equal keys share draws: they may differ only in

@@ -45,11 +45,10 @@ returns a truncated or overflowed sum.  Its term loop, and that of the
 1F1 asymptotic expansion, update the term, sum and peak arrays in place
 with the operands of the allocating form in the same order, so the sums
 are the same to the bit.  The digamma log-sums of the
-logarithmic forms keep their own loops; the 1 - z one runs in blocks of
-32 terms, Python stepping the scalar recurrences and numpy accumulating
-each block's sums and stop test along a block axis, bit for bit as a
-term-by-term loop would.  No term loop calls ``ndarray.max`` (a Python
-frame per call): the stop tests use ``np.maximum.reduce``.
+logarithmic forms keep their own term loops, one term per step, since
+their coefficients need digamma recurrences that `_series` does not
+carry.  No term loop calls ``ndarray.max`` (a Python frame per call):
+the stop tests use ``np.maximum.reduce``.
 
 1F1 at a negative argument -X uses the Kummer series e^-X M(b-a; b; X),
 which needs about X terms, up to a switch point X0(a, b), and the
@@ -60,7 +59,7 @@ below 1e-17 relative; it is found by bisection and cached per (a, b).
 Where the expansion cannot reach 1e-17 (X > 600 with X0 capped) it
 raises `ConvergenceError`.
 
-The integrator walks panels in blocks of 32, scoring each panel by its
+The integrator walks panels in blocks of 16, scoring each panel by its
 20-point Gauss-Legendre (GL) value against the sum of its two halves.  A
 panel that misses its tolerance is refined level by level, without
 recursion: each level halves every pending sub-panel in one integrand
@@ -719,7 +718,6 @@ def hyp1f1(a, b, x):
 _INT_TOL = 1e-9          # distance below which integer connection forms apply
 _DEGENERATE_BAND = 0.02  # nearly-integer band routed to continuation instead
 _CANCEL_LIMIT = 1e3      # peak-term / result ratio tolerated before rerouting
-_LOG_BLOCK = 32          # terms per block of the 1 - z digamma log-sum
 
 
 def _terminating_series(a, b, c, z):
@@ -840,15 +838,7 @@ def _one_minus_z_two_term(a, b, c, w):
 
 
 def _one_minus_z_log(a, b, m, w):
-    """Connection in w = 1 - z for integer d = m >= 0 (c = a + b + m).
-
-    The digamma log-sum over the 1-d ndarray w runs `_LOG_BLOCK` terms at
-    a time: Python steps the scalar recurrences and the powers of w (a
-    complex multiply.accumulate rounds differently from the elementwise
-    product), and each block's terms, running sums, peak and stop test are
-    array operations along the block axis that take the term-by-term
-    loop's operands in its order, so the result is the same to the bit.
-    """
+    """Connection in w = 1 - z for integer d = m >= 0 (c = a + b + m)."""
     c = a + b + m
     head = np.zeros_like(w)
     if m >= 1:
@@ -866,43 +856,22 @@ def _one_minus_z_log(a, b, m, w):
     total = np.zeros_like(w)
     peak = np.zeros(w.shape)
     scale = 1e-300
-    budget = 3000
-    for k0 in range(0, budget, _LOG_BLOCK):
-        size = min(_LOG_BLOCK, budget - k0)
-        # row j of each stack belongs to term k = k0 + j
-        coef = np.empty(size)
-        e_k = np.empty(size)
-        wpows = np.empty((size,) + w.shape, dtype=w.dtype)
-        for j, k in enumerate(range(k0, k0 + size)):
-            coef[j] = poch
-            e_k[j] = psi_k1 + psi_km1 - psi_akm - psi_bkm
-            wpows[j] = wpow
-            poch *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
-            psi_k1 += 1.0 / (k + 1.0)
-            psi_km1 += 1.0 / (k + m + 1.0)
-            psi_akm += 1.0 / (a + m + k)
-            psi_bkm += 1.0 / (b + m + k)
-            wpow = wpow * w
-        terms = coef[:, None] * (e_k[:, None] - log_w) * wpows
-        sums = np.empty((size + 1,) + w.shape, dtype=w.dtype)
-        sums[0] = total
-        sums[1:] = terms
-        np.add.accumulate(sums, axis=0, out=sums)
-        mags = np.abs(terms)
-        scales = np.empty(size + 1)
-        scales[0] = scale
-        np.maximum.reduce(np.abs(sums[1:]), axis=1, out=scales[1:])
-        # fmax, like max(scale, nan), lets a NaN sum leave the scale alone
-        np.fmax.accumulate(scales, out=scales)
-        stop = np.maximum.reduce(mags, axis=1) <= 1e-17 * scales[1:]
-        stop[:max(3 - k0, 0)] = False
-        hits = np.flatnonzero(stop)
-        end = hits[0] + 1 if hits.size else size
-        total = sums[end]
-        peak = np.maximum(peak, np.maximum.reduce(mags[:end], axis=0))
-        if hits.size:
+    for k in range(3000):
+        e_k = psi_k1 + psi_km1 - psi_akm - psi_bkm
+        term = poch * (e_k - log_w) * wpow
+        total = total + term
+        mag = np.abs(term)
+        peak = np.maximum(peak, mag)
+        # max(scale, nan) is scale: a NaN sum leaves the scale alone
+        scale = max(scale, float(np.maximum.reduce(np.abs(total), axis=None)))
+        if k > 2 and np.maximum.reduce(mag, axis=None) <= 1e-17 * scale:
             break
-        scale = scales[-1]
+        poch *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
+        psi_k1 += 1.0 / (k + 1.0)
+        psi_km1 += 1.0 / (k + m + 1.0)
+        psi_akm += 1.0 / (a + m + k)
+        psi_bkm += 1.0 / (b + m + k)
+        wpow = wpow * w
     else:
         raise _not_converged(total)
     wm = np.abs(w) ** m

@@ -248,8 +248,8 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
     r = math.sqrt(gamma / rho)
@@ -273,13 +273,6 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     val = nm.integrate_semi_infinite(integrand, breakpoints=bps, lower=tau0)
     cdf = 0.5 - (tau0 * (mt - rt) + val) / math.pi
     return min(max(cdf, 0.0), 1.0)
-
-
-def op_ops(chf: AmplitudeChf, gamma_th: float, rho: float) -> float:
-    """Outage probability P(gamma <= gamma_th) under coherent combining."""
-    if gamma_th <= 0.0:
-        raise ValueError("gamma_th must be positive")
-    return gamma_c_cdf(chf, gamma_th, rho)
 
 
 def _amplitude_square_laplace(chf: AmplitudeChf, lam: float,
@@ -319,11 +312,13 @@ def _amplitude_square_laplace(chf: AmplitudeChf, lam: float,
     return min(max(math.sqrt(2.0 / math.pi) * val, 0.0), 1.0)
 
 
-def ber_ops_coherent(chf: AmplitudeChf, rho: float,
-                     modulation: Modulation) -> float:
-    """Average BER of a coherent binary modulation under optimal phases.
+def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
+    """Average BER under optimal phases.
 
-    Gaussian-kernel inversion: 1/2 - (1/pi) int t^-1 e^{-t^2/2}
+    BDPSK's 0.5 E[e^{-gamma}] is half the Laplace transform of the SNR
+    (averaging the outage CDF against the differential-detection weight
+    integrates by parts into it).  A coherent modulation uses the
+    Gaussian-kernel inversion 1/2 - (1/pi) int t^-1 e^{-t^2/2}
     Im{Psi_A(t sqrt(2 a rho))} dt with a the modulation SNR scale.  The
     half-minus-integral form carries an absolute noise floor around
     1e-8; smaller results are recomputed relatively accurately through
@@ -332,7 +327,7 @@ def ber_ops_coherent(chf: AmplitudeChf, rho: float,
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if not modulation.coherent:
-        raise ValueError(f"{modulation.label} is not a coherent modulation")
+        return min(0.5 * _amplitude_square_laplace(chf, rho), 0.5)
     s = math.sqrt(2.0 * modulation.snr_scale * rho)
     omega = s * chf.amplitude_moment(1)
     span = 16.0
@@ -372,14 +367,3 @@ def _ber_ops_craig(chf: AmplitudeChf, a_rho: float) -> float:
                       _amplitude_square_laplace(chf, a_rho / math.sin(th) ** 2,
                                                 _CRAIG_INNER))
     return min(max(total / math.pi, 0.0), 0.5)
-
-
-def ber_ops_bdpsk(chf: AmplitudeChf, rho: float) -> float:
-    """Average BDPSK BER 0.5 E[e^{-gamma}] under optimal phases.
-
-    Averaging the outage CDF against the differential-detection weight
-    integrates by parts into the Laplace transform of the SNR.
-    """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    return min(0.5 * _amplitude_square_laplace(chf, rho), 0.5)

@@ -254,11 +254,15 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
     if gamma == 0.0:
         return 0.0
     r = math.sqrt(gamma / rho)
+    # Markov: P(R > r) <= E[R^4] / r^4 < 1e-12, tested as fourth roots
+    # since r^4 overflows; E[R^4] = 64 h_2 from H's series in u = t^2
+    if math.sqrt(math.sqrt(64.0 * hp.maclaurin_u(2)[2])) < 1e-3 * r:
+        return 1.0
     if not hp.elements:
         return _nakagami_cdf(hp.direct, r)
     if len(hp.elements) == 1 and hp.direct is None:
@@ -272,13 +276,6 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     val = nm.integrate_semi_infinite(
         lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)
     return min(max(val, 0.0), 1.0)
-
-
-def op_rps(hp: HankelProduct, gamma_th: float, rho: float) -> float:
-    """Outage probability P(gamma <= gamma_th) under random phases."""
-    if gamma_th <= 0.0:
-        raise ValueError("gamma_th must be positive")
-    return gamma_r_cdf(hp, gamma_th, rho)
 
 
 def gamma_r_moment(hp: HankelProduct, k: int, rho: float) -> float:
@@ -296,24 +293,20 @@ def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     """Average BER under random phases.
 
     The transform-domain average collapses to a single integral of
-    u * M(1+p; 2; -u^2) * H(u sqrt(4 q rho)); for BDPSK the confluent
-    kernel is exactly exp(-u^2).
+    u * M(1+p; 2; -u^2) * H(u sqrt(4 q rho)); for BDPSK (p = 1) the
+    confluent kernel M(2; 2; -u^2) is exactly exp(-u^2), and `nm.hyp1f1`
+    computes it as such.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     p, q = modulation.p, modulation.q
     s = math.sqrt(4.0 * q * rho)
-    if modulation is Modulation.BDPSK:
-        def kernel(u):
-            return np.exp(-u * u)
-    else:
-        def kernel(u):
-            return nm.hyp1f1(1.0 + p, 2.0, -u * u)
     scales = sorted({1.0, hp.decay_scale / s})
     bps = np.unique(np.concatenate(
         [sc * 2.0 ** np.arange(-8.0, 10.0) for sc in scales]))
     val = p * nm.integrate_semi_infinite(
-        lambda u: u * kernel(u) * hp(s * u), _BER_QUADRATURE, breakpoints=bps)
+        lambda u: u * nm.hyp1f1(1.0 + p, 2.0, -u * u) * hp(s * u),
+        _BER_QUADRATURE, breakpoints=bps)
     return min(max(val, 0.0), 0.5)
 
 

@@ -28,8 +28,8 @@ def link(config):
 
 
 def outage_memo(outage, transform, rho):
-    """``gamma -> outage(transform, gamma, rho)`` of `rps.op_rps` or
-    `ops.op_ops`, computed once per amplitude threshold.
+    """``gamma -> outage(transform, gamma, rho)`` of `rps.gamma_r_cdf` or
+    `ops.gamma_c_cdf`, computed once per amplitude threshold.
 
     Both engines see a positive gamma only through r = sqrt(gamma / rho),
     so thresholds that round to the same r share one value.  Bisections
@@ -292,47 +292,6 @@ def largen_ops_pdf(model, x):
     a = math.sqrt(model.xi)
     both = math.exp(-0.5 * (a - root) ** 2) + math.exp(-0.5 * (a + root) ** 2)
     return model.s * both / (2.0 * math.sqrt(2.0 * math.pi) * root)
-
-
-def one_minus_z_log_loop(a, b, m, w):
-    """`numerics._one_minus_z_log` summed one term per step, returning
-    (value, peak, k) with k the index of the last term added."""
-    c = a + b + m
-    head = np.zeros_like(w)
-    if m >= 1:
-        pre_h = (math.gamma(float(m)) * math.gamma(c)
-                 / (math.gamma(a + m) * math.gamma(b + m)))
-        head = pre_h * nm._series((a, b), (1.0 - m,), w, count=m - 1)
-    pre_t = ((-1.0) ** m) * math.gamma(c) / (math.gamma(a) * math.gamma(b))
-    log_w = np.log(w)
-    psi_k1 = nm.digamma(1.0)
-    psi_km1 = nm.digamma(m + 1.0)
-    psi_akm = nm.digamma(a + m)
-    psi_bkm = nm.digamma(b + m)
-    poch = 1.0 / math.gamma(m + 1.0)
-    wpow = np.ones_like(w)
-    total = np.zeros_like(w)
-    peak = np.zeros(w.shape)
-    scale = 1e-300
-    for k in range(3000):
-        e_k = psi_k1 + psi_km1 - psi_akm - psi_bkm
-        term = poch * (e_k - log_w) * wpow
-        total = total + term
-        peak = np.maximum(peak, np.abs(term))
-        scale = max(scale, float(np.max(np.abs(total))))
-        if k > 2 and np.max(np.abs(term)) <= 1e-17 * scale:
-            break
-        poch *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
-        psi_k1 += 1.0 / (k + 1.0)
-        psi_km1 += 1.0 / (k + m + 1.0)
-        psi_akm += 1.0 / (a + m + k)
-        psi_bkm += 1.0 / (b + m + k)
-        wpow = wpow * w
-    else:
-        raise nm.ConvergenceError("log-sum budget reached",
-                                  best_estimate=total)
-    peak = np.abs(head) + abs(pre_t) * np.abs(w) ** m * peak
-    return head + pre_t * (w ** m) * total, peak, k
 
 
 def series_loop(nums, dens, z, *, count=None, budget=4000, peak=False,

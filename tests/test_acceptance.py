@@ -99,7 +99,7 @@ def test_criterion_01_outage_rps_exact_vs_mc():
     for n in (1, 4, 16):
         config = make_config(n_elements=n, tx_power_dbm=0.0)
         scene = link(config)
-        outage = outage_memo(R.op_rps, scene.hankel(), scene.rho)
+        outage = outage_memo(R.gamma_r_cdf, scene.hankel(), scene.rho)
 
         # thresholds whose exact outage spans [1e-3, 0.5]; each maps to a
         # transmit power via op(rho, g) = op(rho/g, 1), so one shared
@@ -140,7 +140,7 @@ def test_criterion_02_amplitude_cdf_ops_exact_vs_mc():
                 over.update(direct_link="true", m_d=1.5)
             config = make_config(**over)
             scene = link(config)
-            outage = outage_memo(O.op_ops, scene.chf(), scene.rho)
+            outage = outage_memo(O.gamma_c_cdf, scene.chf(), scene.rho)
 
             gammas = [bisect_increasing(outage, q, 1e-12, 1e9)
                       for q in quantiles]
@@ -178,7 +178,7 @@ def test_criterion_03_ber_exact_vs_mc_and_largen_bdpsk():
         powered = make_config(n_elements=4, m_h=1.5, m_g=2.5,
                               phase_design="ops", tx_power_dbm=power)
         rho = link(powered).rho
-        exact = O.ber_ops_coherent(chf, rho, BPSK)
+        exact = O.ber_ops(chf, rho, BPSK)
         est = mc.estimate_ber(powered, BPSK, 1_000_000, 304)
         assert abs(exact - est.value) <= 3.0 * est.std_error
 
@@ -209,7 +209,7 @@ def test_criterion_04_diversity_orders():
 
     for m_h, m_g in ((0.5, 3.0), (1.0, 1.0)):
         chf = AmplitudeChf([unit(m_h, m_g)], None)
-        s = slope(lambda rho: O.ber_ops_coherent(chf, rho, BPSK))
+        s = slope(lambda rho: O.ber_ops(chf, rho, BPSK))
         order = min(m_h, m_g)
         assert s == pytest.approx(-order, abs=0.1 * order)
 
@@ -305,7 +305,7 @@ def test_criterion_08_exact_phase_vs_uniform_model():
     # draws and the Hankel inversion assumes
     config = make_config(n_elements=16, m_h=1.5, m_g=2.5)
     scene = link(config)
-    outage = outage_memo(R.op_rps, scene.hankel(), scene.rho)
+    outage = outage_memo(R.gamma_r_cdf, scene.hankel(), scene.rho)
     gammas = [bisect_increasing(rps_outage_probe(outage), q, 1e-14, 10.0)
               for q in np.linspace(0.05, 0.95, 10)]
     with_exact = nakagami_phase_op_grid(config, gammas, 200_000, 808)

@@ -144,7 +144,7 @@ def test_largen_rps_matches_exact_cdf_at_n256():
     model = scene.largen(la.LargeNRps)
     hp, rho = scene.hankel(), scene.rho
     # outage at the 0 dB threshold: deep in the upper tail here, both ~1
-    exact_op = rps.op_rps(hp, 1.0, rho)
+    exact_op = rps.gamma_r_cdf(hp, 1.0, rho)
     assert exact_op == pytest.approx(la.largen_rps_cdf(model, 1.0), rel=0.02)
     # and at the model median, where the comparison actually has teeth
     med = model.mean * math.log(2.0)

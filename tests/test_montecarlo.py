@@ -327,10 +327,10 @@ def test_estimate_ber_matches_analytics():
     # single-element coherent link against the CHF-inversion BER
     scene = link(make_config(1, "ops", tx=25.0))
     cfg, chf, rho = scene.config, scene.chf(), scene.rho
-    want = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)
+    want = ops.ber_ops(chf, rho, Modulation.BPSK)
     est = mc.estimate_ber(cfg, Modulation.BPSK, 300_000, 15)
     assert abs(est.value - want) < 3 * est.std_error
-    want_d = ops.ber_ops_bdpsk(chf, rho)
+    want_d = ops.ber_ops(chf, rho, Modulation.BDPSK)
     est_d = mc.estimate_ber(cfg, Modulation.BDPSK, 300_000, 16)
     assert abs(est_d.value - want_d) < 3 * est_d.std_error
 
@@ -585,7 +585,8 @@ def test_group_validation():
     assert mc.estimate_group([], 10_000, 1) == []
     with pytest.raises(ValueError):
         mc.McQuery(cfg, "bogus")
-    with pytest.raises(ValueError):
-        mc.McQuery(cfg, "op", -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma_th must be nonnegative"):
+            mc.McQuery(cfg, "op", bad)
     with pytest.raises(ValueError):
         mc.estimate_group([mc.McQuery(cfg, "ec")], 9_999, 1)

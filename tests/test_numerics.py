@@ -260,6 +260,15 @@ def test_hyp1f1_asymptotic_route_raises_instead_of_truncating():
         nm._hyp1f1_asym_neg(1.5, 2.0, np.array([20.0]))
 
 
+def test_hyp1f1_equal_parameters_is_the_exponential_bit_for_bit():
+    # M(a; a; x) = e^x: the Kummer reflection terminates at once, so the
+    # BDPSK kernel M(2; 2; -u^2) of the random-phase BER is np.exp(-u^2)
+    x = -np.concatenate([[0.0], np.geomspace(1e-12, 745.0, 400)])
+    assert np.array_equal(nm.hyp1f1(2.0, 2.0, x), np.exp(x))
+    for v in x[::40]:
+        assert nm.hyp1f1(2.0, 2.0, float(v)) == float(np.exp(v))
+
+
 def test_hyp1f1_rejects_nonpositive_integer_b():
     with pytest.raises(ValueError):
         nm.hyp1f1(1.0, 0.0, 0.5)
@@ -443,29 +452,49 @@ def test_log_connection_forms_raise_instead_of_truncating():
     (1e-7, 3), (0.0545, 17), (0.201, 31), (0.211, 32), (0.221, 33),
     (0.453, 64), (0.7745, 200)])
 def test_one_minus_z_log_blocks_match_the_term_loop(radius, last_term):
-    # the blocked log-sum stops on the term the per-term loop stops on
-    # (k <= 3, inside a block, either side of a block edge, several blocks
-    # in) and returns the same bits
+    # the log-sum stops after term last_term at these radii: at k = 3,
+    # either side of k = 32 (the edge of the 32-term blocks an earlier
+    # form of the sum ran in) and many terms in.  Wherever it stops, the
+    # 1 - z connection is 2F1(a, b; a + b + m; 1 - w) to within 1e-12 of
+    # its peak term, the cancellation measure hyp2f1 reroutes on (the
+    # real case at the largest radius has peak / value = 9e3 and is 5e-9
+    # off: hyp2f1 does not take it)
     w = radius * np.exp(1j * np.array([-1.0, 0.4, 2.5]))
-    want, want_peak, k = oracles.one_minus_z_log_loop(1.5, 2.5, 1, w)
-    assert k == last_term
-    got, peak = nm._one_minus_z_log(1.5, 2.5, 1, w)
-    assert np.array_equal(got, want) and np.array_equal(peak, want_peak)
     real = np.array([radius, 0.5 * radius])
-    got, peak = nm._one_minus_z_log(11.52, 0.5, 0, real)
-    want, want_peak, _ = oracles.one_minus_z_log_loop(11.52, 0.5, 0, real)
-    assert np.array_equal(got, want) and np.array_equal(peak, want_peak)
+    with mp.workdps(30):
+        for a, b, m, arg in ((1.5, 2.5, 1, w), (11.52, 0.5, 0, real)):
+            got, peak = nm._one_minus_z_log(a, b, m, arg)
+            # 1 - w in working precision: rounding it to a double moves
+            # 2F1 by up to 4e-11 relative at the smallest radius
+            want = np.array([complex(mp.hyp2f1(a, b, mp.mpf(a) + b + m,
+                                               1 - mp.mpmathify(v)))
+                             for v in arg.tolist()])
+            assert np.all(np.abs(got - want) <= 1e-12 * peak)
 
 
 def test_one_minus_z_log_budget_keeps_the_full_sum():
-    # at the 3000-term budget the blocked sum raises with the same partial
-    # sum as the per-term loop
-    w = np.array([0.999 + 0j])
+    # at the 3000-term budget the log-sum raises with the sum of all 3000
+    # terms sum_k (a+m)_k (b+m)_k / (k! (k+m)!) (e_k - ln w) w^k, e_k =
+    # psi(k+1) + psi(k+m+1) - psi(a+m+k) - psi(b+m+k), summed here in mpmath
+    a, b, m, w = 1.5, 2.5, 1, 0.999
     with pytest.raises(nm.ConvergenceError) as got:
-        nm._one_minus_z_log(1.5, 2.5, 1, w)
-    with pytest.raises(nm.ConvergenceError) as want:
-        oracles.one_minus_z_log_loop(1.5, 2.5, 1, w)
-    assert np.array_equal(got.value.best_estimate, want.value.best_estimate)
+        nm._one_minus_z_log(a, b, m, np.array([w + 0j]))
+    with mp.workdps(30):
+        poch, wpow, total = mp.mpf(1) / mp.factorial(m), mp.mpf(1), mp.mpf(0)
+        e_k = (mp.digamma(1) + mp.digamma(m + 1) - mp.digamma(a + m)
+               - mp.digamma(b + m))
+        for k in range(3000):
+            term = poch * (e_k - mp.log(w)) * wpow
+            total += term
+            poch *= mp.mpf(a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
+            e_k += (mp.mpf(1) / (k + 1) + mp.mpf(1) / (k + m + 1)
+                    - mp.mpf(1) / (a + m + k) - mp.mpf(1) / (b + m + k))
+            wpow *= w
+    # the double sum carries 3e-11 of rounding, and its last term alone
+    # is far above the tolerance
+    assert abs(term / total) > 1e-7
+    assert got.value.best_estimate[0] == pytest.approx(complex(total),
+                                                       rel=1e-9)
 
 
 # ---------------------------------------------------------------------

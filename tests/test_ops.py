@@ -197,8 +197,9 @@ def test_gamma_c_cdf_limits_and_monotonicity():
     assert vals[-1] > 0.999
     # far enough out the fourth-moment bound short-circuits to exactly 1
     assert ops.gamma_c_cdf(chf, 1e9, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        ops.gamma_c_cdf(chf, -1.0, 1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            ops.gamma_c_cdf(chf, bad, 1.0)
     with pytest.raises(ValueError):
         ops.gamma_c_cdf(chf, 1.0, 0.0)
 
@@ -219,14 +220,6 @@ def test_coherent_combining_dominates_random_phases():
         fc = ops.gamma_c_cdf(chf, frac * gbar, rho)
         fr = gamma_r_cdf(hp, frac * gbar, rho)
         assert fc <= fr + 1e-9
-
-
-def test_op_ops_is_the_cdf():
-    chf = ops.AmplitudeChf([FIG2])
-    assert ops.op_ops(chf, 2.0, 5.0) == pytest.approx(
-        ops.gamma_c_cdf(chf, 2.0, 5.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        ops.op_ops(chf, 0.0, 5.0)
 
 
 def test_gamma_c_cdf_against_monte_carlo():
@@ -259,7 +252,7 @@ def test_ber_ops_coherent_direct_only_textbook():
             * math.exp(-g / shape) / (math.gamma(2.5) * shape ** 2.5),
             0, np.inf, limit=800)[0]
         # inversion noise floor is absolute (~1e-9), so allow either margin
-        assert ops.ber_ops_coherent(chf, rho, Modulation.BPSK) == pytest.approx(
+        assert ops.ber_ops(chf, rho, Modulation.BPSK) == pytest.approx(
             ref, rel=1e-7, abs=1e-9)
 
 
@@ -272,17 +265,18 @@ def test_ber_ops_coherent_deep_tail_stays_relative():
         lambda g: 0.5 * math.erfc(math.sqrt(g)) * g ** 1.5
         * math.exp(-g / shape) / (math.gamma(2.5) * shape ** 2.5),
         0, np.inf, limit=800)[0]
-    got = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)
+    got = ops.ber_ops(chf, rho, Modulation.BPSK)
     assert ref < 1e-13  # really is beyond the inversion floor
     assert got == pytest.approx(ref, rel=1e-5)
 
 
 def test_ber_ops_bfsk_is_half_rate_bpsk():
     chf = ops.AmplitudeChf([FIG2] * 2)
-    assert ops.ber_ops_coherent(chf, 10.0, Modulation.BFSK) == pytest.approx(
-        ops.ber_ops_coherent(chf, 5.0, Modulation.BPSK), rel=1e-12)
-    with pytest.raises(ValueError):
-        ops.ber_ops_coherent(chf, 10.0, Modulation.BDPSK)
+    assert ops.ber_ops(chf, 10.0, Modulation.BFSK) == pytest.approx(
+        ops.ber_ops(chf, 5.0, Modulation.BPSK), rel=1e-12)
+    # the noncoherent BDPSK kernel takes the Laplace transform instead
+    assert ops.ber_ops(chf, 10.0, Modulation.BDPSK) == \
+        0.5 * ops._amplitude_square_laplace(chf, 10.0)
 
 
 def test_ber_ops_bdpsk_direct_only_closed_form():
@@ -290,7 +284,8 @@ def test_ber_ops_bdpsk_direct_only_closed_form():
     chf = ops.AmplitudeChf([], NakagamiParams(2.5, 0.7))
     for rho in (0.5, 5e3, 1e8):
         ref = 0.5 * (1.0 + rho * 0.7 / 2.5) ** -2.5
-        assert ops.ber_ops_bdpsk(chf, rho) == pytest.approx(ref, rel=1e-9)
+        assert ops.ber_ops(chf, rho, Modulation.BDPSK) == pytest.approx(
+            ref, rel=1e-9)
 
 
 def test_ber_ops_bdpsk_matches_cdf_average():
@@ -298,7 +293,8 @@ def test_ber_ops_bdpsk_matches_cdf_average():
     rho = 0.8
     lit = 0.5 * si.quad(lambda g: math.exp(-g) * ops.gamma_c_cdf(chf, g, rho),
                         0, 60, limit=200)[0]
-    assert ops.ber_ops_bdpsk(chf, rho) == pytest.approx(lit, rel=1e-6)
+    assert ops.ber_ops(chf, rho, Modulation.BDPSK) == pytest.approx(
+        lit, rel=1e-6)
 
 
 def test_laplace_transform_power_law_tail():
@@ -327,7 +323,7 @@ def test_ber_ops_coherent_against_monte_carlo():
     amp = x.sum(axis=1) + np.sqrt(rng.gamma(1.2, scene.direct.omega / 1.2, n))
     kern = 0.5 * ss.erfc(np.sqrt(rho) * amp)
     se = float(kern.std()) / math.sqrt(n)
-    got = ops.ber_ops_coherent(chf, rho, Modulation.BPSK)
+    got = ops.ber_ops(chf, rho, Modulation.BPSK)
     assert abs(got - float(kern.mean())) < 4.0 * se
 
 

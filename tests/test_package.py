@@ -17,15 +17,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 # names the package exported before its library surface was cut to
-# what the CLI runs, and before the phase design became the simulator's
-# only phase input
+# what the CLI runs, before the phase design became the simulator's
+# only phase input, and before each exact value kept a single route
 WITHDRAWN = ("EXACT_NAKAGAMI", "IntegrabilityError", "PhaseModel",
-             "QuadratureSpec", "UNIFORM", "ber_rps_asymptotic",
+             "QuadratureSpec", "UNIFORM", "ber_ops_bdpsk",
+             "ber_ops_coherent", "ber_rps_asymptotic",
              "default_phase_model", "derive", "diversity_order_ops",
              "estimate_op_grid", "gamma_c_moment",
              "gamma_c_moment_multinomial", "gamma_r_pdf", "largen_ops_chf",
-             "largen_ops_pdf", "largen_rps_chf", "quantized_phases",
-             "realize_snr", "sample_nakagami_envelope",
+             "largen_ops_pdf", "largen_rps_chf", "op_ops", "op_rps",
+             "quantized_phases", "realize_snr", "sample_nakagami_envelope",
              "sample_nakagami_phase")
 
 TINY = {
@@ -61,32 +62,48 @@ def test_readme_quick_start_runs():
     assert abs(analytic - value) <= 3.0 * std_error
 
 
-def _run_helper(script, args, tmp_path):
+def _run_helper(script, args, tmp_path, config=TINY, metric="op"):
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()),
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
                    encoding="utf-8")
     env = dict(os.environ, RISLINK_THREADS="1")
     src = str(Path(rislink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = args + ["metric", "--config", str(cfg), "--metric", "op",
+    argv = args + ["metric", "--config", str(cfg), "--metric", metric,
                    "--trials", "10000"]
     return subprocess.run([sys.executable, str(PERFBENCH / script)] + argv,
                           capture_output=True, text=True, cwd=ROOT, env=env,
                           timeout=300)
 
 
-def test_benchmark_tracer_resolves_its_hooks(tmp_path):
+def _traced_run(tmp_path, **kwargs):
+    """(methods of the CSV rows, span names) of one traced metric run."""
     spans_path = tmp_path / "spans.json"
-    proc = _run_helper("tracer.py", [str(spans_path), "--"], tmp_path)
+    proc = _run_helper("tracer.py", [str(spans_path), "--"], tmp_path,
+                       **kwargs)
     assert proc.returncode == 0, proc.stderr
     methods = [line.split(",")[3] for line in proc.stdout.splitlines()[1:]]
-    assert methods == ["exact", "asymptotic", "mc"]
     with open(spans_path, encoding="utf-8") as fh:
         names = {span[1] for span in json.load(fh)["spans"]}
+    return methods, names
+
+
+def test_benchmark_tracer_resolves_its_hooks(tmp_path):
+    methods, names = _traced_run(tmp_path)
+    assert methods == ["exact", "asymptotic", "mc"]
     assert {"engine.exact", "engine.asymptotic", "numerics.quad",
             "numerics.hyp2f1", "rps.HankelProduct",
             "cli.compute_rows"} <= names
+
+
+def test_benchmark_tracer_sees_the_ops_ber_engine(tmp_path):
+    # the optimal-phase BER row goes through the engine table straight
+    # to ops.ber_ops; the direct path's CHF factor is the 1F1 call
+    config = dict(TINY, phase_design="ops", direct_link="true", m_d=1.5)
+    methods, names = _traced_run(tmp_path, config=config, metric="ber")
+    assert methods == ["exact", "mc"]
+    assert {"engine.exact", "ops.AmplitudeChf", "numerics.hyp1f1"} <= names
 
 
 def test_benchmark_firstrow_reaches_a_row(tmp_path):

@@ -129,6 +129,22 @@ def test_cdf_limits_and_monotonicity():
     grid = [rps.gamma_r_cdf(hp, g, 1.0) for g in np.geomspace(0.01, 50.0, 12)]
     assert all(0.0 <= v <= 1.0 for v in grid)
     assert np.all(np.diff(grid) >= 0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            rps.gamma_r_cdf(hp, bad, 1.0)
+
+
+@pytest.mark.parametrize("n, direct", [
+    (4, None), (64, None), (4, NakagamiParams(1.5, 0.7))])
+def test_cdf_far_above_the_amplitude_scale_is_one(n, direct):
+    # past about 1e8 times the mean SNR the inversion alone is 1.7e-10
+    # below 1, 170 times its absolute tolerance, and an infinite threshold
+    # overflows it; there the fourth-moment bound puts the CDF within
+    # 1e-12 of 1
+    hp = rps.HankelProduct([FIG2] * n, direct)
+    mean = rps.gamma_r_moment(hp, 1, 1.0)
+    for g in (1e9 * mean, 1e20 * mean, math.inf):
+        assert rps.gamma_r_cdf(hp, g, 1.0) == 1.0
 
 
 @pytest.mark.parametrize("dn, n", [(UNIT, 2), (FIG2, 4),
@@ -173,7 +189,7 @@ def test_one_path_outage_matches_the_gain_product_reference(m, tx_power_dbm):
     lk = link(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = rps.op_rps(lk.hankel(), 1.0, lk.rho)
+        got = rps.gamma_r_cdf(lk.hankel(), 1.0, lk.rho)
     want = gamma_product_cdf(lk.element, 1.0 / lk.rho)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -187,7 +203,7 @@ def test_one_path_outage_at_shapes_beyond_gamma_overflow(tx_power_dbm):
         tx_power_dbm=tx_power_dbm, m_h=200.0, m_g=200.0,
         geometry=LinkGeometry(20.0, 20.0, 86.0))
     lk = link(cfg)
-    got = rps.op_rps(lk.hankel(), 1.0, lk.rho)
+    got = rps.gamma_r_cdf(lk.hankel(), 1.0, lk.rho)
     want = gamma_product_cdf(lk.element, 1.0 / lk.rho)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -206,13 +222,6 @@ def test_cdf_derivative_matches_pdf():
         num = (rps.gamma_r_cdf(hp, g * (1 + h), rho)
                - rps.gamma_r_cdf(hp, g * (1 - h), rho)) / (2.0 * g * h)
         assert num == pytest.approx(gamma_r_pdf(hp, g, rho), rel=1e-4)
-
-
-def test_op_rps_delegates_and_validates():
-    hp = rps.HankelProduct([UNIT])
-    assert rps.op_rps(hp, 1.0, 2.0) == rps.gamma_r_cdf(hp, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        rps.op_rps(hp, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------
