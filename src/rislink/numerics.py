@@ -487,10 +487,17 @@ def _bessel_large(order, ax):
     return amp * (p * np.cos(omega) - q * np.sin(omega))
 
 
+def _require_real(name, x):
+    # casting to float would drop the imaginary part with only a warning
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} takes a real argument x, got complex {x!r}")
+
+
 def bessel_j(order, x):
     """Bessel function of the first kind, order 0 or 1, real argument."""
     if order not in (0, 1):
         raise ValueError("bessel_j supports orders 0 and 1 only")
+    _require_real("bessel_j", x)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
@@ -678,6 +685,7 @@ def hyp1f1(a, b, x):
     b = float(b)
     if _is_nonpos_int(b):
         raise ValueError("1F1 undefined for nonpositive integer b")
+    _require_real("hyp1f1", x)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()

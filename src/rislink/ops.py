@@ -9,13 +9,13 @@ inversion of the distribution.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+import sys
+from typing import List, Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-from .rps import Modulation, TransformProduct, x_moment
+from .rps import _BER_QUADRATURE, Modulation, TransformProduct, x_moment
 from .scenario import DoubleNakagami, NakagamiParams
 
 
@@ -176,8 +176,17 @@ class AmplitudeChf(TransformProduct):
         return got
 
     def value_complex(self, z: np.ndarray) -> np.ndarray:
-        """CHF on a horizontal line Im z = const > 0 (damped evaluation)."""
-        return self._product(z, _chf_cascade_complex, _chf_direct_complex)
+        """Damped CHF Psi_A(z) / Psi_A(jy) on a line Im z = y > 0.
+
+        This is the CHF at Re z of the amplitude law tilted by e^{-yA}.
+        Each factor is divided by its own value at jy, so the product
+        neither underflows at large N nor exceeds 1 in modulus.
+        """
+        def damped(factor):
+            return lambda params, arr: (
+                factor(params, arr) / factor(params, 1j * arr.imag[:1]).real)
+        return self._product(z, damped(_chf_cascade_complex),
+                             damped(_chf_direct_complex))
 
 
 def _kernel_breakpoints(freqs: Sequence[float], span: float) -> np.ndarray:
@@ -275,41 +284,65 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     return min(max(cdf, 0.0), 1.0)
 
 
-def _amplitude_square_laplace(chf: AmplitudeChf, lam: float,
-                              spec: Optional[QuadratureSpec] = None) -> float:
-    """E[e^{-lam A^2}] by a Gaussian average of the CHF on a shifted line.
+# contour shifts searched for the saddle point: 0.25 * 2^(k/4), k = 0..30.
+# Past the last one the bound is below e^{-c^2/2} = e^{-1024}, so a saddle
+# beyond the grid only ever meets the zero below.
+_SHIFTS = 0.25 * 2.0 ** (np.arange(31) / 4.0)
 
-    The Gaussian identity turns the Laplace transform into
-    (2 pi)^{-1/2} int e^{-z^2/2} Psi_A(z sqrt(2 lam)) dz.  On the real
-    axis the lobes are O(1) while the sum can be exponentially small, so
-    the line is shifted to Im z = c, where the damped CHF both kills the
-    cancellation and slows the oscillation to a frequency ~ e/c set by
-    the density power e at the origin.
+
+def _log_damped_mean(chf: AmplitudeChf, t: np.ndarray) -> np.ndarray:
+    """ln E[e^{-tA}] = ln Psi_A(jt) at each t > 0, summed over the
+    factors, since their product underflows at large N."""
+    out = np.zeros(t.shape)
+    for el, count in chf._groups:
+        out += count * np.log(np.real(_chf_cascade_complex(el, 1j * t)))
+    if chf.direct is not None:
+        # the direct factor's panels follow Im z: one damping per call
+        out += [math.log(_chf_direct_complex(chf.direct, np.array([1j * v]))
+                         [0].real) for v in t]
+    return out
+
+
+def _gaussian_average(chf: AmplitudeChf, s: float, q_kernel: bool) -> float:
+    """E[Q(sA)] with ``q_kernel``, else E[e^{-s^2 A^2 / 2}].
+
+    Both are one Laplace-inversion integral along the line w = u + jc,
+    for any c > 0:
+      E[Q(sA)] = (1/pi) int_0^inf Re[j e^{-w^2/2} Psi_A(sw) / w] du,
+      E[e^{-s^2 A^2 / 2}] = sqrt(2/pi) int_0^inf Re[e^{-w^2/2} Psi_A(sw)] du.
+    At u = 0 the integrand is real, e^{c^2/2} E[e^{-csA}] (over c for Q),
+    and B = e^{c^2/2} E[e^{-csA}] is a Chernoff bound on both quantities.
+    c is taken where that peak is lowest, the saddle point (Helstrom, IEEE
+    Trans. AES 14(4), 1978).  There the integral is of the order of its
+    largest term, so the result is relatively accurate however small it
+    is.  The integrand is carried over B, as e^{-u^2/2 - jcu} times the
+    damped CHF `AmplitudeChf.value_complex`, so nothing underflows; a B
+    below the smallest normal double returns 0.
     """
-    if lam <= 0.0:
-        raise ValueError("laplace argument must be positive")
-    spec = spec or DEFAULT_QUADRATURE
-    s = math.sqrt(2.0 * lam)
-    e = chf.tail_exponent
-    c = min(10.0, max(1.0, math.sqrt(e)))
-    span = math.sqrt(c * c + 2.0 * math.log(1.0 / max(spec.rel_tol, 1e-14))
-                     + 20.0)
-    f_eff = max(0.05, min(s * chf.amplitude_moment(1), e / c + 4.0))
-    bps = _kernel_breakpoints([f_eff], span)
-
-    kern_floor = 1e-40 * math.exp(0.5 * c * c)
+    log_bound = 0.5 * _SHIFTS ** 2 + _log_damped_mean(chf, s * _SHIFTS)
+    k = int(np.argmin(log_bound - np.log(_SHIFTS) if q_kernel else log_bound))
+    if log_bound[k] < math.log(sys.float_info.min):
+        return 0.0
+    c = float(_SHIFTS[k])
+    # |integrand| <= e^{-u^2/2} (over c for Q): past span nothing is left
+    span = math.sqrt(2.0 * math.log(1.0 / _BER_QUADRATURE.rel_tol) + 20.0)
 
     def integrand(u):
-        kern = np.exp(-0.5 * (u + 1j * c) ** 2)
-        live = np.abs(kern) > kern_floor
+        live = u < span
         out = np.zeros(u.shape)
         if live.any():
-            z = s * (u[live] + 1j * c)
-            out[live] = np.real(kern[live] * chf.value_complex(z))
+            w = u[live] + 1j * c
+            vals = (np.exp(-0.5 * u[live] ** 2 - 1j * c * u[live])
+                    * chf.value_complex(s * w))
+            out[live] = np.real(1j * vals / w if q_kernel else vals)
         return out
 
-    val = nm.integrate_semi_infinite(integrand, spec, breakpoints=bps)
-    return min(max(math.sqrt(2.0 / math.pi) * val, 0.0), 1.0)
+    # [0, span] is one panel, bisected to tolerance: on a ladder of panels
+    # the stop test can accept at a zero crossing of the decaying lobes
+    val = nm.integrate_semi_infinite(integrand, _BER_QUADRATURE,
+                                     breakpoints=[span])
+    scale = 1.0 / math.pi if q_kernel else math.sqrt(2.0 / math.pi)
+    return scale * math.exp(log_bound[k]) * val
 
 
 def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
@@ -317,17 +350,19 @@ def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
 
     BDPSK's 0.5 E[e^{-gamma}] is half the Laplace transform of the SNR
     (averaging the outage CDF against the differential-detection weight
-    integrates by parts into it).  A coherent modulation uses the
-    Gaussian-kernel inversion 1/2 - (1/pi) int t^-1 e^{-t^2/2}
-    Im{Psi_A(t sqrt(2 a rho))} dt with a the modulation SNR scale.  The
-    half-minus-integral form carries an absolute noise floor around
-    1e-8; smaller results are recomputed relatively accurately through
-    the Craig average of the squared-amplitude Laplace transform.
+    integrates by parts into it), E[e^{-rho A^2}] by `_gaussian_average`.
+    A coherent modulation uses the Gaussian-kernel inversion
+    1/2 - (1/pi) int t^-1 e^{-t^2/2} Im{Psi_A(t sqrt(2 a rho))} dt with a
+    the modulation SNR scale.  That half-minus-integral form carries an
+    absolute noise floor around 1e-8, so a result below 1e-7 is
+    recomputed as E[Q(sqrt(2 a rho) A)] by `_gaussian_average`: one line
+    integral, relatively accurate down to the smallest normal double.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if not modulation.coherent:
-        return min(0.5 * _amplitude_square_laplace(chf, rho), 0.5)
+        val = _gaussian_average(chf, math.sqrt(2.0 * rho), False)
+        return min(max(0.5 * val, 0.0), 0.5)
     s = math.sqrt(2.0 * modulation.snr_scale * rho)
     omega = s * chf.amplitude_moment(1)
     span = 16.0
@@ -341,29 +376,4 @@ def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
     ber = 0.5 - (tau0 * omega + val) / math.pi
     if ber >= 1e-7:
         return min(ber, 0.5)
-    return _ber_ops_craig(chf, modulation.snr_scale * rho)
-
-
-_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_CRAIG_INNER = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
-
-
-def _ber_ops_craig(chf: AmplitudeChf, a_rho: float) -> float:
-    # (1/pi) int_0^{pi/2} E[e^{-a rho A^2 / sin^2 th}] dth; the integrand
-    # behaves like sin(th)^e, so panels shrink geometrically toward pi/2
-    # where high diversity orders concentrate the mass.
-    delta = min(0.5, 3.0 / math.sqrt(max(chf.tail_exponent, 4.0)))
-    offsets = [0.0]
-    while offsets[-1] < 0.5 * math.pi:
-        offsets.append(min(0.5 * math.pi,
-                           max(4.0 * offsets[-1], delta)))
-    edges = 0.5 * math.pi - np.array(offsets[::-1])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        for node, weight in zip(_GL12_NODES, _GL12_WEIGHTS):
-            th = mid + half * node
-            total += (half * weight *
-                      _amplitude_square_laplace(chf, a_rho / math.sin(th) ** 2,
-                                                _CRAIG_INNER))
-    return min(max(total / math.pi, 0.0), 0.5)
+    return min(max(_gaussian_average(chf, s, True), 0.0), 0.5)

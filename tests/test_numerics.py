@@ -276,6 +276,17 @@ def test_hyp1f1_rejects_nonpositive_integer_b():
         nm.hyp1f1(1.0, -2.0, 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: nm.hyp1f1(1.5, 2.0, x),
+    lambda x: nm.bessel_j(1, x),
+])
+@pytest.mark.parametrize("x", [np.array([-1.0 + 2.0j]), 1.0 + 1.0j])
+def test_real_only_functions_reject_complex_arguments(call, x):
+    # a float cast would keep only the real part: M(1.5; 2; -1) for -1+2j
+    with pytest.raises(ValueError, match="complex"):
+        call(x)
+
+
 # ---------------------------------------------------------------------
 # 2F1
 # ---------------------------------------------------------------------

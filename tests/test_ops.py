@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as si
@@ -9,7 +10,7 @@ from scipy import special as ss
 
 from oracles import gamma_c_moment_multinomial, link
 from rislink import ops
-from rislink.numerics import ConvergenceError, QuadratureSpec
+from rislink.numerics import ConvergenceError
 from rislink.rps import DoubleNakagami, Modulation, gamma_r_cdf, HankelProduct
 from rislink.scenario import (
     OPS,
@@ -34,11 +35,11 @@ def product_pdf(x, m1, om1, m2, om2):
 FIG2 = DoubleNakagami(NakagamiParams(1.5, 0.4), NakagamiParams(2.5, 1.7))
 
 
-def scenario(n=4, direct=False, design=OPS, m_d=1.2):
+def scenario(n=4, direct=False, design=OPS, m_d=1.2, tx_dbm=0.0):
     geo = LinkGeometry(20.0, 20.0, 86.0, direct_link=direct)
     return ScenarioConfig(
         n_elements=n, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
-        tx_power_dbm=0.0, m_h=1.5, m_g=2.5, geometry=geo,
+        tx_power_dbm=tx_dbm, m_h=1.5, m_g=2.5, geometry=geo,
         phase_design=design, m_d=m_d if direct else None)
 
 
@@ -257,17 +258,20 @@ def test_ber_ops_coherent_direct_only_textbook():
 
 
 def test_ber_ops_coherent_deep_tail_stays_relative():
-    # past the half-minus-integral noise floor the Craig path takes over
+    # past the half-minus-integral noise floor the saddle-point contour
+    # takes over; mpmath's average is the reference (scipy's quad is
+    # itself 1.3e-7 off here)
     chf = ops.AmplitudeChf([], NakagamiParams(2.5, 0.7))
     rho = 1e6
-    shape = rho * 0.7 / 2.5
-    ref = si.quad(
-        lambda g: 0.5 * math.erfc(math.sqrt(g)) * g ** 1.5
-        * math.exp(-g / shape) / (math.gamma(2.5) * shape ** 2.5),
-        0, np.inf, limit=800)[0]
+    with mp.workdps(30):
+        shape = mp.mpf(rho) * mp.mpf("0.7") / mp.mpf("2.5")
+        ref = float(mp.quad(
+            lambda g: mp.erfc(mp.sqrt(g)) / 2 * g ** mp.mpf("1.5")
+            * mp.exp(-g / shape) / (mp.gamma(mp.mpf("2.5")) * shape ** 2.5),
+            [0, 1, 10, 100, mp.inf]))
     got = ops.ber_ops(chf, rho, Modulation.BPSK)
     assert ref < 1e-13  # really is beyond the inversion floor
-    assert got == pytest.approx(ref, rel=1e-5)
+    assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 def test_ber_ops_bfsk_is_half_rate_bpsk():
@@ -276,7 +280,7 @@ def test_ber_ops_bfsk_is_half_rate_bpsk():
         ops.ber_ops(chf, 5.0, Modulation.BPSK), rel=1e-12)
     # the noncoherent BDPSK kernel takes the Laplace transform instead
     assert ops.ber_ops(chf, 10.0, Modulation.BDPSK) == \
-        0.5 * ops._amplitude_square_laplace(chf, 10.0)
+        0.5 * ops._gaussian_average(chf, math.sqrt(20.0), False)
 
 
 def test_ber_ops_bdpsk_direct_only_closed_form():
@@ -306,8 +310,8 @@ def test_laplace_transform_power_law_tail():
     c_x = 2.0 * math.gamma(1.0) / (math.gamma(1.5) * math.gamma(2.5)) \
         * (b1 * b2) ** 1.5
     ref = c_x * math.gamma(1.5) / (2.0 * lam ** 1.5)
-    assert ops._amplitude_square_laplace(chf, lam) == pytest.approx(ref,
-                                                                    rel=2e-3)
+    laplace = ops._gaussian_average(chf, math.sqrt(2.0 * lam), False)
+    assert laplace == pytest.approx(ref, rel=2e-3)
 
 
 def test_ber_ops_coherent_against_monte_carlo():
@@ -327,11 +331,81 @@ def test_ber_ops_coherent_against_monte_carlo():
     assert abs(got - float(kern.mean())) < 4.0 * se
 
 
-def test_quadrature_spec_passthrough():
-    # the Laplace transform takes its callers' tolerances: the BDPSK
-    # engine the default, the Craig average of the coherent BER its own
-    chf = ops.AmplitudeChf([FIG2])
-    loose = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
-    a = ops._amplitude_square_laplace(chf, 5.0, loose)
-    b = ops._amplitude_square_laplace(chf, 5.0)
-    assert a == pytest.approx(b, abs=1e-5)
+# ---------------------------------------------------------------------
+# deep-tail BER on the saddle-point contour
+# ---------------------------------------------------------------------
+
+# E[k(X + D)] = int_0^inf int_0^inf k(x + d) f_X(x) f_D(d) dx dd for
+# `scenario(1, True, m_d=1.5, tx_dbm=...)`: f_X is the K-Bessel density of
+# the double-Nakagami product (`product_pdf`), f_D the Nakagami(1.5)
+# direct-path density (`nakagami_pdf`), and k(a) = erfc(sqrt(rho) a) / 2
+# for BPSK or exp(-rho a^2) / 2 for BDPSK.  The values are mpmath's
+# two-dimensional quadrature of that integral (mp.quad over both
+# variables), too slow for the test suite; scipy's nested quad at epsrel
+# 1e-13 reproduces all four within 1e-13.
+ONE_ELEMENT_REFERENCES = [
+    (40.0, Modulation.BPSK, 1.46468665200128e-8),
+    (40.0, Modulation.BDPSK, 3.56011799292303e-8),
+    (60.0, Modulation.BPSK, 2.86339262770436e-12),
+    (60.0, Modulation.BDPSK, 8.07787569005473e-12),
+]
+
+
+@pytest.mark.parametrize("tx_dbm, mod, ref", ONE_ELEMENT_REFERENCES)
+def test_ber_ops_one_element_direct_path_against_mpmath(tx_dbm, mod, ref):
+    scene = link(scenario(1, True, m_d=1.5, tx_dbm=tx_dbm))
+    assert ops.ber_ops(scene.chf(), scene.rho, mod) == pytest.approx(
+        ref, rel=1e-8, abs=0.0)
+
+
+TAIL_SLICE = [(n, direct, tx_dbm) for n in (4, 64, 256)
+              for direct in (False, True) for tx_dbm in (40.0, 80.0)]
+
+
+def tail_rows(n, direct, tx_dbm):
+    """(rho, transform, BPSK row, BDPSK row) of one slice scenario."""
+    scene = link(scenario(n, direct, m_d=1.5, tx_dbm=tx_dbm))
+    chf = scene.chf()
+    return (scene.rho, chf, ops.ber_ops(chf, scene.rho, Modulation.BPSK),
+            ops.ber_ops(chf, scene.rho, Modulation.BDPSK))
+
+
+def log_laplace(pdf, t):
+    """ln E[e^{-tX}] of a density on (0, inf), by scipy in x = e^v."""
+    val = si.quad(lambda v: math.exp(v - t * math.exp(v)) * pdf(math.exp(v)),
+                  -60.0 - math.log(t), 8.0 - math.log(t), limit=400,
+                  epsabs=0.0, epsrel=1e-11)[0]
+    return math.log(val)
+
+
+@pytest.mark.parametrize("n, direct, tx_dbm", TAIL_SLICE)
+def test_ber_ops_tail_is_below_its_chernoff_bound(n, direct, tx_dbm):
+    # Q(sa) and e^{-s^2 a^2 / 2} are both at most e^{c^2/2 - csa}, so either
+    # average is at most e^{c^2/2} E[e^{-csA}] for every c > 0
+    rho, chf, bpsk, bdpsk = tail_rows(n, direct, tx_dbm)
+    el, dpath = chf.elements[0], chf.direct
+    s = math.sqrt(2.0 * rho)
+
+    def log_bound(c):
+        t = c * s
+        got = 0.5 * c * c + n * log_laplace(lambda x: product_pdf(
+            x, el.hop_h.m, el.hop_h.omega, el.hop_g.m, el.hop_g.omega), t)
+        if dpath is not None:
+            got += log_laplace(
+                lambda x: nakagami_pdf(x, dpath.m, dpath.omega), t)
+        return got
+
+    bound = min(log_bound(c) for c in np.geomspace(0.1, 60.0, 40))
+    for row in (bpsk, bdpsk):
+        assert row == 0.0 or math.log(row) <= bound
+
+
+@pytest.mark.parametrize("n, direct, tx_dbm", TAIL_SLICE)
+@pytest.mark.parametrize("shift", [0.8, 1.25])
+def test_ber_ops_tail_does_not_depend_on_the_contour(monkeypatch, n, direct,
+                                                     tx_dbm, shift):
+    *_, bpsk, bdpsk = tail_rows(n, direct, tx_dbm)
+    monkeypatch.setattr(ops, "_SHIFTS", ops._SHIFTS * shift)
+    *_, bpsk_moved, bdpsk_moved = tail_rows(n, direct, tx_dbm)
+    assert bpsk_moved == pytest.approx(bpsk, rel=1e-8, abs=0.0)
+    assert bdpsk_moved == pytest.approx(bdpsk, rel=1e-8, abs=0.0)

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rislink
 from rislink import numerics as nm
 
@@ -62,7 +64,8 @@ def test_readme_quick_start_runs():
     assert abs(analytic - value) <= 3.0 * std_error
 
 
-def _run_helper(script, args, tmp_path, config=TINY, metric="op"):
+def _run_helper(script, args, tmp_path, config=TINY, metric="op",
+                modulation="bpsk"):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
                    encoding="utf-8")
@@ -71,7 +74,7 @@ def _run_helper(script, args, tmp_path, config=TINY, metric="op"):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     argv = args + ["metric", "--config", str(cfg), "--metric", metric,
-                   "--trials", "10000"]
+                   "--modulation", modulation, "--trials", "10000"]
     return subprocess.run([sys.executable, str(PERFBENCH / script)] + argv,
                           capture_output=True, text=True, cwd=ROOT, env=env,
                           timeout=300)
@@ -97,13 +100,22 @@ def test_benchmark_tracer_resolves_its_hooks(tmp_path):
             "cli.compute_rows"} <= names
 
 
-def test_benchmark_tracer_sees_the_ops_ber_engine(tmp_path):
+@pytest.mark.parametrize("modulation, spans", [
+    # the direct path's CHF factor is the 1F1 call
+    pytest.param("bpsk", {"ops.AmplitudeChf", "numerics.hyp1f1"},
+                 id="bpsk"),
+    # BDPSK always integrates the damped CHF on the saddle-point contour
+    pytest.param("bdpsk", {"ops.AmplitudeChf.value_complex"}, id="bdpsk"),
+])
+def test_benchmark_tracer_sees_the_ops_ber_engine(tmp_path, modulation,
+                                                  spans):
     # the optimal-phase BER row goes through the engine table straight
-    # to ops.ber_ops; the direct path's CHF factor is the 1F1 call
+    # to ops.ber_ops
     config = dict(TINY, phase_design="ops", direct_link="true", m_d=1.5)
-    methods, names = _traced_run(tmp_path, config=config, metric="ber")
+    methods, names = _traced_run(tmp_path, config=config, metric="ber",
+                                 modulation=modulation)
     assert methods == ["exact", "mc"]
-    assert {"engine.exact", "ops.AmplitudeChf", "numerics.hyp1f1"} <= names
+    assert {"engine.exact"} | spans <= names
 
 
 def test_benchmark_firstrow_reaches_a_row(tmp_path):
