@@ -24,6 +24,17 @@ LN2 = math.log(2.0)
 # BER spans many decades across a power sweep: drive its quadrature by
 # relative tolerance alone
 _BER_QUADRATURE = QuadratureSpec(abs_tol=1e-280)
+# The BER's t-lattice: half-octave panels [a 2^(k/2), a 2^((k+1)/2)]
+# anchored at the transform's decay scale a, with H tabulated in aligned
+# chunks of _CHUNK panels, one transform call per chunk, so that a row's
+# value does not depend on which rows filled the table before it
+_CHUNK = 8
+# half-octaves of margin: below min(s, decay scale) at the low end, and at
+# the top past the point from which the tail bound's decay rate holds
+_MARGIN = 8
+# past that margin, a row runs on until that rate has cut panels by
+# 2^-_TAIL_BITS
+_TAIL_BITS = 40
 
 
 class Modulation(enum.Enum):
@@ -117,7 +128,8 @@ class TransformProduct:
         for el in self.elements:
             groups[el] = groups.get(el, 0) + 1
         self._groups = list(groups.items())
-        # quantities derived from the factors (series, moments, probes)
+        # quantities derived from the factors (series, moments, probes,
+        # the BER lattice's H tables)
         self._derived: dict = {}
 
     @property
@@ -168,6 +180,46 @@ class HankelProduct(TransformProduct):
             if self.direct is not None:
                 series.append(_direct_series(self.direct, order))
             got = nm.taylor_coefficients_product(series, order)
+            self._derived[key] = got
+        return got
+
+    @property
+    def algebraic_scale(self) -> float:
+        """t beyond which every factor is in its algebraic tail.
+
+        A cascade factor 2F1(m_h, m_g; 1; -(t/c)^2 / (m_h m_g)), with c
+        its roll-off scale, reaches its power law once the argument passes
+        m_h m_g; a direct factor 1F1(m; 1; -(t/c)^2 / m) once it passes m.
+        """
+        scales = [2.0 / math.sqrt(el.mean_power)
+                  * max(1.0, el.hop_h.m * el.hop_g.m) for el in self.elements]
+        if self.direct is not None:
+            scales.append(2.0 / math.sqrt(self.direct.omega)
+                          * max(1.0, self.direct.m))
+        return max(scales)
+
+    def lattice_chunk(self, index: int) -> tuple:
+        """H on panels index*_CHUNK ... of the BER's t-lattice.
+
+        Returns (los, his, half, t, h): the panels' ends, with a head
+        panel [0, first edge] in front of them; the half-widths of each
+        whole panel and of its two halves, shape (_CHUNK + 1, 3); and the
+        20 Gauss-Legendre nodes of each of those and H there, shape
+        (_CHUNK + 1, 3, 20).  Built with one transform call and kept.
+        """
+        key = ("lattice_chunk", index)
+        got = self._derived.get(key)
+        if got is None:
+            edges = self.decay_scale * 2.0 ** (
+                np.arange(index * _CHUNK, (index + 1) * _CHUNK + 1) / 2.0)
+            los = np.concatenate([[0.0], edges[:-1]])
+            his = np.concatenate([edges[:1], edges[1:]])
+            mids = 0.5 * (los + his)
+            starts = np.stack([los, los, mids], axis=1)
+            ends = np.stack([his, mids, his], axis=1)
+            half = 0.5 * (ends - starts)
+            t = (starts + half)[..., None] + half[..., None] * nm._GL_NODES
+            got = (los, his, half, t, self(t.ravel()).reshape(t.shape))
             self._derived[key] = got
         return got
 
@@ -289,25 +341,98 @@ def gamma_r_moment(hp: HankelProduct, k: int, rho: float) -> float:
     return rho ** k * (-4.0) ** k * math.factorial(k) ** 2 * float(h[k])
 
 
+def _lattice_span(hp: HankelProduct, s: float, p: float) -> tuple:
+    """(k_lo, k_hi, ratio): the BER row at kernel scale s integrates the
+    lattice panels k_lo <= k < k_hi, and past k_hi each panel contributes
+    at most ``ratio`` times the one before it.
+
+    The kernel M(1+p; 2; -x^2) is positive and decreasing, and falls as
+    x^-2(1+p) (BDPSK's exp(-x^2) faster still), while H falls as
+    t^-e, e the tail exponent.  So past both s and the algebraic scale a
+    half-octave panel of t M H dt shrinks by 2^-(e+2p)/2, and when e > 2
+    past the algebraic scale alone by 2^-(e-2)/2; the nearer end wins,
+    which keeps H off t far beyond its own scales at high power.
+    """
+    e, anchor, reach = hp.tail_exponent, hp.decay_scale, hp.algebraic_scale
+    options = [(max(s, reach), e + 2.0 * p)]
+    if e > 2.0:
+        options.append((reach, e - 2.0))
+    k_hi, rate = min(
+        (math.ceil(2.0 * math.log2(start / anchor)) + _MARGIN
+         + math.ceil(2.0 * _TAIL_BITS / rate), rate)
+        for start, rate in options)
+    k_lo = math.floor(2.0 * math.log2(min(s, anchor) / anchor)) - _MARGIN
+    return k_lo, k_hi, 2.0 ** (-0.5 * rate)
+
+
 def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     """Average BER under random phases.
 
-    The transform-domain average collapses to a single integral of
-    u * M(1+p; 2; -u^2) * H(u sqrt(4 q rho)); for BDPSK (p = 1) the
-    confluent kernel M(2; 2; -u^2) is exactly exp(-u^2), and `nm.hyp1f1`
-    computes it as such.
+    The transform-domain average collapses to one integral,
+    BER = (p / s^2) int_0^inf t M(1+p; 2; -t^2/s^2) H(t) dt with
+    s = sqrt(4 q rho); for BDPSK (p = 1) the confluent kernel M(2; 2; -x^2)
+    is exactly exp(-x^2), and `nm.hyp1f1` computes it as such.
+
+    Only the kernel depends on rho, so H sits on a fixed lattice of
+    half-octave t-panels, each with 20 Gauss-Legendre nodes for the whole
+    panel and for both halves.  The transform tabulates H there once, in
+    chunks of `_CHUNK` panels (`HankelProduct.lattice_chunk`), and every
+    row of a power sweep reads the same table: a row costs one kernel call
+    and a weighted sum.  A row spans the panels `_lattice_span` gives it,
+    after a head panel [0, first edge].
+
+    Error control: a panel whose whole and halves differ by more than
+    1/8 of rel 1e-9 of the total is bisected with fresh H values, as
+    `integrate_semi_infinite` does, and the row raises `ConvergenceError`
+    when that bisection runs out of budget.  Past the last panel the
+    tail is bounded by the geometric decay `_lattice_span` gives; a row
+    whose last panel is larger than the one before it, or whose tail
+    bound exceeds that same tolerance, raises `ConvergenceError` with
+    its best estimate.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     p, q = modulation.p, modulation.q
     s = math.sqrt(4.0 * q * rho)
-    scales = sorted({1.0, hp.decay_scale / s})
-    bps = np.unique(np.concatenate(
-        [sc * 2.0 ** np.arange(-8.0, 10.0) for sc in scales]))
-    val = p * nm.integrate_semi_infinite(
-        lambda u: u * nm.hyp1f1(1.0 + p, 2.0, -u * u) * hp(s * u),
-        _BER_QUADRATURE, breakpoints=bps)
-    return min(max(val, 0.0), 0.5)
+    k_lo, k_hi, ratio = _lattice_span(hp, s, p)
+    first = k_lo // _CHUNK
+    chunks = [hp.lattice_chunk(c) for c in range(first, -(-k_hi // _CHUNK))]
+    # the first chunk's head panel, then every chunk's panels up to k_hi
+    count = k_hi - first * _CHUNK + 1
+    los, his, half, t, h = (
+        np.concatenate([chunks[0][i]] + [c[i][1:] for c in chunks[1:]])[:count]
+        for i in range(5))
+
+    def kernel(x):
+        return x * nm.hyp1f1(1.0 + p, 2.0, -np.square(x / s))
+
+    whole, left, right = (half * ((kernel(t) * h) @ nm._GL_WEIGHTS)).T
+    contrib = left + right
+    total = float(np.sum(contrib))
+    spec = _BER_QUADRATURE
+    tol = max(spec.abs_tol, spec.rel_tol * abs(total)) / 8.0
+    to_ber = p / (s * s)
+    disc = np.abs(contrib - whole)
+    bad = disc > tol
+    if bad.any():
+        try:
+            fixed, _, _ = nm._refine(
+                lambda x: kernel(x) * hp(x), los[bad],
+                0.5 * (los + his)[bad], his[bad], left[bad], right[bad],
+                0.5 * tol, nm.MAX_SUBINTERVALS,
+                total - float(np.sum(contrib[bad])), float(np.sum(disc[bad])))
+        except nm.ConvergenceError as exc:
+            raise nm.ConvergenceError(
+                str(exc), best_estimate=to_ber * exc.best_estimate,
+                error_bound=to_ber * exc.error_bound) from exc
+        total += fixed - float(np.sum(contrib[bad]))
+    end, before = abs(contrib[-1]), abs(contrib[-2])
+    tail = end * ratio / (1.0 - ratio)
+    if end > before or tail > tol:
+        raise nm.ConvergenceError("BER lattice does not bound its tail",
+                                  best_estimate=to_ber * total,
+                                  error_bound=to_ber * tail)
+    return min(max(to_ber * total, 0.0), 0.5)
 
 
 def ec_taylor(mu1: float, mu2: float) -> float:

@@ -206,6 +206,49 @@ def gamma_product_cdf(dn, y):
                for a, b in zip(cuts, cuts[1:]))
 
 
+
+def gamma_product_ber(dn, rho, modulation):
+    """E[P_b(rho g_h g_g)] for the hop power gains g = X^2 of a
+    double-Nakagami element: the error kernel averaged over the
+    gain-product law.
+
+    Given g_h, the second hop's gain is gamma-distributed, so the inner
+    average is closed form: (1/2) I_x(m_g, 1/2) at x = m_g / (m_g + a g)
+    for the coherent kernel Q(sqrt(2 a gamma)), and
+    (1/2) (1 + g / m_g)^-m_g for BDPSK's exp(-gamma) / 2, with g the mean
+    SNR given g_h.  The outer average over the normalized first-hop gain
+    runs by scipy quadrature over its log, as in `gamma_product_cdf`.
+    """
+    m_h, m_g = dn.hop_h.m, dn.hop_g.m
+    scale = modulation.snr_scale if modulation.coherent else 1.0
+    # mean SNR given g_h, per unit of the normalized gain m_h g_h / Omega_h
+    unit = scale * rho * dn.mean_power / m_h
+    ln_norm = math.lgamma(m_h)
+
+    def inner(mean):
+        if modulation.coherent:
+            return 0.5 * special.betainc(m_g, 0.5, m_g / (m_g + mean))
+        return 0.5 * math.exp(-m_g * math.log1p(mean / m_g))
+
+    def integrand(s):
+        return inner(unit * math.exp(s)) * math.exp(m_h * s - math.exp(s)
+                                                    - ln_norm)
+
+    # below the gain at which the mean SNR reaches m_g the inner average
+    # is flat, so the mass can sit anywhere down to there
+    knee = math.log(m_g / unit)
+    lo, hi = min(knee, 0.0) - 60.0 / m_h, math.log(750.0)
+    cuts = {lo, hi, math.log(m_h), knee}
+    cuts |= set(np.arange(math.floor(lo), hi, 2.0).tolist())
+    cuts = sorted(p for p in cuts if lo <= p <= hi)
+    # a rough pass sets the absolute floor, so that pieces far below the
+    # total are not held to a relative tolerance at rounding level
+    pieces = list(zip(cuts, cuts[1:]))
+    rough = sum(quad(integrand, a, b, epsrel=1e-6)[0] for a, b in pieces)
+    return sum(quad(integrand, a, b, epsabs=1e-16 * rough, epsrel=1e-13,
+                    limit=200)[0] for a, b in pieces)
+
+
 def tail_integral(hp):
     """int_0^inf t H(t) dt, the rho-free constant of the high-SNR BER
     p / (4 q rho) * int t H(t) dt under random phases.

@@ -13,6 +13,7 @@ import pytest
 from rislink import cli
 from rislink import montecarlo as mc
 from rislink import numerics
+from rislink import rps
 from rislink.rps import Modulation
 from rislink.scenario import config_from_mapping, link_parts
 
@@ -259,6 +260,35 @@ def test_curve_computes_its_series_once(monkeypatch):
     rows = cli.compute_rows(specs, 1e-3, Modulation.BPSK, 10_000, 1)
     assert all(row.estimate is not None for row in rows)
     assert len(calls) == 2
+
+
+def test_rps_ber_sweep_evaluates_the_transform_a_fixed_number_of_times(
+        monkeypatch):
+    # the exact rps BER rows of a power sweep read H from one table on the
+    # transform's t-lattice, so a sweep twice as dense over the same range
+    # makes the same few transform calls
+    calls = []
+    call = rps.HankelProduct.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return call(self, t)
+    monkeypatch.setattr(rps.HankelProduct, "__call__", counted)
+    over = {"n_elements": 4, "m_h": 1.5, "m_g": 2.5, "direct_link": "true",
+            "m_d": 1.5}
+    counts = []
+    for step in (2.0, 1.0):
+        powers = [-10.0 + step * i for i in range(round(40.0 / step) + 1)]
+        specs = [cli.RowSpec("tx_power_dbm", p, cli.build_config(
+            cli._base_mapping(tx_power_dbm=p, **over)), "ber", "exact")
+            for p in powers]
+        cli._transform.cache_clear()
+        calls.clear()
+        rows = cli.compute_rows(specs, 1.0, Modulation.BPSK, 10_000, 1)
+        assert all(row.estimate is not None for row in rows)
+        counts.append(len(calls))
+    assert len(specs) == 41
+    assert counts[0] == counts[1] <= 8
 
 
 def test_mc_value_rejects_unknown_metric():

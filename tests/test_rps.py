@@ -13,7 +13,9 @@ import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
-from oracles import gamma_product_cdf, gamma_r_pdf, link, tail_integral
+from oracles import (gamma_product_ber, gamma_product_cdf, gamma_r_pdf, link,
+                     tail_integral)
+from rislink import cli
 from rislink import numerics as nm
 from rislink import rps
 from rislink.scenario import LinkGeometry, NakagamiParams, ScenarioConfig
@@ -292,24 +294,82 @@ def test_bdpsk_single_element_closed_form():
     for rho in (0.5, 5.0, 40.0):
         want = 0.5 / rho * nm.exp_scaled_e1(1.0 / rho)
         assert rps.ber_rps(hp, rho, rps.Modulation.BDPSK) == pytest.approx(
-            want, rel=1e-9)
+            want, rel=1e-13)
+
+
+def _product_rayleigh_ber(mod, rho):
+    """Q(sqrt(2 a g)) averaged over the product-Rayleigh power density
+    (2/rho) K0(2 sqrt(g/rho)), piecewise on a geometric ladder."""
+    a = mod.snr_scale
+    cuts = [0.0] + list(rho * np.geomspace(1e-14, 1e3, 35)) + [np.inf]
+    return sum(quad(lambda g: 0.5 * sp.erfc(math.sqrt(a * g))
+                    * (2.0 / rho) * sp.kv(0, 2.0 * math.sqrt(g / rho)),
+                    lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def test_bpsk_single_element_quadrature_oracle():
+    # BFSK at rho = 1e-4 puts the kernel far below the factor's roll-off,
+    # where a walk in u = t / s truncated before reaching the tolerance
     hp = rps.HankelProduct([UNIT])
-    rho = 5.0
-    dens = lambda g: (2.0 / rho) * sp.kv(0, 2.0 * math.sqrt(g / rho))
-    want, _ = quad(lambda g: 0.5 * sp.erfc(math.sqrt(g)) * dens(g),
-                   0.0, 60.0, limit=200)
-    assert rps.ber_rps(hp, rho, rps.Modulation.BPSK) == pytest.approx(
-        want, rel=1e-7)
+    for mod, rho in ((rps.Modulation.BPSK, 5.0), (rps.Modulation.BFSK, 1e-4)):
+        want = _product_rayleigh_ber(mod, rho)
+        assert rps.ber_rps(hp, rho, mod) == pytest.approx(want, rel=1e-12,
+                                                          abs=0.0)
+
+
+def _t_integral_reference(hp, rho, mod):
+    """(p / s^2) int t M(1+p; 2; -t^2/s^2) H(t) dt with scipy's 1F1 and
+    2F1 and a piecewise scipy quad: the rps BER with none of rislink's
+    special functions or quadrature."""
+    p, s = mod.p, math.sqrt(4.0 * mod.q * rho)
+
+    def transform(t):
+        val = 1.0
+        for el in hp.elements:
+            val *= sp.hyp2f1(el.hop_h.m, el.hop_g.m, 1.0,
+                             -0.25 * el.lambda_n * t * t)
+        if hp.direct is not None:
+            d = hp.direct
+            val *= sp.hyp1f1(d.m, 1.0, -0.25 * d.omega / d.m * t * t)
+        return val
+
+    def integrand(t):
+        return t * sp.hyp1f1(1.0 + p, 2.0, -(t / s) ** 2) * transform(t)
+
+    lo = 1e-3 * min(s, hp.decay_scale)
+    hi = 1e4 * max(s, hp.algebraic_scale)
+    cuts = [0.0] + list(np.geomspace(lo, hi, 1 + 4 * math.ceil(
+        math.log2(hi / lo))))
+    # a rough pass sets the absolute floor for pieces far below the total
+    pieces = list(zip(cuts, cuts[1:]))
+    rough = sum(quad(integrand, a, b, epsrel=1e-6)[0] for a, b in pieces)
+    return p / (s * s) * sum(
+        quad(integrand, a, b, epsabs=1e-16 * rough, epsrel=1e-13,
+             limit=200)[0] for a, b in pieces)
+
+
+def test_fig2_nodirect_n4_row_matches_the_t_integral():
+    # fig2_rps_nodirect_N4 at 26 dBm: of the preset's rps BER rows, a walk
+    # in u = t / s missed this reference most, by 6.3e-10 relative
+    _, curves = cli._preset_curves("fig2")
+    name, _, points, _, _ = curves[0]
+    assert name == "fig2_rps_nodirect_N4"
+    lk = link(dict(points)[26.0])
+    want = _t_integral_reference(lk.hankel(), lk.rho, rps.Modulation.BPSK)
+    assert want == pytest.approx(0.48129818686025, rel=1e-13, abs=0.0)
+    got = rps.ber_rps(lk.hankel(), lk.rho, rps.Modulation.BPSK)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_ber_low_snr_limit_and_monotonicity():
     hp = rps.HankelProduct([UNIT] * 4)
     for mod in rps.Modulation:
-        low = rps.ber_rps(hp, 1e-6, mod)
-        assert 0.5 - 2e-2 < low <= 0.5
+        # rho = 1e-40 and 1e-20 put the kernel far below every factor's
+        # roll-off, where the BER is 1/2 to within sqrt(rho)
+        vals = [rps.ber_rps(hp, rho, mod) for rho in (1e-40, 1e-20, 1e-6)]
+        assert 0.5 - 1e-9 < vals[1] <= vals[0] <= 0.5
+        assert 0.5 - 2e-2 < vals[2] <= vals[1]
     vals = [rps.ber_rps(hp, r, rps.Modulation.BPSK)
             for r in np.geomspace(0.01, 1e4, 8)]
     assert np.all(np.diff(vals) < 0)
@@ -328,6 +388,55 @@ def test_ber_asymptotic_scaling_and_agreement():
     # BDPSK shares the same tail constant up to the (p, q) prefactor
     b = bdpsk.p * const / (4.0 * bdpsk.q * 1e8)
     assert rps.ber_rps(hp, 1e8, bdpsk) == pytest.approx(b, rel=1e-6)
+    # far above, the limit itself: H = (1 + t^2/4)^-4 for unit hops, so
+    # int t H dt = 2/3
+    for rho in (1e20, 1e30):
+        for mod in rps.Modulation:
+            want = mod.p * (2.0 / 3.0) / (4.0 * mod.q * rho)
+            assert rps.ber_rps(hp, rho, mod) == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+
+
+def test_ber_lattice_cut_short_raises_instead_of_truncating(monkeypatch):
+    # with no margin and one bit of tail decay the lattice stops where its
+    # tail bound is far above tolerance: the row must raise, not return
+    # the truncated sum
+    hp = rps.HankelProduct([UNIT] * 4)
+    monkeypatch.setattr(rps, "_MARGIN", 0)
+    monkeypatch.setattr(rps, "_TAIL_BITS", 1)
+    with pytest.raises(nm.ConvergenceError, match="bound its tail") as err:
+        rps.ber_rps(hp, 1e8, rps.Modulation.BPSK)
+    # the estimate is in BER units, short of the limit by the cut tail
+    assert err.value.best_estimate == pytest.approx(
+        rps.Modulation.BPSK.p * (2.0 / 3.0) / 4e8, rel=0.1)
+
+
+@pytest.mark.parametrize("mod", list(rps.Modulation),
+                         ids=lambda mod: mod.label)
+def test_one_path_ber_matches_the_gain_product_reference_or_raises(mod):
+    # N = 1 without a direct path on scenario e's geometry: a cell either
+    # matches E[P_b] over the gain-product law or raises, never returns a
+    # wrong number.  The 2F1 of the m = 5.76 cascade is wrong at the top
+    # powers, where the lattice's bisection runs out of budget; those two
+    # cells may only raise until it is mended
+    raised = []
+    for m in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.76):
+        for tx in (20.0, 40.0, 60.0, 80.0, 100.0):
+            cfg = ScenarioConfig(
+                n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+                tx_power_dbm=tx, m_h=m, m_g=m,
+                geometry=LinkGeometry(20.0, 20.0, 86.0))
+            lk = link(cfg)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = rps.ber_rps(lk.hankel(), lk.rho, mod)
+            except nm.ConvergenceError:
+                raised.append((m, tx))
+                continue
+            want = gamma_product_ber(lk.element, lk.rho, mod)
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0), (m, tx)
+    assert set(raised) <= {(5.76, 80.0), (5.76, 100.0)}
 
 
 # ---------------------------------------------------------------------
