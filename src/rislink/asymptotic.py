@@ -15,14 +15,14 @@ import math
 from dataclasses import dataclass
 
 from . import numerics as nm
-from .rps import LN2, Modulation, x_moment
+from .rps import LN2, Modulation, path_moment
 from .scenario import DoubleNakagami
 
 
 def zt_stats(dn: DoubleNakagami) -> tuple:
     """(mean, variance) of one double-Nakagami summand."""
-    mean = x_moment(dn, 1)
-    variance = x_moment(dn, 2) - mean * mean
+    mean = path_moment(dn, 1)
+    variance = path_moment(dn, 2) - mean * mean
     return mean, max(variance, 0.0)
 
 

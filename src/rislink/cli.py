@@ -130,7 +130,7 @@ def _transform(kind, element: DoubleNakagami, n: int,
     """One transform object per (kind, element, N, direct path).  A power
     sweep changes only rho, so its rows share one object and the
     quantities it derives once (series, moments, probes)."""
-    return kind([element] * n, direct)
+    return kind(element, n, direct)
 
 
 class _Link(NamedTuple):

@@ -181,9 +181,8 @@ def _draw(config: ScenarioConfig, amp: np.ndarray,
 def _link_scales(config: ScenarioConfig) -> tuple:
     """(rho, Gamma scales omega/m of the h hop, g hop and direct path)."""
     rho, element, direct = link_parts(config)
-    return rho, (element.hop_h.omega / element.hop_h.m,
-                 element.hop_g.omega / element.hop_g.m,
-                 None if direct is None else direct.omega / direct.m)
+    return rho, (element.hop_h.lambda_n, element.hop_g.lambda_n,
+                 None if direct is None else direct.lambda_n)
 
 
 # elements per row block of _snr_bases: bounds its temporaries
@@ -293,7 +292,7 @@ class McQuery:
         if self.metric == "ec":
             vals = np.log1p(g) / LN2
         elif self.modulation.coherent:
-            vals = 0.5 * erfc(np.sqrt(self.modulation.snr_scale * g))
+            vals = 0.5 * erfc(np.sqrt(self.modulation.q * g))
         else:
             vals = 0.5 * np.exp(-g)
         return np.array([np.sum(vals), np.sum(vals * vals)])

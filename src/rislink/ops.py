@@ -1,9 +1,9 @@
 """Exact statistics of the coherently-combined (optimal-phase) link.
 
-With co-phased elements the received amplitude is the plain sum
-A = sum_n X_n + |h_d|, handled through its characteristic function
-Psi_A(t) = Psi_d(t) * prod_n Psi_n(t) and Fourier (Gil-Pelaez style)
-inversion of the distribution.
+With co-phased elements the received amplitude is the plain sum of the
+link's path envelopes, A = sum_n X_n + |h_d|, handled through its
+characteristic function Psi_A(t) = Psi_e(t)^N Psi_d(t) and Fourier
+(Gil-Pelaez style) inversion of the distribution.
 """
 
 from __future__ import annotations
@@ -15,23 +15,15 @@ from typing import List, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .rps import _BER_QUADRATURE, Modulation, TransformProduct, x_moment
+from .rps import (_BER_QUADRATURE, Modulation, TransformProduct,
+                  _lone_path_cdf, path_moment)
 from .scenario import DoubleNakagami, NakagamiParams
-
-
-def nakagami_moment(params: NakagamiParams, k: int) -> float:
-    """k-th raw moment of a Nakagami-m envelope."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"moment order must be a nonnegative integer, got {k}")
-    lam = params.omega / params.m
-    return lam ** (k / 2.0) * math.exp(
-        math.lgamma(params.m + k / 2.0) - math.lgamma(params.m))
 
 
 def chf_direct(params: NakagamiParams, t):
     """E[e^{jt|h_d|}] for a Nakagami-m envelope."""
     arr = np.asarray(t, dtype=float)
-    lam = params.omega / params.m
+    lam = params.lambda_n
     x = -0.25 * lam * arr * arr
     even = nm.hyp1f1(params.m, 0.5, x)
     odd = nm.hyp1f1(params.m + 0.5, 1.5, x)
@@ -88,37 +80,52 @@ def _chf_cascade_complex(dn: DoubleNakagami, z: np.ndarray) -> np.ndarray:
 
 
 def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
-    """E[e^{jz|h_d|}] for uniformly damped complex z (constant Im z > 0).
+    """E[e^{jz|h_d|}] for complex z with Im z > 0.
 
     Direct quadrature of the damped oscillatory density integral; the
     damping e^{-Im(z) r} keeps the effective support short, so panels of
-    a few radians each reach machine accuracy.
+    a few radians each reach machine accuracy.  Each distinct Im z gets
+    its own panel set, sized for the largest |Re z|.
     """
-    imz = float(z.imag[0])
-    if imz <= 0.0:
-        raise ValueError("complex CHF path requires Im z > 0")
     m, om = params.m, params.omega
     b = m / om
     r_density = math.sqrt((m + 20.0 * math.sqrt(m) + 40.0) / b)
-    r_core = min(r_density, 12.0 / imz)
-    r_max = min(r_density, 50.0 / imz)
     re_max = float(np.max(np.abs(z.real)))
 
     def _panel_edges(lo, hi, per_panel):
         n = int(np.clip(math.ceil(re_max * (hi - lo) / per_panel) + 2, 4, 512))
         return np.linspace(lo, hi, n + 1)
 
-    # coarse panels are fine once e^{-imz r} has dropped a dozen e-folds
-    edges = _panel_edges(0.0, r_core, 5.0)
-    if r_max > r_core * 1.0001:
-        edges = np.concatenate([edges, _panel_edges(r_core, r_max, 25.0)[1:]])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    r = (mid[:, None] + half[:, None] * nm._GL_NODES[None, :]).ravel()
-    w = (half[:, None] * nm._GL_WEIGHTS[None, :]).ravel()
-    log_f = (math.log(2.0) + m * math.log(b) + (2.0 * m - 1.0) * np.log(r)
-             - b * r * r - math.lgamma(m))
-    return np.exp(1j * z[:, None] * r[None, :]) @ (np.exp(log_f) * w)
+    out = np.empty(z.shape, dtype=complex)
+    for imz in np.unique(z.imag).tolist():
+        if imz <= 0.0:
+            raise ValueError("complex CHF path requires Im z > 0")
+        r_core = min(r_density, 12.0 / imz)
+        r_max = min(r_density, 50.0 / imz)
+        # coarse panels are fine once e^{-imz r} has dropped a dozen e-folds
+        edges = _panel_edges(0.0, r_core, 5.0)
+        if r_max > r_core * 1.0001:
+            edges = np.concatenate(
+                [edges, _panel_edges(r_core, r_max, 25.0)[1:]])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        r = (mid[:, None] + half[:, None] * nm._GL_NODES[None, :]).ravel()
+        w = (half[:, None] * nm._GL_WEIGHTS[None, :]).ravel()
+        log_f = (math.log(2.0) + m * math.log(b) + (2.0 * m - 1.0) * np.log(r)
+                 - b * r * r - math.lgamma(m))
+        on_line = z.imag == imz
+        out[on_line] = np.exp(1j * z[on_line][:, None] * r[None, :]) @ (
+            np.exp(log_f) * w)
+    return out
+
+
+def _path_chf(path, t):
+    """E[e^{jtX}] of a path's envelope: its closed form at real t, the
+    continuation at complex t with Im t > 0."""
+    if np.iscomplexobj(t):
+        return (_chf_cascade_complex if len(path.hops) == 2
+                else _chf_direct_complex)(path, t)
+    return (chf_cascade if len(path.hops) == 2 else chf_direct)(path, t)
 
 
 def _moments_to_cumulants(mom: Sequence[float]) -> List[float]:
@@ -149,8 +156,7 @@ class AmplitudeChf(TransformProduct):
     squares/scales accordingly.
     """
 
-    cascade_factor = staticmethod(chf_cascade)
-    direct_factor = staticmethod(chf_direct)
+    factor = staticmethod(_path_chf)
     scalar = complex
 
     def amplitude_moment(self, k: int) -> float:
@@ -162,15 +168,10 @@ class AmplitudeChf(TransformProduct):
         got = self._derived.get(key)
         if got is None:
             kap = [0.0] * (k + 1)
-            for el, count in self._groups:
-                mom = [1.0] + [x_moment(el, j) for j in range(1, k + 1)]
+            for path, count in self.paths:
+                mom = [1.0] + [path_moment(path, j) for j in range(1, k + 1)]
                 for j, kj in enumerate(_moments_to_cumulants(mom)):
                     kap[j] += count * kj
-            if self.direct is not None:
-                mom = [1.0] + [nakagami_moment(self.direct, j)
-                               for j in range(1, k + 1)]
-                for j, kj in enumerate(_moments_to_cumulants(mom)):
-                    kap[j] += kj
             got = _cumulants_to_moments(kap)[k]
             self._derived[key] = got
         return got
@@ -182,11 +183,8 @@ class AmplitudeChf(TransformProduct):
         Each factor is divided by its own value at jy, so the product
         neither underflows at large N nor exceeds 1 in modulus.
         """
-        def damped(factor):
-            return lambda params, arr: (
-                factor(params, arr) / factor(params, 1j * arr.imag[:1]).real)
-        return self._product(z, damped(_chf_cascade_complex),
-                             damped(_chf_direct_complex))
+        return self._product(z, lambda path, arr: (
+            _path_chf(path, arr) / _path_chf(path, 1j * arr.imag[:1]).real))
 
 
 def _kernel_breakpoints(freqs: Sequence[float], span: float) -> np.ndarray:
@@ -253,7 +251,9 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     The inversion integral is evaluated in the normalized variable
     tau = t * sqrt(E[A^2]) so that both the oscillation frequencies and
     the decay length are O(1)-scaled regardless of the physical units;
-    the 0/0 at the origin is removed by an analytic patch below tau0.
+    the 0/0 at the origin is removed by an analytic patch below tau0.  A
+    link of one path in total has no sum to invert and takes that path's
+    envelope law, as under random phases.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -266,6 +266,8 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     # since r^4 overflows once r passes about 1e77
     if math.sqrt(math.sqrt(chf.amplitude_moment(4))) < 1e-3 * r:
         return 1.0
+    if chf.lone_path is not None:
+        return min(max(_lone_path_cdf(chf.lone_path.hops, r), 0.0), 1.0)
     sigma = math.sqrt(chf.amplitude_moment(2))
     rt = r / sigma
     mt = chf.amplitude_moment(1) / sigma
@@ -294,12 +296,8 @@ def _log_damped_mean(chf: AmplitudeChf, t: np.ndarray) -> np.ndarray:
     """ln E[e^{-tA}] = ln Psi_A(jt) at each t > 0, summed over the
     factors, since their product underflows at large N."""
     out = np.zeros(t.shape)
-    for el, count in chf._groups:
-        out += count * np.log(np.real(_chf_cascade_complex(el, 1j * t)))
-    if chf.direct is not None:
-        # the direct factor's panels follow Im z: one damping per call
-        out += [math.log(_chf_direct_complex(chf.direct, np.array([1j * v]))
-                         [0].real) for v in t]
+    for path, count in chf.paths:
+        out += count * np.log(np.real(_path_chf(path, 1j * t)))
     return out
 
 
@@ -352,10 +350,10 @@ def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
     (averaging the outage CDF against the differential-detection weight
     integrates by parts into it), E[e^{-rho A^2}] by `_gaussian_average`.
     A coherent modulation uses the Gaussian-kernel inversion
-    1/2 - (1/pi) int t^-1 e^{-t^2/2} Im{Psi_A(t sqrt(2 a rho))} dt with a
-    the modulation SNR scale.  That half-minus-integral form carries an
+    1/2 - (1/pi) int t^-1 e^{-t^2/2} Im{Psi_A(t sqrt(2 q rho))} dt with q
+    the modulation's SNR scale.  That half-minus-integral form carries an
     absolute noise floor around 1e-8, so a result below 1e-7 is
-    recomputed as E[Q(sqrt(2 a rho) A)] by `_gaussian_average`: one line
+    recomputed as E[Q(sqrt(2 q rho) A)] by `_gaussian_average`: one line
     integral, relatively accurate down to the smallest normal double.
     """
     if rho <= 0.0:
@@ -363,7 +361,7 @@ def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
     if not modulation.coherent:
         val = _gaussian_average(chf, math.sqrt(2.0 * rho), False)
         return min(max(0.5 * val, 0.0), 0.5)
-    s = math.sqrt(2.0 * modulation.snr_scale * rho)
+    s = math.sqrt(2.0 * modulation.q * rho)
     omega = s * chf.amplitude_moment(1)
     span = 16.0
     bps = _kernel_breakpoints([omega], span)

@@ -1,9 +1,10 @@
 """Exact statistics of the randomly-phase-shifted link.
 
 With random per-element phases the received amplitude is an isotropic
-planar random walk whose step lengths are double-Nakagami envelopes.
-Every distribution result below is an inversion of the product of the
-per-step envelope transforms H(t) = Phi_d(t) * prod_n Phi_n(t), where
+planar random walk whose steps are the link's paths: N double-Nakagami
+element envelopes and an optional Nakagami direct one.  Every
+distribution result below is an inversion of the product of the
+per-path envelope transforms H(t) = Phi_e(t)^N Phi_d(t), where
 Phi(t) = E[J0(t X)].
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,27 +39,24 @@ _TAIL_BITS = 40
 
 
 class Modulation(enum.Enum):
-    """Binary modulations with conditional-BER parameters (p, q).
+    """Binary modulations, conditional BER Gamma(p, q gamma) / (2 Gamma(p)).
 
-    ``snr_scale`` is the argument scale a in the coherent error kernel
-    Q(sqrt(2 a gamma)); it is None for the noncoherent BDPSK kernel
-    0.5 exp(-gamma).
+    p = 1/2 is a coherent kernel, Q(sqrt(2 q gamma)); p = 1 is the
+    noncoherent BDPSK kernel 0.5 exp(-gamma).
     """
 
-    BPSK = ("bpsk", 0.5, 1.0, 1.0)
-    BFSK = ("bfsk", 0.5, 0.5, 0.5)
-    BDPSK = ("bdpsk", 1.0, 1.0, None)
+    BPSK = ("bpsk", 0.5, 1.0)
+    BFSK = ("bfsk", 0.5, 0.5)
+    BDPSK = ("bdpsk", 1.0, 1.0)
 
-    def __init__(self, label: str, p: float, q: float,
-                 snr_scale: Optional[float]):
+    def __init__(self, label: str, p: float, q: float):
         self.label = label
         self.p = p
         self.q = q
-        self.snr_scale = snr_scale
 
     @property
     def coherent(self) -> bool:
-        return self.snr_scale is not None
+        return self.p == 0.5
 
     @classmethod
     def from_label(cls, label: str) -> "Modulation":
@@ -68,118 +66,111 @@ class Modulation(enum.Enum):
         raise ValueError(f"unknown modulation {label!r}")
 
 
-def x_moment(dn: DoubleNakagami, k: int) -> float:
-    """k-th raw moment of the double-Nakagami envelope."""
+# A path is a product of independent Nakagami hop envelopes: one hop
+# (NakagamiParams) for the direct link, two (DoubleNakagami) for an RIS
+# element.  Both give their ``hops``, ``mean_power`` = prod Omega and
+# ``lambda_n`` = prod Omega / prod m.
+
+def path_moment(path, k: int) -> float:
+    """k-th raw moment of a path's envelope."""
     if k < 0 or k != int(k):
         raise ValueError(f"moment order must be a nonnegative integer, got {k}")
-    mh, mg = dn.hop_h.m, dn.hop_g.m
-    lg = math.lgamma
-    return dn.lambda_n ** (k / 2.0) * math.exp(
-        lg(mh + k / 2.0) + lg(mg + k / 2.0) - lg(mh) - lg(mg))
+    log_ratio = 0.0
+    for hop in path.hops:
+        log_ratio += math.lgamma(hop.m + k / 2.0)
+    for hop in path.hops:
+        log_ratio -= math.lgamma(hop.m)
+    return path.lambda_n ** (k / 2.0) * math.exp(log_ratio)
 
 
-def hankel_cascade(dn: DoubleNakagami, t):
-    """E[J0(t X)] for a double-Nakagami step length."""
-    z = -0.25 * dn.lambda_n * np.square(t)
-    return nm.hyp2f1(dn.hop_h.m, dn.hop_g.m, 1.0, z)
+def hankel_factor(path, t):
+    """E[J0(t X)] for a path's envelope X: 2F1(m_h, m_g; 1; z) for two
+    hops, 1F1(m; 1; z) for one, at z = -lambda_n t^2 / 4."""
+    shapes = [hop.m for hop in path.hops]
+    special = nm.hyp2f1 if len(shapes) == 2 else nm.hyp1f1
+    return special(*shapes, 1.0, -0.25 * path.lambda_n * np.square(t))
 
 
-def hankel_direct(params: NakagamiParams, t):
-    """E[J0(t X)] for a plain Nakagami-m step length."""
-    lam = params.omega / params.m
-    return nm.hyp1f1(params.m, 1.0, -0.25 * lam * np.square(t))
-
-
-def _cascade_series(dn: DoubleNakagami, order: int) -> list:
+def _path_series(path, order: int) -> list:
     # Maclaurin coefficients of E[J0(tX)] in the variable u = t^2
-    mh, mg, lam = dn.hop_h.m, dn.hop_g.m, dn.lambda_n
     coeffs, c = [1.0], 1.0
     for j in range(order):
-        c *= (mh + j) * (mg + j) / ((j + 1.0) ** 2) * (-0.25 * lam)
-        coeffs.append(c)
-    return coeffs
-
-
-def _direct_series(params: NakagamiParams, order: int) -> list:
-    m, lam = params.m, params.omega / params.m
-    coeffs, c = [1.0], 1.0
-    for j in range(order):
-        c *= (m + j) / ((j + 1.0) ** 2) * (-0.25 * lam)
+        c *= (math.prod(hop.m + j for hop in path.hops) / ((j + 1.0) ** 2)
+              * (-0.25 * path.lambda_n))
         coeffs.append(c)
     return coeffs
 
 
 class TransformProduct:
-    """Product of per-path transforms over the elements and the direct path.
+    """Product of per-path transforms over a homogeneous link: ``n``
+    i.i.d. RIS elements and an optional direct path.
 
-    Identical cascade factors are grouped and raised to an integer power,
-    so homogeneous surfaces cost one transform evaluation regardless of N.
-    Subclasses name the two factor functions ``(params, t) -> values`` and
-    the scalar type, ``float`` or ``complex``, of the values.
+    ``paths`` lists (path, count): (element, n) when n > 0, then
+    (direct, 1) when there is a direct path.  Every derived quantity is
+    one fold over it, so a surface costs one factor evaluation whatever
+    N is.  Subclasses name the factor function ``(path, t) -> values``
+    and the scalar type, ``float`` or ``complex``, of the values.
     """
 
-    def __init__(self, elements: Sequence[DoubleNakagami],
+    def __init__(self, element: Optional[DoubleNakagami], n: int,
                  direct: Optional[NakagamiParams] = None):
-        self.elements = tuple(elements)
-        self.direct = direct
-        if not self.elements and direct is None:
+        if n != int(n) or n < 0:
+            raise ValueError(
+                f"element count must be a nonnegative integer, got {n!r}")
+        self.element, self.n, self.direct = element, int(n), direct
+        self.paths = [(path, count)
+                      for path, count in ((element, self.n), (direct, 1))
+                      if count > 0 and path is not None]
+        if not self.paths:
             raise ValueError("need at least one cascade element or a direct path")
-        groups: dict = {}
-        for el in self.elements:
-            groups[el] = groups.get(el, 0) + 1
-        self._groups = list(groups.items())
         # quantities derived from the factors (series, moments, probes,
         # the BER lattice's H tables)
         self._derived: dict = {}
 
     @property
+    def lone_path(self):
+        """The link's path when it has one path in total, else None."""
+        (path, count), *others = self.paths
+        return path if count == 1 and not others else None
+
+    @property
     def tail_exponent(self) -> float:
         """Algebraic decay rate of the product: O(t^-e) as t grows."""
-        e = sum(2.0 * min(el.hop_h.m, el.hop_g.m) for el in self.elements)
-        if self.direct is not None:
-            e += 2.0 * self.direct.m
-        return e
+        return sum(count * 2.0 * min(hop.m for hop in path.hops)
+                   for path, count in self.paths)
 
     def __call__(self, t) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        got = self._product(arr, self.cascade_factor, self.direct_factor)
+        got = self._product(arr, self.factor)
         return got if np.ndim(t) else self.scalar(got[0])
 
-    def _product(self, arr: np.ndarray, cascade, direct) -> np.ndarray:
+    def _product(self, arr: np.ndarray, factor) -> np.ndarray:
         out = np.ones(arr.shape, dtype=self.scalar)
-        for el, count in self._groups:
-            fac = np.asarray(cascade(el, arr))
+        for path, count in self.paths:
+            fac = np.asarray(factor(path, arr))
             out = out * (fac ** count if count > 1 else fac)
-        if self.direct is not None:
-            out = out * np.asarray(direct(self.direct, arr))
         return out
 
 
 class HankelProduct(TransformProduct):
-    """H(t): product of the per-element transforms E[J0(t X)] and the
-    optional direct one."""
+    """H(t): product of the per-path transforms E[J0(t X)]."""
 
-    cascade_factor = staticmethod(hankel_cascade)
-    direct_factor = staticmethod(hankel_direct)
+    factor = staticmethod(hankel_factor)
     scalar = float
 
     @property
     def decay_scale(self) -> float:
         """t-scale on which the fastest factor rolls off from 1."""
-        scales = [2.0 / math.sqrt(el.mean_power) for el in self.elements]
-        if self.direct is not None:
-            scales.append(2.0 / math.sqrt(self.direct.omega))
-        return min(scales)
+        return min(2.0 / math.sqrt(path.mean_power) for path, _ in self.paths)
 
     def maclaurin_u(self, order: int) -> np.ndarray:
         """Coefficients of H as a series in u = t^2, through u^order."""
         key = ("maclaurin_u", order)
         got = self._derived.get(key)
         if got is None:
-            series = [_cascade_series(el, order) for el in self.elements]
-            if self.direct is not None:
-                series.append(_direct_series(self.direct, order))
-            got = nm.taylor_coefficients_product(series, order)
+            got = nm.taylor_coefficients_product(
+                [series for path, count in self.paths
+                 for series in [_path_series(path, order)] * count], order)
             self._derived[key] = got
         return got
 
@@ -187,16 +178,13 @@ class HankelProduct(TransformProduct):
     def algebraic_scale(self) -> float:
         """t beyond which every factor is in its algebraic tail.
 
-        A cascade factor 2F1(m_h, m_g; 1; -(t/c)^2 / (m_h m_g)), with c
-        its roll-off scale, reaches its power law once the argument passes
-        m_h m_g; a direct factor 1F1(m; 1; -(t/c)^2 / m) once it passes m.
+        A factor 2F1(m_h, m_g; 1; -(t/c)^2 / (m_h m_g)) or
+        1F1(m; 1; -(t/c)^2 / m), with c its roll-off scale, reaches its
+        power law once the argument passes the product of its shapes.
         """
-        scales = [2.0 / math.sqrt(el.mean_power)
-                  * max(1.0, el.hop_h.m * el.hop_g.m) for el in self.elements]
-        if self.direct is not None:
-            scales.append(2.0 / math.sqrt(self.direct.omega)
-                          * max(1.0, self.direct.m))
-        return max(scales)
+        return max(2.0 / math.sqrt(path.mean_power)
+                   * max(1.0, math.prod(hop.m for hop in path.hops))
+                   for path, _ in self.paths)
 
     def lattice_chunk(self, index: int) -> tuple:
         """H on panels index*_CHUNK ... of the BER's t-lattice.
@@ -240,31 +228,30 @@ def _oscillatory_breakpoints(u_scale: float) -> np.ndarray:
     return np.union1d(zeros, dy)
 
 
-def _nakagami_cdf(params: NakagamiParams, x):
-    """Envelope CDF: regularized lower incomplete gamma at m x^2 / Omega."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    for i, v in enumerate(arr.ravel().tolist()):
-        # Python floats overflow to inf quietly, and P(m, inf) = 1
-        y = params.m * v * v / params.omega if v > 0.0 else 0.0
-        out.flat[i] = nm.regularized_lower_gamma(params.m, y)
-    out = np.clip(out, 0.0, 1.0)
-    return out if np.ndim(x) else float(out[0])
+def _lone_path_cdf(hops: tuple, r):
+    """P(X <= r) for the product X of independent Nakagami hop envelopes.
 
-
-def _single_cascade_cdf(dn: DoubleNakagami, r: float) -> float:
-    """P(X_h X_g <= r) by conditioning on the first hop.
-
-    A lone cascade factor gives the inversion integral slowly decaying
-    signed lobes that dwarf a steep CDF value, so sharp shapes cannot be
-    recovered from it; this positive-integrand form has no cancellation.
+    One hop is the regularized lower incomplete gamma at m r^2 / Omega;
+    more are conditioned on the first, a positive integrand with no
+    cancellation.  A link of one path in total has a phase-free SNR, and
+    its lone factor gives the inversion integrals slowly decaying signed
+    lobes that dwarf a steep CDF value, so both designs use this form there.
     """
-    m, omega = dn.hop_h.m, dn.hop_h.omega
+    m, omega, rest = hops[0].m, hops[0].omega, hops[1:]
+    if not rest:
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty_like(arr)
+        for i, v in enumerate(arr.ravel().tolist()):
+            # Python floats overflow to inf quietly, and P(m, inf) = 1
+            y = m * v * v / omega if v > 0.0 else 0.0
+            out.flat[i] = nm.regularized_lower_gamma(m, y)
+        out = np.clip(out, 0.0, 1.0)
+        return out if np.ndim(r) else float(out[0])
     ln_c = math.log(2.0) + m * math.log(m / omega) - math.lgamma(m)
 
     def integrand(u):
         pdf = np.exp(ln_c + (2.0 * m - 1.0) * np.log(u) - m * u * u / omega)
-        return pdf * _nakagami_cdf(dn.hop_g, r / u)
+        return pdf * _lone_path_cdf(rest, r / u)
 
     bps = math.sqrt(omega) * 2.0 ** np.arange(-12.0, 6.0)
     return nm.integrate_semi_infinite(integrand, breakpoints=list(bps))
@@ -292,7 +279,7 @@ def _phasor_disk_bound(dn: DoubleNakagami, r: float) -> float:
     # a hop's term bounds a probability, so capping it at 1 keeps it a bound
     hops = sum(math.exp(min(0.0, hop.m * math.log(hop.m * kappa)
                             - math.lgamma(hop.m + 1.0)))
-               for hop in (dn.hop_h, dn.hop_g))
+               for hop in dn.hops)
     return hops + 0.5 * kappa
 
 
@@ -300,9 +287,9 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     """CDF of the e2e SNR under random phases.
 
     Genuine phasor sums go through Hankel inversion of the transform
-    product.  Degenerate sums (one path in total) have phase-free
-    magnitudes, so they use the direct envelope law instead, which stays
-    accurate for shapes far too sharp for the oscillatory route.
+    product.  A link of one path in total has a phase-free magnitude, so
+    it uses that path's envelope law instead (`_lone_path_cdf`), which
+    stays accurate for shapes far too sharp for the oscillatory route.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -315,14 +302,11 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     # since r^4 overflows; E[R^4] = 64 h_2 from H's series in u = t^2
     if math.sqrt(math.sqrt(64.0 * hp.maclaurin_u(2)[2])) < 1e-3 * r:
         return 1.0
-    if not hp.elements:
-        return _nakagami_cdf(hp.direct, r)
-    if len(hp.elements) == 1 and hp.direct is None:
-        val = _single_cascade_cdf(hp.elements[0], r)
-        return min(max(val, 0.0), 1.0)
+    if hp.lone_path is not None:
+        return min(max(_lone_path_cdf(hp.lone_path.hops, r), 0.0), 1.0)
     # far below the amplitude scale the CDF is below the quadrature's
     # absolute tolerance, and u / r would overflow the transform argument
-    if _phasor_disk_bound(hp.elements[0], r) < nm.DEFAULT_QUADRATURE.abs_tol:
+    if _phasor_disk_bound(hp.element, r) < nm.DEFAULT_QUADRATURE.abs_tol:
         return 0.0
     bps = _oscillatory_breakpoints(r * hp.decay_scale)
     val = nm.integrate_semi_infinite(
@@ -482,7 +466,7 @@ def gamma_q_moment(dn: DoubleNakagami, n_elements: int, rho: float,
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     c1, c2 = quantized_phase_factors(bits)
-    mu = [x_moment(dn, j) for j in range(5)]
+    mu = [path_moment(dn, j) for j in range(5)]
     n = float(n_elements)
     if k == 1:
         s2 = n * mu[2] + n * (n - 1.0) * mu[1] ** 2 * c1 * c1

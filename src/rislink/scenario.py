@@ -31,6 +31,19 @@ class NakagamiParams:
         if not self.omega > 0.0:
             raise ValueError(f"Nakagami spread must be positive, got {self.omega}")
 
+    # as a one-hop path: the direct link
+    @property
+    def hops(self) -> tuple:
+        return (self,)
+
+    @property
+    def lambda_n(self) -> float:
+        return self.omega / self.m
+
+    @property
+    def mean_power(self) -> float:
+        return self.omega
+
 
 @dataclass(frozen=True)
 class DoubleNakagami:
@@ -38,6 +51,10 @@ class DoubleNakagami:
 
     hop_h: NakagamiParams
     hop_g: NakagamiParams
+
+    @property
+    def hops(self) -> tuple:
+        return (self.hop_h, self.hop_g)
 
     @property
     def lambda_n(self) -> float:

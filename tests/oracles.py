@@ -16,7 +16,6 @@ from rislink import cli
 from rislink import montecarlo as mc
 from rislink import numerics as nm
 from rislink import rps
-from rislink.ops import nakagami_moment
 from rislink.scenario import link_parts
 
 
@@ -213,16 +212,16 @@ def gamma_product_ber(dn, rho, modulation):
     gain-product law.
 
     Given g_h, the second hop's gain is gamma-distributed, so the inner
-    average is closed form: (1/2) I_x(m_g, 1/2) at x = m_g / (m_g + a g)
-    for the coherent kernel Q(sqrt(2 a gamma)), and
+    average is closed form: (1/2) I_x(m_g, 1/2) at x = m_g / (m_g + g)
+    for the coherent kernel Q(sqrt(2 q gamma)), and
     (1/2) (1 + g / m_g)^-m_g for BDPSK's exp(-gamma) / 2, with g the mean
-    SNR given g_h.  The outer average over the normalized first-hop gain
+    of q gamma given g_h.  The outer average over the normalized first-hop gain
     runs by scipy quadrature over its log, as in `gamma_product_cdf`.
     """
     m_h, m_g = dn.hop_h.m, dn.hop_g.m
-    scale = modulation.snr_scale if modulation.coherent else 1.0
-    # mean SNR given g_h, per unit of the normalized gain m_h g_h / Omega_h
-    unit = scale * rho * dn.mean_power / m_h
+    # mean of q gamma given g_h, per unit of the normalized gain
+    # m_h g_h / Omega_h
+    unit = modulation.q * rho * dn.mean_power / m_h
     ln_norm = math.lgamma(m_h)
 
     def inner(mean):
@@ -292,10 +291,10 @@ def gamma_c_moment_multinomial(config, k):
         raise ValueError("multinomial expansion too large for k > 2 with N > 8")
     rho, element, direct = link_parts(config)
     power = 2 * int(k)
-    part_moments = [[1.0] + [rps.x_moment(element, j)
+    part_moments = [[1.0] + [rps.path_moment(element, j)
                              for j in range(1, power + 1)]] * n
     if direct is not None:
-        part_moments.append([1.0] + [nakagami_moment(direct, j)
+        part_moments.append([1.0] + [rps.path_moment(direct, j)
                                      for j in range(1, power + 1)])
 
     def expand(idx, remaining):

@@ -203,12 +203,12 @@ def test_criterion_04_diversity_orders():
         return math.log10(ber(1e6) / ber(1e5))
 
     for n in (4, 16):
-        hp = HankelProduct([unit(1.5, 2.5)] * n, None)
+        hp = HankelProduct(unit(1.5, 2.5), n)
         s = slope(lambda rho: R.ber_rps(hp, rho, BPSK))
         assert s == pytest.approx(-1.0, abs=0.1)
 
     for m_h, m_g in ((0.5, 3.0), (1.0, 1.0)):
-        chf = AmplitudeChf([unit(m_h, m_g)], None)
+        chf = AmplitudeChf(unit(m_h, m_g), 1)
         s = slope(lambda rho: O.ber_ops(chf, rho, BPSK))
         order = min(m_h, m_g)
         assert s == pytest.approx(-order, abs=0.1 * order)

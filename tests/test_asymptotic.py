@@ -156,7 +156,7 @@ def test_exponential_model_error_shrinks_with_n():
     us = np.concatenate([np.linspace(0.05, 1.0, 12), np.linspace(1.2, 4.0, 8)])
     dists = []
     for n in (8, 32, 128):
-        hp = HankelProduct([DN] * n)
+        hp = HankelProduct(DN, n)
         model = la.LargeNRps(0.5 * n)
         worst = max(abs(rps.gamma_r_cdf(hp, u * n, 1.0)
                         - la.largen_rps_cdf(model, u * n))
@@ -225,8 +225,8 @@ def test_largen_rps_ber_closed_forms():
 def test_largen_rps_ber_tracks_exact_at_n64():
     n = 64
     rho = 20.0 / n
-    hp = HankelProduct([DoubleNakagami(NakagamiParams(2.0, 1.0),
-                                       NakagamiParams(2.0, 1.0))] * n)
+    hp = HankelProduct(DoubleNakagami(NakagamiParams(2.0, 1.0),
+                                      NakagamiParams(2.0, 1.0)), n)
     model = la.LargeNRps(0.5 * n * rho)
     for mod in Modulation:
         exact = rps.ber_rps(hp, rho, mod)

@@ -316,7 +316,7 @@ def test_ber_partial_sums_are_float64_erfc_values():
     g = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 30.0, 400.0, 900.0])
     part = q.partial(g)
     assert part.dtype == np.float64 and part.shape == (2,)
-    vals = [0.5 * math.erfc(math.sqrt(Modulation.BPSK.snr_scale * v))
+    vals = [0.5 * math.erfc(math.sqrt(Modulation.BPSK.q * v))
             for v in g]
     assert part[0] == pytest.approx(math.fsum(vals), rel=1e-15)
     assert part[1] == pytest.approx(math.fsum(v * v for v in vals),

@@ -9,9 +9,10 @@ from scipy import integrate as si
 from scipy import special as ss
 
 from oracles import gamma_c_moment_multinomial, link
-from rislink import ops
+from rislink import cli, ops
 from rislink.numerics import ConvergenceError
-from rislink.rps import DoubleNakagami, Modulation, gamma_r_cdf, HankelProduct
+from rislink.rps import (DoubleNakagami, HankelProduct, Modulation,
+                         gamma_r_cdf, path_moment)
 from rislink.scenario import (
     OPS,
     LinkGeometry,
@@ -98,7 +99,7 @@ def test_chf_cascade_hop_order_irrelevant():
 
 
 def test_chf_conjugate_symmetry_and_modulus():
-    chf = ops.AmplitudeChf([FIG2] * 3, NakagamiParams(1.2, 0.8))
+    chf = ops.AmplitudeChf(FIG2, 3, NakagamiParams(1.2, 0.8))
     ts = np.linspace(-40.0, 40.0, 51)
     vals = chf(ts)
     assert np.max(np.abs(vals - np.conj(vals[::-1]))) < 1e-12
@@ -107,16 +108,17 @@ def test_chf_conjugate_symmetry_and_modulus():
 
 
 def test_amplitude_chf_power_fast_path():
-    chf = ops.AmplitudeChf([FIG2] * 64)
-    assert len(chf._groups) == 1
+    chf = ops.AmplitudeChf(FIG2, 64)
+    assert chf.paths == [(FIG2, 64)]
     ts = np.array([0.3, 1.7])
     assert np.allclose(chf(ts), np.asarray(ops.chf_cascade(FIG2, ts)) ** 64,
                        rtol=1e-12)
 
 
 def test_amplitude_chf_needs_some_path():
-    with pytest.raises(ValueError):
-        ops.AmplitudeChf([])
+    for n in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            ops.AmplitudeChf(FIG2, n)
 
 
 # ---------------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_amplitude_chf_needs_some_path():
 # ---------------------------------------------------------------------
 
 def test_amplitude_mean_matches_finite_difference():
-    chf = ops.AmplitudeChf([FIG2] * 3, NakagamiParams(5.7619, 0.8))
+    chf = ops.AmplitudeChf(FIG2, 3, NakagamiParams(5.7619, 0.8))
     h = 1e-6 / math.sqrt(chf.amplitude_moment(2))
     fd = (chf(h) - chf(-h)) / (2j * h)
     assert fd.real == pytest.approx(chf.amplitude_moment(1), rel=1e-9)
@@ -132,9 +134,9 @@ def test_amplitude_mean_matches_finite_difference():
 
 def test_nakagami_moment_rayleigh():
     p = NakagamiParams(1.0, 2.0)
-    assert ops.nakagami_moment(p, 2) == pytest.approx(2.0, rel=1e-14)
-    assert ops.nakagami_moment(p, 1) == pytest.approx(math.sqrt(math.pi / 2.0),
-                                                      rel=1e-14)
+    assert path_moment(p, 2) == pytest.approx(2.0, rel=1e-14)
+    assert path_moment(p, 1) == pytest.approx(math.sqrt(math.pi / 2.0),
+                                              rel=1e-14)
 
 
 def snr_moment(cfg, k):
@@ -151,11 +153,10 @@ def test_gamma_c_moment_matches_multinomial(k):
 
 
 def test_gamma_c_moment_single_element_is_x_moment():
-    from rislink.rps import x_moment
     cfg = scenario(n=1)
     rho, el, _ = link_parts(cfg)
     assert snr_moment(cfg, 2) == pytest.approx(
-        rho ** 2 * x_moment(el, 4), rel=1e-12)
+        rho ** 2 * path_moment(el, 4), rel=1e-12)
 
 
 def test_gamma_c_moment_validation():
@@ -174,23 +175,23 @@ def test_gamma_c_moment_validation():
 # ---------------------------------------------------------------------
 
 def test_gamma_c_cdf_direct_only_rayleigh():
-    chf = ops.AmplitudeChf([], NakagamiParams(1.0, 2.0))
+    chf = ops.AmplitudeChf(None, 0, NakagamiParams(1.0, 2.0))
     rho = 3.7
     for g in (0.1, 1.0, 7.4, 30.0):
         ref = 1.0 - math.exp(-g / (rho * 2.0))
-        assert ops.gamma_c_cdf(chf, g, rho) == pytest.approx(ref, abs=2e-9)
+        assert ops.gamma_c_cdf(chf, g, rho) == pytest.approx(ref, rel=1e-13)
 
 
 def test_gamma_c_cdf_single_element_matches_hankel_inversion():
-    chf = ops.AmplitudeChf([FIG2])
-    hp = HankelProduct([FIG2])
+    # one path in total: the SNR does not depend on the phase design
+    chf = ops.AmplitudeChf(FIG2, 1)
+    hp = HankelProduct(FIG2, 1)
     for g in (0.05, 0.5, 2.0, 8.0, 20.0):
-        assert ops.gamma_c_cdf(chf, g, 5.0) == pytest.approx(
-            gamma_r_cdf(hp, g, 5.0), abs=2e-8)
+        assert ops.gamma_c_cdf(chf, g, 5.0) == gamma_r_cdf(hp, g, 5.0)
 
 
 def test_gamma_c_cdf_limits_and_monotonicity():
-    chf = ops.AmplitudeChf([FIG2] * 2, NakagamiParams(1.2, 0.8))
+    chf = ops.AmplitudeChf(FIG2, 2, NakagamiParams(1.2, 0.8))
     assert ops.gamma_c_cdf(chf, 0.0, 1.0) == 0.0
     grid = np.geomspace(0.05, 400.0, 25)
     vals = [ops.gamma_c_cdf(chf, float(g), 1.0) for g in grid]
@@ -207,7 +208,7 @@ def test_gamma_c_cdf_limits_and_monotonicity():
 
 def test_gamma_c_cdf_markov_test_does_not_overflow():
     # r = sqrt(gamma / rho) past ~1e77 overflowed r ** 4
-    chf = ops.AmplitudeChf([FIG2] * 2, NakagamiParams(1.2, 0.8))
+    chf = ops.AmplitudeChf(FIG2, 2, NakagamiParams(1.2, 0.8))
     assert ops.gamma_c_cdf(chf, 1e180, 1.0) == 1.0
     assert ops.gamma_c_cdf(chf, 1e300, 1e-100) == 1.0
 
@@ -245,7 +246,7 @@ def test_gamma_c_cdf_against_monte_carlo():
 # ---------------------------------------------------------------------
 
 def test_ber_ops_coherent_direct_only_textbook():
-    chf = ops.AmplitudeChf([], NakagamiParams(2.5, 0.7))
+    chf = ops.AmplitudeChf(None, 0, NakagamiParams(2.5, 0.7))
     for rho in (1.0, 10.0, 200.0):
         shape = rho * 0.7 / 2.5
         ref = si.quad(
@@ -261,7 +262,7 @@ def test_ber_ops_coherent_deep_tail_stays_relative():
     # past the half-minus-integral noise floor the saddle-point contour
     # takes over; mpmath's average is the reference (scipy's quad is
     # itself 1.3e-7 off here)
-    chf = ops.AmplitudeChf([], NakagamiParams(2.5, 0.7))
+    chf = ops.AmplitudeChf(None, 0, NakagamiParams(2.5, 0.7))
     rho = 1e6
     with mp.workdps(30):
         shape = mp.mpf(rho) * mp.mpf("0.7") / mp.mpf("2.5")
@@ -275,7 +276,7 @@ def test_ber_ops_coherent_deep_tail_stays_relative():
 
 
 def test_ber_ops_bfsk_is_half_rate_bpsk():
-    chf = ops.AmplitudeChf([FIG2] * 2)
+    chf = ops.AmplitudeChf(FIG2, 2)
     assert ops.ber_ops(chf, 10.0, Modulation.BFSK) == pytest.approx(
         ops.ber_ops(chf, 5.0, Modulation.BPSK), rel=1e-12)
     # the noncoherent BDPSK kernel takes the Laplace transform instead
@@ -285,7 +286,7 @@ def test_ber_ops_bfsk_is_half_rate_bpsk():
 
 def test_ber_ops_bdpsk_direct_only_closed_form():
     # E[e^{-rho R^2}] for a gamma-distributed power is (1 + rho Omega/m)^-m
-    chf = ops.AmplitudeChf([], NakagamiParams(2.5, 0.7))
+    chf = ops.AmplitudeChf(None, 0, NakagamiParams(2.5, 0.7))
     for rho in (0.5, 5e3, 1e8):
         ref = 0.5 * (1.0 + rho * 0.7 / 2.5) ** -2.5
         assert ops.ber_ops(chf, rho, Modulation.BDPSK) == pytest.approx(
@@ -293,7 +294,7 @@ def test_ber_ops_bdpsk_direct_only_closed_form():
 
 
 def test_ber_ops_bdpsk_matches_cdf_average():
-    chf = ops.AmplitudeChf([FIG2] * 2, NakagamiParams(1.2, 0.8))
+    chf = ops.AmplitudeChf(FIG2, 2, NakagamiParams(1.2, 0.8))
     rho = 0.8
     lit = 0.5 * si.quad(lambda g: math.exp(-g) * ops.gamma_c_cdf(chf, g, rho),
                         0, 60, limit=200)[0]
@@ -304,7 +305,7 @@ def test_ber_ops_bdpsk_matches_cdf_average():
 def test_laplace_transform_power_law_tail():
     # for m1 != m2 the density power at the origin gives
     # E[e^{-lam X^2}] ~ c Gamma(p/2) / (2 lam^{p/2}) with p = 2 min(m1, m2)
-    chf = ops.AmplitudeChf([FIG2])
+    chf = ops.AmplitudeChf(FIG2, 1)
     lam = 1e7
     b1, b2 = 1.5 / 0.4, 2.5 / 1.7
     c_x = 2.0 * math.gamma(1.0) / (math.gamma(1.5) * math.gamma(2.5)) \
@@ -383,7 +384,7 @@ def test_ber_ops_tail_is_below_its_chernoff_bound(n, direct, tx_dbm):
     # Q(sa) and e^{-s^2 a^2 / 2} are both at most e^{c^2/2 - csa}, so either
     # average is at most e^{c^2/2} E[e^{-csA}] for every c > 0
     rho, chf, bpsk, bdpsk = tail_rows(n, direct, tx_dbm)
-    el, dpath = chf.elements[0], chf.direct
+    el, dpath = chf.element, chf.direct
     s = math.sqrt(2.0 * rho)
 
     def log_bound(c):
@@ -409,3 +410,34 @@ def test_ber_ops_tail_does_not_depend_on_the_contour(monkeypatch, n, direct,
     *_, bpsk_moved, bdpsk_moved = tail_rows(n, direct, tx_dbm)
     assert bpsk_moved == pytest.approx(bpsk, rel=1e-8, abs=0.0)
     assert bdpsk_moved == pytest.approx(bdpsk, rel=1e-8, abs=0.0)
+
+
+def chf_direct_pcfd(params, z):
+    """E[e^{jzR}] of a Nakagami-m envelope from its closed form,
+    2^(1-m) Gamma(2m) / Gamma(m) e^(-z^2 / 8b) D_(-2m)(-jz / sqrt(2b)) with
+    b = m / Omega, in mpmath's parabolic cylinder function."""
+    m, b = mp.mpf(params.m), mp.mpf(params.m) / mp.mpf(params.omega)
+    out = np.empty(z.shape, dtype=complex)
+    with mp.workdps(30):
+        pref = 2 ** (1 - m) * mp.gamma(2 * m) / mp.gamma(m)
+        for i, zi in enumerate(z.tolist()):
+            zi = mp.mpc(zi)
+            out[i] = complex(pref * mp.exp(-zi ** 2 / (8 * b))
+                             * mp.pcfd(-2 * m, -1j * zi / mp.sqrt(2 * b)))
+    return out
+
+
+@pytest.mark.parametrize("tx_dbm", [8.0, 16.0, 30.0])
+def test_contour_ber_with_direct_path_matches_the_closed_form_factor(
+        monkeypatch, tx_dbm):
+    # fig2_ops_direct_N4: the saddle-point contour's E[Q(sA)] with the
+    # direct factor's quadrature against the same walk on its closed form
+    _, curves = cli._preset_curves("fig2")
+    points = {name: pts for name, _, pts, _, _ in curves}
+    scene = link(dict(points["fig2_ops_direct_N4"])[tx_dbm])
+    s = math.sqrt(2.0 * Modulation.BPSK.q * scene.rho)
+    got = ops._gaussian_average(scene.chf(), s, True)
+    monkeypatch.setattr(ops, "_chf_direct_complex", chf_direct_pcfd)
+    want = ops._gaussian_average(ops.AmplitudeChf(
+        scene.element, 4, scene.direct), s, True)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -20,16 +20,19 @@ PERFBENCH = ROOT / "perfbench"
 
 # names the package exported before its library surface was cut to
 # what the CLI runs, before the phase design became the simulator's
-# only phase input, and before each exact value kept a single route
+# only phase input, before each exact value kept a single route, and
+# before the per-kind path helpers became `path_moment` and
+# `hankel_factor`
 WITHDRAWN = ("EXACT_NAKAGAMI", "IntegrabilityError", "PhaseModel",
              "QuadratureSpec", "UNIFORM", "ber_ops_bdpsk",
              "ber_ops_coherent", "ber_rps_asymptotic",
              "default_phase_model", "derive", "diversity_order_ops",
              "estimate_op_grid", "gamma_c_moment",
-             "gamma_c_moment_multinomial", "gamma_r_pdf", "largen_ops_chf",
-             "largen_ops_pdf", "largen_rps_chf", "op_ops", "op_rps",
+             "gamma_c_moment_multinomial", "gamma_r_pdf", "hankel_cascade",
+             "hankel_direct", "largen_ops_chf", "largen_ops_pdf",
+             "largen_rps_chf", "nakagami_moment", "op_ops", "op_rps",
              "quantized_phases", "realize_snr", "sample_nakagami_envelope",
-             "sample_nakagami_phase")
+             "sample_nakagami_phase", "x_moment")
 
 TINY = {
     "n_elements": 4, "carrier_hz": "2.45e9", "alpha": 2.5, "noise_dbm": -85,

@@ -17,8 +17,9 @@ from oracles import (gamma_product_ber, gamma_product_cdf, gamma_r_pdf, link,
                      tail_integral)
 from rislink import cli
 from rislink import numerics as nm
-from rislink import rps
-from rislink.scenario import LinkGeometry, NakagamiParams, ScenarioConfig
+from rislink import ops, rps
+from rislink.scenario import (LinkGeometry, NakagamiParams, PhaseDesign,
+                              ScenarioConfig)
 
 UNIT = rps.DoubleNakagami(NakagamiParams(1.0, 1.0), NakagamiParams(1.0, 1.0))
 FIG2 = rps.DoubleNakagami(NakagamiParams(1.5, 1.0), NakagamiParams(2.5, 1.0))
@@ -42,28 +43,28 @@ def product_pdf(dn):
 # ---------------------------------------------------------------------
 
 def test_x_moment():
-    assert rps.x_moment(UNIT, 0) == 1.0
-    assert rps.x_moment(UNIT, 1) == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert rps.path_moment(UNIT, 0) == 1.0
+    assert rps.path_moment(UNIT, 1) == pytest.approx(math.pi / 4.0, rel=1e-14)
     dn = rps.DoubleNakagami(NakagamiParams(1.7, 0.4), NakagamiParams(0.9, 2.0))
-    assert rps.x_moment(dn, 2) == pytest.approx(0.4 * 2.0, rel=1e-14)
+    assert rps.path_moment(dn, 2) == pytest.approx(0.4 * 2.0, rel=1e-14)
     with pytest.raises(ValueError):
-        rps.x_moment(dn, -1)
+        rps.path_moment(dn, -1)
 
 
 def test_hankel_cascade_values():
-    assert rps.hankel_cascade(UNIT, 0.0) == 1.0
-    assert rps.hankel_cascade(UNIT, 2.0) == pytest.approx(0.5, rel=1e-14)
+    assert rps.hankel_factor(UNIT, 0.0) == 1.0
+    assert rps.hankel_factor(UNIT, 2.0) == pytest.approx(0.5, rel=1e-14)
     pdf = product_pdf(FIG2)
     for t in (0.5, 2.0, 10.0):
         want, err = quad(lambda x: sp.jv(0, t * x) * pdf(x), 0.0, 12.0,
                          limit=200)
-        assert rps.hankel_cascade(FIG2, t) == pytest.approx(want, abs=5e-9)
+        assert rps.hankel_factor(FIG2, t) == pytest.approx(want, abs=5e-9)
 
 
 def test_hankel_direct_values():
     ray = NakagamiParams(1.0, 2.0)
     t = np.linspace(0.0, 8.0, 17)
-    np.testing.assert_allclose(rps.hankel_direct(ray, t),
+    np.testing.assert_allclose(rps.hankel_factor(ray, t),
                                np.exp(-2.0 * t * t / 4.0), rtol=1e-12)
     ric = NakagamiParams(5.7619, 1.0)
     dens = lambda x: (2.0 * (ric.m / ric.omega) ** ric.m * x ** (2 * ric.m - 1)
@@ -71,23 +72,37 @@ def test_hankel_direct_values():
     for tt in (1.0, 5.0):
         want, _ = quad(lambda x: sp.jv(0, tt * x) * dens(x), 0.0, 4.0,
                        limit=200)
-        assert rps.hankel_direct(ric, tt) == pytest.approx(want, abs=5e-9)
+        assert rps.hankel_factor(ric, tt) == pytest.approx(want, abs=5e-9)
 
 
 def test_factor_bounds_and_normalization():
     t = np.geomspace(1e-3, 50.0, 120)
+    direct = NakagamiParams(2.0, 0.5)
     for dn in (UNIT, FIG2, rps.DoubleNakagami(NakagamiParams(0.5, 3.0),
                                               NakagamiParams(4.0, 0.2))):
-        vals = np.asarray(rps.hankel_cascade(dn, t))
+        vals = np.asarray(rps.hankel_factor(dn, t))
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-    hp = rps.HankelProduct([FIG2, UNIT], direct=NakagamiParams(2.0, 0.5))
-    assert hp(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert np.max(np.abs(hp(t))) <= 1.0 + 1e-12
+        hp = rps.HankelProduct(dn, 2, direct)
+        assert hp(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(hp(t))) <= 1.0 + 1e-12
 
 
-def test_hankel_product_grouping():
-    hp = rps.HankelProduct([UNIT] * 64)
-    assert len(hp._groups) == 1 and hp._groups[0][1] == 64
+def test_hankel_product_grouping(monkeypatch):
+    # N identical factors cost one 2F1 evaluation, raised to the N-th power
+    hp = rps.HankelProduct(UNIT, 64)
+    hyp2f1, calls = nm.hyp2f1, []
+
+    def counted(*args):
+        calls.append(args)
+        return hyp2f1(*args)
+
+    monkeypatch.setattr(nm, "hyp2f1", counted)
+    t = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_array_equal(hp(t),
+                                  hyp2f1(1.0, 1.0, 1.0, -0.25 * t * t) ** 64)
+    assert len(calls) == 1
+    hp(0.5)
+    assert len(calls) == 2
     assert hp.decay_scale == pytest.approx(2.0, rel=1e-15)
     assert hp.tail_exponent == pytest.approx(128.0, rel=1e-15)
 
@@ -97,9 +112,10 @@ def test_from_scenario_builds_direct_factor():
         n_elements=4, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
         tx_power_dbm=0.0, m_h=1.5, m_g=2.5, m_d=1.5,
         geometry=LinkGeometry(20.0, 20.0, 86.0, direct_link=True))
-    hp = link(cfg).hankel()
-    assert len(hp.elements) == 4
-    assert hp.direct is not None and hp.direct.m == 1.5
+    lk = link(cfg)
+    hp = lk.hankel()
+    assert hp.paths == [(lk.element, 4), (lk.direct, 1)]
+    assert hp.n == 4 and hp.direct.m == 1.5
     assert hp.tail_exponent == pytest.approx(4 * 3.0 + 3.0)
 
 
@@ -108,7 +124,7 @@ def test_from_scenario_builds_direct_factor():
 # ---------------------------------------------------------------------
 
 def test_cdf_matches_product_rayleigh_closed_form():
-    hp = rps.HankelProduct([UNIT])
+    hp = rps.HankelProduct(UNIT, 1)
     rho = 2.0
     for g in (0.1, 1.0, 4.0, 20.0):
         z = 2.0 * math.sqrt(g / rho)
@@ -117,7 +133,7 @@ def test_cdf_matches_product_rayleigh_closed_form():
 
 
 def test_pdf_matches_product_rayleigh_closed_form():
-    hp = rps.HankelProduct([UNIT])
+    hp = rps.HankelProduct(UNIT, 1)
     rho = 2.0
     for g in (0.5, 2.0, 8.0):
         want = (2.0 / rho) * sp.kv(0, 2.0 * math.sqrt(g / rho))
@@ -125,7 +141,7 @@ def test_pdf_matches_product_rayleigh_closed_form():
 
 
 def test_cdf_limits_and_monotonicity():
-    hp = rps.HankelProduct([UNIT, UNIT])
+    hp = rps.HankelProduct(UNIT, 2)
     assert rps.gamma_r_cdf(hp, 0.0, 1.0) == 0.0
     assert rps.gamma_r_cdf(hp, 800.0, 1.0) == pytest.approx(1.0, abs=1e-6)
     grid = [rps.gamma_r_cdf(hp, g, 1.0) for g in np.geomspace(0.01, 50.0, 12)]
@@ -143,7 +159,7 @@ def test_cdf_far_above_the_amplitude_scale_is_one(n, direct):
     # below 1, 170 times its absolute tolerance, and an infinite threshold
     # overflows it; there the fourth-moment bound puts the CDF within
     # 1e-12 of 1
-    hp = rps.HankelProduct([FIG2] * n, direct)
+    hp = rps.HankelProduct(FIG2, n, direct)
     mean = rps.gamma_r_moment(hp, 1, 1.0)
     for g in (1e9 * mean, 1e20 * mean, math.inf):
         assert rps.gamma_r_cdf(hp, g, 1.0) == 1.0
@@ -154,7 +170,7 @@ def test_cdf_far_above_the_amplitude_scale_is_one(n, direct):
                                                        NakagamiParams(0.5, 0.3)),
                                     2)])
 def test_phasor_disk_bound_bounds_the_cdf(dn, n):
-    hp = rps.HankelProduct([dn] * n)
+    hp = rps.HankelProduct(dn, n)
     scale = math.sqrt(dn.mean_power)
     for rt in (0.5, 1e-2, 1e-4, 1e-7):
         r = rt * scale
@@ -170,7 +186,7 @@ def test_cdf_far_below_the_amplitude_scale_is_zero_without_warnings(
     # scenario d's element with random phases: u / r overflowed the
     # transform argument near -3000 dB
     hop = NakagamiParams(5.761904761904762, 5.3004716979604283e-08)
-    hp = rps.HankelProduct([rps.DoubleNakagami(hop, hop)] * 128)
+    hp = rps.HankelProduct(rps.DoubleNakagami(hop, hop), 128)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = rps.gamma_r_cdf(hp, 10.0 ** (gamma_th_db / 10.0),
@@ -178,20 +194,35 @@ def test_cdf_far_below_the_amplitude_scale_is_zero_without_warnings(
     assert got == 0.0
 
 
-@pytest.mark.parametrize("m, tx_power_dbm", [
+ONE_PATH_CELLS = [
     (0.75, 20.0), (0.75, 40.0), (0.75, 60.0), (0.75, 80.0), (0.75, 100.0),
-    (1.5, 20.0), (3.0, 20.0)])
-def test_one_path_outage_matches_the_gain_product_reference(m, tx_power_dbm):
+    (1.0, 40.0), (1.0, 60.0), (1.5, 20.0), (3.0, 20.0), (3.0, 100.0),
+    (5.76, 80.0)]
+
+
+# ids: the cell, with "-ops" appended for the optimal-phase design
+@pytest.mark.parametrize("m, tx_power_dbm, design", [
+    pytest.param(m, tx, design,
+                 id=f"{m}-{tx}" + ("-ops" if design == "ops" else ""))
+    for design in ("rps", "ops") for m, tx in ONE_PATH_CELLS])
+def test_one_path_outage_matches_the_gain_product_reference(m, tx_power_dbm,
+                                                            design):
     # scenario e's geometry at a 0 dB threshold; the incomplete gamma of
-    # the conditioned form used to stall at these cells
+    # the conditioned form used to stall at the m = 0.75 cells, and the
+    # optimal-phase CHF inversion was up to 4.6e-3 off at m = 1, 3, 5.76.
+    # A one-path SNR does not depend on the phase design
     cfg = ScenarioConfig(
         n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
         tx_power_dbm=tx_power_dbm, m_h=m, m_g=m,
-        geometry=LinkGeometry(20.0, 20.0, 86.0))
+        geometry=LinkGeometry(20.0, 20.0, 86.0),
+        phase_design=PhaseDesign(design))
     lk = link(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = rps.gamma_r_cdf(lk.hankel(), 1.0, lk.rho)
+        if design == "rps":
+            got = rps.gamma_r_cdf(lk.hankel(), 1.0, lk.rho)
+        else:
+            got = ops.gamma_c_cdf(lk.chf(), 1.0, lk.rho)
     want = gamma_product_cdf(lk.element, 1.0 / lk.rho)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -211,14 +242,14 @@ def test_one_path_outage_at_shapes_beyond_gamma_overflow(tx_power_dbm):
 
 
 def test_pdf_normalizes_to_one():
-    hp = rps.HankelProduct([UNIT, UNIT])
+    hp = rps.HankelProduct(UNIT, 2)
     val, err = quad(lambda g: gamma_r_pdf(hp, g, 1.0), 0.0, np.inf,
                     limit=90)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cdf_derivative_matches_pdf():
-    hp = rps.HankelProduct([FIG2, FIG2])
+    hp = rps.HankelProduct(FIG2, 2)
     rho, h = 1.5, 1e-3
     for g in (0.4, 1.1, 3.0, 7.0, 15.0):
         num = (rps.gamma_r_cdf(hp, g * (1 + h), rho)
@@ -231,23 +262,27 @@ def test_cdf_derivative_matches_pdf():
 # ---------------------------------------------------------------------
 
 def test_first_moment_is_power_sum():
-    elements = [
-        rps.DoubleNakagami(NakagamiParams(1.0, 1.0), NakagamiParams(2.0, 0.5)),
-        rps.DoubleNakagami(NakagamiParams(1.5, 2.0), NakagamiParams(1.0, 1.0)),
-    ]
-    hp = rps.HankelProduct(elements, direct=NakagamiParams(2.0, 0.7))
+    # E[gamma] = rho (N Omega_h Omega_g + Omega_d)
+    direct = NakagamiParams(2.0, 0.7)
     rho = 3.7
-    want = rho * (1.0 * 0.5 + 2.0 * 1.0 + 0.7)
-    assert rps.gamma_r_moment(hp, 1, rho) == pytest.approx(want, rel=1e-9)
+    for el, n in (
+            (rps.DoubleNakagami(NakagamiParams(1.0, 1.0),
+                                NakagamiParams(2.0, 0.5)), 3),
+            (rps.DoubleNakagami(NakagamiParams(1.5, 2.0),
+                                NakagamiParams(1.0, 1.0)), 5)):
+        want = rho * (n * el.hop_h.omega * el.hop_g.omega + direct.omega)
+        hp = rps.HankelProduct(el, n, direct)
+        assert rps.gamma_r_moment(hp, 1, rho) == pytest.approx(want,
+                                                               rel=1e-9)
 
 
 def test_second_moment_closed_forms():
     rho = 2.0
-    mu2, mu4 = rps.x_moment(UNIT, 2), rps.x_moment(UNIT, 4)
-    hp1 = rps.HankelProduct([UNIT])
+    mu2, mu4 = rps.path_moment(UNIT, 2), rps.path_moment(UNIT, 4)
+    hp1 = rps.HankelProduct(UNIT, 1)
     assert rps.gamma_r_moment(hp1, 2, rho) == pytest.approx(rho ** 2 * mu4,
                                                             rel=1e-12)
-    hp2 = rps.HankelProduct([UNIT, UNIT])
+    hp2 = rps.HankelProduct(UNIT, 2)
     want = rho ** 2 * (2.0 * mu4 + 4.0 * mu2 ** 2)
     assert rps.gamma_r_moment(hp2, 2, rho) == pytest.approx(want, rel=1e-12)
 
@@ -256,8 +291,8 @@ def test_second_moment_with_direct_path():
     # under uniform phases the walk steps are uncorrelated, so |S|^4 obeys
     # the independent-steps pattern sum including the direct step
     d = NakagamiParams(2.0, 0.7)
-    hp = rps.HankelProduct([UNIT, UNIT], direct=d)
-    mu2c, mu4c = rps.x_moment(UNIT, 2), rps.x_moment(UNIT, 4)
+    hp = rps.HankelProduct(UNIT, 2, d)
+    mu2c, mu4c = rps.path_moment(UNIT, 2), rps.path_moment(UNIT, 4)
     mu2d = d.omega
     mu4d = d.omega ** 2 * (d.m + 1.0) / d.m
     m2 = [mu2c, mu2c, mu2d]
@@ -267,7 +302,7 @@ def test_second_moment_with_direct_path():
 
 
 def test_moment_validation():
-    hp = rps.HankelProduct([UNIT])
+    hp = rps.HankelProduct(UNIT, 1)
     for bad in (0, 5):
         with pytest.raises(ValueError):
             rps.gamma_r_moment(hp, bad, 1.0)
@@ -282,6 +317,7 @@ def test_moment_validation():
 def test_modulation_table():
     assert rps.Modulation.BPSK.p == 0.5 and rps.Modulation.BPSK.q == 1.0
     assert rps.Modulation.BFSK.q == 0.5
+    assert rps.Modulation.BPSK.coherent and rps.Modulation.BFSK.coherent
     assert not rps.Modulation.BDPSK.coherent
     assert rps.Modulation.from_label("BFSK") is rps.Modulation.BFSK
     with pytest.raises(ValueError):
@@ -290,7 +326,7 @@ def test_modulation_table():
 
 def test_bdpsk_single_element_closed_form():
     # E[exp(-gamma)]/2 for the product-Rayleigh power has an e^z E1(z) form
-    hp = rps.HankelProduct([UNIT])
+    hp = rps.HankelProduct(UNIT, 1)
     for rho in (0.5, 5.0, 40.0):
         want = 0.5 / rho * nm.exp_scaled_e1(1.0 / rho)
         assert rps.ber_rps(hp, rho, rps.Modulation.BDPSK) == pytest.approx(
@@ -300,7 +336,7 @@ def test_bdpsk_single_element_closed_form():
 def _product_rayleigh_ber(mod, rho):
     """Q(sqrt(2 a g)) averaged over the product-Rayleigh power density
     (2/rho) K0(2 sqrt(g/rho)), piecewise on a geometric ladder."""
-    a = mod.snr_scale
+    a = mod.q
     cuts = [0.0] + list(rho * np.geomspace(1e-14, 1e3, 35)) + [np.inf]
     return sum(quad(lambda g: 0.5 * sp.erfc(math.sqrt(a * g))
                     * (2.0 / rho) * sp.kv(0, 2.0 * math.sqrt(g / rho)),
@@ -311,7 +347,7 @@ def _product_rayleigh_ber(mod, rho):
 def test_bpsk_single_element_quadrature_oracle():
     # BFSK at rho = 1e-4 puts the kernel far below the factor's roll-off,
     # where a walk in u = t / s truncated before reaching the tolerance
-    hp = rps.HankelProduct([UNIT])
+    hp = rps.HankelProduct(UNIT, 1)
     for mod, rho in ((rps.Modulation.BPSK, 5.0), (rps.Modulation.BFSK, 1e-4)):
         want = _product_rayleigh_ber(mod, rho)
         assert rps.ber_rps(hp, rho, mod) == pytest.approx(want, rel=1e-12,
@@ -325,10 +361,9 @@ def _t_integral_reference(hp, rho, mod):
     p, s = mod.p, math.sqrt(4.0 * mod.q * rho)
 
     def transform(t):
-        val = 1.0
-        for el in hp.elements:
-            val *= sp.hyp2f1(el.hop_h.m, el.hop_g.m, 1.0,
-                             -0.25 * el.lambda_n * t * t)
+        el = hp.element
+        val = sp.hyp2f1(el.hop_h.m, el.hop_g.m, 1.0,
+                        -0.25 * el.lambda_n * t * t) ** hp.n
         if hp.direct is not None:
             d = hp.direct
             val *= sp.hyp1f1(d.m, 1.0, -0.25 * d.omega / d.m * t * t)
@@ -363,7 +398,7 @@ def test_fig2_nodirect_n4_row_matches_the_t_integral():
 
 
 def test_ber_low_snr_limit_and_monotonicity():
-    hp = rps.HankelProduct([UNIT] * 4)
+    hp = rps.HankelProduct(UNIT, 4)
     for mod in rps.Modulation:
         # rho = 1e-40 and 1e-20 put the kernel far below every factor's
         # roll-off, where the BER is 1/2 to within sqrt(rho)
@@ -378,7 +413,7 @@ def test_ber_low_snr_limit_and_monotonicity():
 def test_ber_asymptotic_scaling_and_agreement():
     # high-SNR BER p / (4 q rho) * int t H(t) dt, which decays exactly as
     # 1/rho; the exact integral must reach it
-    hp = rps.HankelProduct([UNIT] * 4)
+    hp = rps.HankelProduct(UNIT, 4)
     const = tail_integral(hp)
     bpsk, bdpsk = rps.Modulation.BPSK, rps.Modulation.BDPSK
     a1 = bpsk.p * const / (4.0 * bpsk.q * 1e8)
@@ -401,7 +436,7 @@ def test_ber_lattice_cut_short_raises_instead_of_truncating(monkeypatch):
     # with no margin and one bit of tail decay the lattice stops where its
     # tail bound is far above tolerance: the row must raise, not return
     # the truncated sum
-    hp = rps.HankelProduct([UNIT] * 4)
+    hp = rps.HankelProduct(UNIT, 4)
     monkeypatch.setattr(rps, "_MARGIN", 0)
     monkeypatch.setattr(rps, "_TAIL_BITS", 1)
     with pytest.raises(nm.ConvergenceError, match="bound its tail") as err:
@@ -471,7 +506,7 @@ def test_quantized_phase_factors():
 
 def test_quantized_moments_converge_to_coherent_sum():
     dn = rps.DoubleNakagami(NakagamiParams(1.2, 1.0), NakagamiParams(0.8, 0.7))
-    mu = [rps.x_moment(dn, j) for j in range(5)]
+    mu = [rps.path_moment(dn, j) for j in range(5)]
     n = 5
     want1 = n * mu[2] + n * (n - 1) * mu[1] ** 2
     want2 = (n * mu[4] + 4 * n * (n - 1) * mu[3] * mu[1]
