@@ -114,23 +114,15 @@ class McEstimate:
 # channel draws
 # ---------------------------------------------------------------------
 
-def _element_phases(config: ScenarioConfig, shape,
-                    rng: np.random.Generator) -> np.ndarray:
-    if config.phase_design.kind == "rps":
-        return rng.uniform(0.0, 2.0 * math.pi, shape)
-    # quantized: phi_n = eps_h + eps_g, each hop's error uniform on
-    # [-pi/2^b, pi/2^b)
-    half = math.pi / 2.0 ** config.phase_design.bits
-    return (rng.uniform(-half, half, shape)
-            + rng.uniform(-half, half, shape))
+# elements per row block: bounds the temporaries of a chunk's draws and
+# sums
+_BASE_BLOCK = 1 << 15
 
 
-def _direct_phases(config: ScenarioConfig, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    if config.phase_design.kind == "rps":
-        return rng.uniform(0.0, 2.0 * math.pi, count)
-    # quantized: the direct term is co-phased at the detector
-    return np.zeros(count)
+def _row_blocks(count: int, n: int) -> List[slice]:
+    """The row blocks of a (count, n) chunk, in row order."""
+    step = max(1, _BASE_BLOCK // n)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _hop_amplitudes(config: ScenarioConfig, count: int,
@@ -140,42 +132,75 @@ def _hop_amplitudes(config: ScenarioConfig, count: int,
     g.  These are the first draws of every chunk, so every config with
     the same N, m_h and m_g reads the same ones.  Scaled by sqrt(s_h) *
     sqrt(s_g), they are the cascade amplitudes of hops with Gamma scales
-    s_h and s_g, so one draw serves every distance."""
+    s_h and s_g, so one draw serves every distance.  Hop g is drawn one
+    row block at a time into hop h's array: the blocks read the stream
+    a whole-array draw reads, so only hop h is held whole."""
     n = config.n_elements
     gh = rng.standard_gamma(config.m_h, (count, n))
-    gg = rng.standard_gamma(config.m_g, (count, n))
-    np.multiply(gh, gg, out=gh)
+    for rows in _row_blocks(count, n):
+        block = gh[rows]
+        block *= rng.standard_gamma(config.m_g, block.shape)
     return np.sqrt(gh, out=gh)
 
 
-class _Draws(NamedTuple):
-    """One chunk's variates at unit scale, shared by every config of a
-    draw_key(): the cascade amplitudes (count, n), the residual phases
-    (None where the design draws none), and the standard Gamma power
-    draws of the direct path (count,) with its phases."""
+def _phase_draws(config: ScenarioConfig, amp: np.ndarray,
+                 rng: np.random.Generator):
+    """The element phases that follow the hop draws of ``amp``, as a
+    function of a row block that draws them when the blocks are asked
+    for in row order; None for co-phased elements.  Random phase
+    shifting draws each block uniform on [0, 2pi).  A quantized design
+    sums two hop errors uniform on [-pi/2^b, pi/2^b): eps_h is drawn
+    whole, and each block adds its eps_g in place."""
+    kind = config.phase_design.kind
+    if kind == "ops":
+        return None
+    if kind == "rps":
+        return lambda rows: rng.uniform(0.0, 2.0 * math.pi, amp[rows].shape)
+    half = math.pi / 2.0 ** config.phase_design.bits
+    eps = rng.uniform(-half, half, amp.shape)
 
-    amp: np.ndarray
-    phi: Optional[np.ndarray]
-    gd: Optional[np.ndarray]
-    phi_d: Optional[np.ndarray]
+    def block(rows: slice) -> np.ndarray:
+        phi = eps[rows]
+        phi += rng.uniform(-half, half, phi.shape)
+        return phi
+    return block
 
 
-def _draw(config: ScenarioConfig, amp: np.ndarray,
-          rng: np.random.Generator) -> _Draws:
-    """The variates that follow the hop draws of ``amp``.  Draw order is
-    part of the determinism contract: hop powers h then g, then
-    design-specific phases, then the direct-path draws."""
+def _element_sums(amp: np.ndarray, phases) -> tuple:
+    """The per-trial sums of the unit-scale elements: the amplitude sum
+    for co-phased elements (``phases`` None), else the sums of amp *
+    cos(phi) and amp * sin(phi).  ``phases(rows)`` gives the phases of a
+    row block (the caller may keep or overwrite the array it returns);
+    it is asked once per block, in row order, and each block takes its
+    cosine and sine once.  A row's sum is the same in any block."""
     count, n = amp.shape
-    direct = config.geometry.direct_link
-    if config.phase_design.kind == "ops":
-        gd = rng.standard_gamma(config.m_d, count) if direct else None
-        return _Draws(amp, None, gd, None)
-    phi = _element_phases(config, (count, n), rng)
-    gd = phi_d = None
-    if direct:
-        gd = rng.standard_gamma(config.m_d, count)
-        phi_d = _direct_phases(config, count, rng)
-    return _Draws(amp, phi, gd, phi_d)
+    if phases is None:
+        return np.sum(amp, axis=1), None
+    re, im = np.empty(count), np.empty(count)
+    for rows in _row_blocks(count, n):
+        a, phi = amp[rows], phases(rows)
+        cos = np.cos(phi)
+        re[rows] = np.sum(np.multiply(cos, a, out=cos), axis=1)
+        sin = np.sin(phi, out=phi)
+        im[rows] = np.sum(np.multiply(sin, a, out=sin), axis=1)
+    return re, im
+
+
+def _direct_draws(config: ScenarioConfig, count: int,
+                  rng: np.random.Generator) -> Optional[tuple]:
+    """The direct path's standard Gamma power draws (count,) and its
+    phases (None when co-phased with coherent elements), or None without
+    a direct path.  The quantized design co-phases the direct term at
+    the detector."""
+    if not config.geometry.direct_link:
+        return None
+    gd = rng.standard_gamma(config.m_d, count)
+    kind = config.phase_design.kind
+    if kind == "ops":
+        return gd, None
+    if kind == "rps":
+        return gd, rng.uniform(0.0, 2.0 * math.pi, count)
+    return gd, np.zeros(count)
 
 
 def _link_scales(config: ScenarioConfig) -> tuple:
@@ -185,44 +210,27 @@ def _link_scales(config: ScenarioConfig) -> tuple:
                  None if direct is None else direct.lambda_n)
 
 
-# elements per row block of _snr_bases: bounds its temporaries
-_BASE_BLOCK = 1 << 15
-
-
-def _snr_bases(draws: _Draws, scales: Sequence[tuple]) -> List[np.ndarray]:
+def _snr_bases(sums: tuple, direct: Optional[tuple],
+               scales: Sequence[tuple]) -> List[np.ndarray]:
     """Per set of Gamma scales (s_h, s_g, s_d), the SNR over rho before
-    its last multiply: the received amplitude for co-phased elements
-    (SNR = rho * amp * amp), else the received power re^2 + im^2 (SNR =
-    rho * power).  The elements are summed once, at unit scale; random
-    phases are summed in row blocks that take the cosine and sine of
-    their phases once, and a row's sum is the same in any block.  Each
-    set of scales then multiplies the per-trial sums: sqrt(s_h) *
-    sqrt(s_g) the element sums and sqrt(s_d) the direct term.
-    Overwrites the element phases with their sines."""
-    count, n = draws.amp.shape
-    coherent = draws.phi is None
-    if coherent:
-        re, im = np.sum(draws.amp, axis=1), None
-    else:
-        re, im = np.empty(count), np.empty(count)
-        step = max(1, _BASE_BLOCK // n)
-        for lo in range(0, count, step):
-            rows = slice(lo, lo + step)
-            amp, phi = draws.amp[rows], draws.phi[rows]
-            cos = np.cos(phi)
-            re[rows] = np.sum(np.multiply(cos, amp, out=cos), axis=1)
-            sin = np.sin(phi, out=phi)
-            im[rows] = np.sum(np.multiply(sin, amp, out=sin), axis=1)
+    its last multiply, from the unit-scale `_element_sums` and
+    `_direct_draws`: the received amplitude for co-phased elements (SNR
+    = rho * amp * amp), else the received power re^2 + im^2 (SNR = rho *
+    power).  Each set of scales multiplies the per-trial sums: sqrt(s_h)
+    * sqrt(s_g) the element sums and sqrt(s_d) the direct term."""
+    re, im = sums
+    coherent = im is None
     re_d = im_d = None
-    if draws.gd is not None:
-        hd = np.sqrt(draws.gd)
-        re_d = hd if coherent else hd * np.cos(draws.phi_d)
-        im_d = None if coherent else hd * np.sin(draws.phi_d)
+    if direct is not None:
+        gd, phi_d = direct
+        hd = np.sqrt(gd)
+        re_d = hd if coherent else hd * np.cos(phi_d)
+        im_d = None if coherent else hd * np.sin(phi_d)
 
-    def scaled(elements, direct, c, c_d):
+    def scaled(elements, term, c, c_d):
         out = c * elements
-        if direct is not None:
-            out += c_d * direct
+        if term is not None:
+            out += c_d * term
         return out
 
     bases = []
@@ -236,6 +244,17 @@ def _snr_bases(draws: _Draws, scales: Sequence[tuple]) -> List[np.ndarray]:
             i = scaled(im, im_d, c, c_d)
             bases.append(r * r + i * i)
     return bases
+
+
+def _draw_bases(config: ScenarioConfig, amp: np.ndarray,
+                rng: np.random.Generator,
+                scales: Sequence[tuple]) -> List[np.ndarray]:
+    """The `_snr_bases` of the variates that follow the hop draws of
+    ``amp``.  Draw order is part of the determinism contract: hop powers
+    h then g, then the design's element phases, then the direct path's
+    power and phase."""
+    sums = _element_sums(amp, _phase_draws(config, amp, rng))
+    return _snr_bases(sums, _direct_draws(config, len(amp), rng), scales)
 
 
 def _snr(base: np.ndarray, rho: float, coherent: bool) -> np.ndarray:
@@ -367,7 +386,7 @@ def _reduce(queries: Sequence[McQuery], n_trials: int,
         for sub in subs:
             rng.bit_generator.state = after_hops
             coherent = sub.config.phase_design.kind == "ops"
-            bases = _snr_bases(_draw(sub.config, amp, rng), list(sub.scales))
+            bases = _draw_bases(sub.config, amp, rng, list(sub.scales))
             for (base, rho), members in sub.snrs.items():
                 g = _snr(bases[base], rho, coherent)
                 for q in members:

@@ -893,7 +893,9 @@ def _continuation_vec(a, b, c, targets):
     Vectorized over targets; each element walks from its |z| = 0.5 anchor
     along its own ray with steps bounded by 0.35x the distance to the
     singular points {0, 1}, carrying (F, F') through the second-order
-    recurrence for the local Taylor coefficients.
+    recurrence for the local Taylor terms d_n = c_n h^n.  The terms
+    shrink like 0.35^n at any |z|, where c_n and h^n alone under- and
+    overflow once |z| passes about 1e10.
     """
     direction = targets / np.abs(targets)
     z0 = 0.5 * direction
@@ -907,23 +909,22 @@ def _continuation_vec(a, b, c, targets):
         step_len = np.minimum(0.35 * radius, dist_rem)
         safe = np.where(dist_rem > 0, dist_rem, 1.0)
         h = step_len * rem / safe
-        total = f + fp * h
-        deriv = fp.copy()
-        cn, cn1 = f, fp
-        hpow = h.copy()
+        dn, dn1 = f, fp * h
+        total = dn + dn1
+        # sum of n d_n: F'(z0 + h) = (d_1 + 2 d_2 + ...) / h
+        slope = dn1
+        hh = h * h
         denom_base = z0 * (1.0 - z0)
         ok = False
         for n in range(160):
-            cn2 = ((n + a) * (n + b) * cn
+            dn2 = ((n + a) * (n + b) * hh * dn
                    - (n + 1.0) * ((1.0 - 2.0 * z0) * n + c
-                                  - (a + b + 1.0) * z0) * cn1) \
+                                  - (a + b + 1.0) * z0) * h * dn1) \
                 / (denom_base * (n + 2.0) * (n + 1.0))
-            deriv = deriv + (n + 2.0) * cn2 * hpow
-            hpow = hpow * h
-            term = cn2 * hpow
-            total = total + term
-            cn, cn1 = cn1, cn2
-            if np.maximum.reduce(np.abs(term), axis=None) <= 1e-17 * max(
+            slope = slope + (n + 2.0) * dn2
+            total = total + dn2
+            dn, dn1 = dn1, dn2
+            if np.maximum.reduce(np.abs(dn2), axis=None) <= 1e-17 * max(
                     np.maximum.reduce(np.abs(total), axis=None), 1e-300):
                 ok = True
                 break
@@ -931,7 +932,8 @@ def _continuation_vec(a, b, c, targets):
             raise ConvergenceError("2F1 continuation step did not converge")
         z0 = z0 + h
         f = total
-        fp = deriv
+        # a target already reached takes a zero step and keeps F'
+        fp = np.where(h == 0.0, fp, slope / np.where(h == 0.0, 1.0, h))
     raise ConvergenceError("2F1 continuation exceeded the step budget")
 
 
@@ -1098,6 +1100,26 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # only when the walk reaches them.  Blocks of 8 or 12 move a fig2 row by
 # 1 ulp, because `_series` stops on a test over the whole batch.
 _PANEL_BLOCK = 16
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_jacobi(beta: float):
+    """20-point Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1 + x)^beta, beta > -1, by Golub-Welsch: the eigenvalues of the
+    Jacobi matrix of the P^(0, beta) recurrence, and the weight's mass
+    2^(beta+1) / (beta + 1) times the squared first components of its
+    eigenvectors."""
+    k = np.arange(1.0, 20.0)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)],
+                           beta * beta / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    # the cache hands these arrays to every caller
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gl_batch(f, los, his):

@@ -109,13 +109,21 @@ def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
                 [edges, _panel_edges(r_core, r_max, 25.0)[1:]])
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        r = (mid[:, None] + half[:, None] * nm._GL_NODES[None, :]).ravel()
-        w = (half[:, None] * nm._GL_WEIGHTS[None, :]).ravel()
-        log_f = (math.log(2.0) + m * math.log(b) + (2.0 * m - 1.0) * np.log(r)
-                 - b * r * r - math.lgamma(m))
+        r = mid[:, None] + half[:, None] * nm._GL_NODES[None, :]
+        # log of each node's weight times the density power r^{2m-1}
+        log_w = (np.log(half[:, None] * nm._GL_WEIGHTS[None, :])
+                 + (2.0 * m - 1.0) * np.log(r))
+        # the first panel starts at 0, where a non-integer power stalls
+        # Gauss-Legendre: its rule takes the power as its weight
+        x, wj = nm._gauss_jacobi(2.0 * m - 1.0)
+        r[0] = half[0] * (1.0 + x)
+        log_w[0] = np.log(wj) + 2.0 * m * math.log(half[0])
+        r, log_w = r.ravel(), log_w.ravel()
+        log_f = (math.log(2.0) + m * math.log(b) + log_w - b * r * r
+                 - math.lgamma(m))
         on_line = z.imag == imz
-        out[on_line] = np.exp(1j * z[on_line][:, None] * r[None, :]) @ (
-            np.exp(log_f) * w)
+        out[on_line] = (np.exp(1j * z[on_line][:, None] * r[None, :])
+                        @ np.exp(log_f))
     return out
 
 

@@ -60,7 +60,7 @@ def snr_batch(config, count, rng):
     and SNR-base kernels."""
     rho, scales = mc._link_scales(config)
     amp = mc._hop_amplitudes(config, count, rng)
-    base, = mc._snr_bases(mc._draw(config, amp, rng), [scales])
+    base, = mc._draw_bases(config, amp, rng, [scales])
     return mc._snr(base, rho, config.phase_design.kind == "ops")
 
 
@@ -127,27 +127,30 @@ def sample_nakagami_phase(m, rng, size=None):
     return out.reshape(size)
 
 
-def nakagami_phase_draws(config, amp, rng):
-    """The variates that follow the hop draws of ``amp`` when Eq. (2) is
-    drawn term by term: phi = theta_h + theta_g - theta_n with Nakagami
-    hop phases and a uniform applied phase, and theta_hd - theta_d on the
-    direct path.  Same draw order as `montecarlo._draw`: element phases,
-    then the direct path's power and phase."""
+def nakagami_phase_bases(config, amp, rng, scales):
+    """The simulator's `_snr_bases` for the variates that follow the hop
+    draws of ``amp`` when Eq. (2) is drawn term by term: phi = theta_h +
+    theta_g - theta_n with Nakagami hop phases and a uniform applied
+    phase, and theta_hd - theta_d on the direct path.  Same draw order
+    as `montecarlo._draw_bases`: element phases, then the direct path's
+    power and phase.  The phases are drawn whole and reach the
+    simulator's blocked element sums as per-block slices."""
     count, n = amp.shape
     theta_h = sample_nakagami_phase(config.m_h, rng, (count, n))
     theta_g = sample_nakagami_phase(config.m_g, rng, (count, n))
     phi = theta_h + theta_g - rng.uniform(0.0, 2.0 * math.pi, (count, n))
-    gd = phi_d = None
+    sums = mc._element_sums(amp, lambda rows: phi[rows])
+    direct = None
     if config.geometry.direct_link:
         gd = rng.standard_gamma(config.m_d, count)
         theta_hd = sample_nakagami_phase(config.m_d, rng, (count,))
-        phi_d = theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
-    return mc._Draws(amp, phi, gd, phi_d)
+        direct = gd, theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
+    return mc._snr_bases(sums, direct, scales)
 
 
 def nakagami_phase_op_grid(config, thresholds, n_trials, seed):
     """Simulated random-phase outage at several thresholds with the
-    residual phases drawn through `nakagami_phase_draws`.
+    residual phases drawn through `nakagami_phase_bases`.
 
     Chunk i reads `RngStream(seed, i)` over `_chunk_size(N)` trials: the
     simulator's hop amplitudes, then the Eq. (2) phases, then its SNR
@@ -163,8 +166,7 @@ def nakagami_phase_op_grid(config, thresholds, n_trials, seed):
     for i in range(-(-n_trials // cs)):
         rng = mc.RngStream(seed, i).generator()
         amp = mc._hop_amplitudes(config, min(cs, n_trials - i * cs), rng)
-        base, = mc._snr_bases(nakagami_phase_draws(config, amp, rng),
-                              [scales])
+        base, = nakagami_phase_bases(config, amp, rng, [scales])
         g = mc._snr(base, rho, False)
         totals = [t + q.partial(g) for t, q in zip(totals, queries)]
     return [q.estimate(t, n_trials, seed) for q, t in zip(queries, totals)]

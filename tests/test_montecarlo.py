@@ -3,6 +3,7 @@ analytical modules as oracles for the estimators."""
 
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -205,55 +206,83 @@ def test_quantized_many_bits_approaches_coherent():
     assert np.max(np.abs(cdf1 - cdf2)) < 0.01
 
 
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("n", [1, 8, 320])
 @pytest.mark.parametrize("design", ["rps", "ops", "quantized"])
-def test_snr_batch_draw_order(design):
-    # the determinism contract written out with standard_gamma and
-    # uniform: hop powers h then g, the design's phases, then the direct
-    # path.  The elements are summed at unit scale and the Gamma scales
-    # multiply the sums; the count spans more than one row block of the
-    # SNR base
-    cfg = make_config(8, design, tx=3.0, direct=True, m_h=1.5, m_g=2.5)
-    rho, element, direct = link_parts(cfg)
-    count = mc._BASE_BLOCK // 8 + 904
+def test_snr_batch_draw_order(design, n, direct):
+    # the determinism contract written out with whole-array standard_gamma
+    # and uniform draws: hop powers h then g, the design's phases, then
+    # the direct path.  The simulator draws hop g and the phases in row
+    # blocks, and the count ends mid-block, so any change of draw order
+    # fails.  The elements are summed at unit scale and the Gamma scales
+    # multiply the sums
+    cfg = make_config(n, design, tx=3.0, direct=direct, m_h=1.5, m_g=2.5)
+    rho, element, dpath = link_parts(cfg)
+    count = mc._BASE_BLOCK // n + 904
     rng = mc.RngStream(4, 2).generator()
-    gh = rng.standard_gamma(cfg.m_h, (count, 8))
-    gg = rng.standard_gamma(cfg.m_g, (count, 8))
+    gh = rng.standard_gamma(cfg.m_h, (count, n))
+    gg = rng.standard_gamma(cfg.m_g, (count, n))
     amp = np.sqrt(gh * gg)
-    s_h, s_g, s_d = (element.hop_h.omega / cfg.m_h,
-                     element.hop_g.omega / cfg.m_g, direct.omega / cfg.m_d)
-    c, c_d = math.sqrt(s_h) * math.sqrt(s_g), math.sqrt(s_d)
+    s_h, s_g = element.hop_h.omega / cfg.m_h, element.hop_g.omega / cfg.m_g
+    c = math.sqrt(s_h) * math.sqrt(s_g)
     # the same draws with every element scaled before the sum
     x = np.sqrt(s_h * gh) * np.sqrt(s_g * gg)
-    if design == "ops":
+    if design == "rps":
+        phi = rng.uniform(0.0, 2.0 * math.pi, (count, n))
+    elif design == "quantized":
+        # two hop errors uniform on [-pi/4, pi/4) at 2 bits
+        phi = (rng.uniform(-math.pi / 4, math.pi / 4, (count, n))
+               + rng.uniform(-math.pi / 4, math.pi / 4, (count, n)))
+    # the direct-path terms at unit scale times sqrt(s_d), and scaled first
+    d_re = d_im = old_re = old_im = None
+    if direct:
+        s_d = dpath.omega / cfg.m_d
         gd = rng.standard_gamma(cfg.m_d, count)
-        total = c * np.sum(amp, axis=1) + c_d * np.sqrt(gd)
-        want = rho * total * total
-        old = rho * (np.sum(x, axis=1) + np.sqrt(s_d * gd)) ** 2
-    else:
-        if design == "rps":
-            phi = rng.uniform(0.0, 2.0 * math.pi, (count, 8))
+        hd, hd_old = np.sqrt(gd), np.sqrt(s_d * gd)
+        if design == "ops":
+            d_re, old_re = math.sqrt(s_d) * hd, hd_old
         else:
-            # two hop errors uniform on [-pi/4, pi/4) at 2 bits
-            phi = (rng.uniform(-math.pi / 4, math.pi / 4, (count, 8))
-                   + rng.uniform(-math.pi / 4, math.pi / 4, (count, 8)))
-        gd = rng.standard_gamma(cfg.m_d, count)
-        # the quantized design co-phases the direct path
-        phi_d = (rng.uniform(0.0, 2.0 * math.pi, count) if design == "rps"
-                 else np.zeros(count))
-        hd = np.sqrt(gd)
-        re = (c * np.sum(amp * np.cos(phi), axis=1)
-              + c_d * (hd * np.cos(phi_d)))
-        im = (c * np.sum(amp * np.sin(phi), axis=1)
-              + c_d * (hd * np.sin(phi_d)))
+            # the quantized design co-phases the direct path
+            phi_d = (rng.uniform(0.0, 2.0 * math.pi, count)
+                     if design == "rps" else np.zeros(count))
+            d_re = math.sqrt(s_d) * (hd * np.cos(phi_d))
+            d_im = math.sqrt(s_d) * (hd * np.sin(phi_d))
+            old_re, old_im = hd_old * np.cos(phi_d), hd_old * np.sin(phi_d)
+
+    def plus(elements, term):
+        return elements if term is None else elements + term
+
+    if design == "ops":
+        total = plus(c * np.sum(amp, axis=1), d_re)
+        want = rho * total * total
+        old = rho * plus(np.sum(x, axis=1), old_re) ** 2
+    else:
+        re = plus(c * np.sum(amp * np.cos(phi), axis=1), d_re)
+        im = plus(c * np.sum(amp * np.sin(phi), axis=1), d_im)
         want = rho * (re * re + im * im)
-        hd_old = np.sqrt(s_d * gd)
-        old = rho * ((np.sum(x * np.cos(phi), axis=1)
-                        + hd_old * np.cos(phi_d)) ** 2
-                       + (np.sum(x * np.sin(phi), axis=1)
-                          + hd_old * np.sin(phi_d)) ** 2)
+        old = rho * (plus(np.sum(x * np.cos(phi), axis=1), old_re) ** 2
+                     + plus(np.sum(x * np.sin(phi), axis=1), old_im) ** 2)
     got = snr_batch(cfg, count, mc.RngStream(4, 2).generator())
     assert np.array_equal(got, want)
     np.testing.assert_allclose(got, old, rtol=1e-12)
+
+
+@pytest.mark.parametrize("design, bound",
+                         [("rps", 1.75), ("ops", 1.75), ("quantized", 2.5)])
+def test_chunk_peak_memory(design, bound, monkeypatch):
+    # one N = 64 chunk at one thread holds hop h's (count, N) powers, one
+    # more such array for quantized phases, and row-block temporaries
+    monkeypatch.setenv("RISLINK_THREADS", "1")
+    cfg = make_config(64, design, direct=True)
+    count = mc._chunk_size(64)
+    queries = [mc.McQuery(cfg, "op", 1.0), mc.McQuery(cfg, "ec")]
+    tracemalloc.start()
+    try:
+        mc._reduce(queries, count, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * count * 64 * 8
 
 
 # ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ serves as a live cross-check where it implements the same function.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,36 @@ def test_hyp2f1_negative_axis_families():
         ref = np.array([float(mp.hyp2f1(a, b, c, float(v))) for v in x])
         scale = np.maximum(np.abs(ref), 1e-250)
         assert np.max(np.abs(mine - ref) / scale) < 2e-10
+
+
+@pytest.mark.parametrize("z", [-1e11, -1e13, -1e15])
+def test_hyp2f1_continuation_far_out_on_the_negative_axis(z):
+    # scenario a's cascade: b - a = 5.0119 sits in the near-integer band,
+    # so large negative z walks the Taylor continuation, whose terms used
+    # to overflow past |z| = 1e10.  It must match or raise, silently
+    a, b = 0.75, 5.761904761904762
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            got = nm.hyp2f1(a, b, 1.0, z)
+        except nm.ConvergenceError:
+            return
+    assert got == pytest.approx(float(mp.hyp2f1(a, b, 1.0, z)), rel=1e-10,
+                                abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.4, 4.0])
+def test_gauss_jacobi_rule_against_mpmath(beta):
+    # exact for polynomials of degree up to 39 against (1 + x)^beta;
+    # beta = 0 is Gauss-Legendre
+    x, w = nm._gauss_jacobi(beta)
+    for k in (0, 1, 7, 20, 39):
+        ref = float(mp.quad(lambda t: (1 + t) ** beta * t ** k, [-1, 0, 1]))
+        assert np.sum(w * x ** k) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+    if beta == 0.0:
+        gl_x, gl_w = np.polynomial.legendre.leggauss(20)
+        np.testing.assert_allclose(x, gl_x, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, gl_w, rtol=1e-13)
 
 
 def test_hyp2f1_unit_circle_families():

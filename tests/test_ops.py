@@ -293,6 +293,18 @@ def test_ber_ops_bdpsk_direct_only_closed_form():
             ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("m", [0.7, 1.2, 1.5, 2.5])
+def test_ber_ops_bdpsk_direct_only_any_shape(m):
+    # the direct path's density power r^{2m-1} is not smooth at 0 unless
+    # 2m - 1 is an integer; at m = 0.7 plain Gauss-Legendre panels left
+    # the BER 2e-5 off
+    chf = ops.AmplitudeChf(None, 0, NakagamiParams(m, 0.7))
+    for rho in (0.5, 10.0, 1e3, 1e9):
+        ref = 0.5 * (1.0 + rho * 0.7 / m) ** -m
+        assert ops.ber_ops(chf, rho, Modulation.BDPSK) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
+
+
 def test_ber_ops_bdpsk_matches_cdf_average():
     chf = ops.AmplitudeChf(FIG2, 2, NakagamiParams(1.2, 0.8))
     rho = 0.8
