@@ -1,7 +1,7 @@
 """Seedable channel simulator and metric estimators.
 
-Trials are generated in fixed-size chunks, each fed by its own
-counter-based Philox substream keyed by (seed, chunk index).  Chunk
+Trials are generated in fixed-size chunks, each fed by its own SFC64
+substream seeded by SeedSequence(seed, spawn_key=(chunk index,)).  Chunk
 boundaries depend only on the element count and the trial total, and
 partial sums are reduced in chunk order, so every estimate is
 bit-identical for any thread count or scheduling.
@@ -60,7 +60,9 @@ _WINDOW = 4
 
 @dataclass(frozen=True)
 class RngStream:
-    """One platform-stable substream: Philox keyed by (seed, stream_id)."""
+    """One platform-stable substream: SFC64 seeded by the SeedSequence of
+    ``seed`` spawned at key (stream_id,), so distinct ids give
+    independent streams."""
 
     seed: int
     stream_id: int
@@ -72,8 +74,8 @@ class RngStream:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id]))
+        return np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
 
 def _chunk_size(n_elements: int) -> int:

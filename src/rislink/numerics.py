@@ -895,12 +895,17 @@ def _continuation_vec(a, b, c, targets):
     singular points {0, 1}, carrying (F, F') through the second-order
     recurrence for the local Taylor terms d_n = c_n h^n.  The terms
     shrink like 0.35^n at any |z|, where c_n and h^n alone under- and
-    overflow once |z| passes about 1e10.
+    overflow once |z| passes about 1e10.  Far from z = 1 a step grows |z|
+    by 1.35x, so the step budget grows with the farthest target.  Past
+    |z| = 1e150 the step products would overflow.
     """
+    far = float(np.maximum.reduce(np.abs(targets), axis=None))
+    if not far <= 1e150:
+        raise ConvergenceError("2F1 continuation target out of range")
     direction = targets / np.abs(targets)
     z0 = 0.5 * direction
     f, fp = _series((a, b), (c,), z0, deriv=True)
-    for _ in range(120):
+    for _ in range(120 + int(math.log(max(far, 0.5) / 0.5) / math.log(1.35))):
         rem = targets - z0
         dist_rem = np.abs(rem)
         if np.maximum.reduce(dist_rem, axis=None) <= 1e-15:
@@ -1159,6 +1164,15 @@ def _alternating(tail):
         return False
     signs = [(x > 0.0) - (x < 0.0) for x in tail]
     return 0 not in signs and all(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of a NaN-free array, flattened and ascending:
+    what np.unique returns, without its import of numpy.ma."""
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
 
 
 def _build_edges(breakpoints, lower, cap):

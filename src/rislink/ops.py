@@ -97,7 +97,7 @@ def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
         return np.linspace(lo, hi, n + 1)
 
     out = np.empty(z.shape, dtype=complex)
-    for imz in np.unique(z.imag).tolist():
+    for imz in nm._sorted_unique(z.imag).tolist():
         if imz <= 0.0:
             raise ValueError("complex CHF path requires Im z > 0")
         r_core = min(r_density, 12.0 / imz)
@@ -201,7 +201,7 @@ def _kernel_breakpoints(freqs: Sequence[float], span: float) -> np.ndarray:
         h = math.pi / max(f, 0.02)
         count = int(min(4096, max(4, math.ceil(span / h))))
         parts.append(h * np.arange(1, count + 1))
-    bps = np.unique(np.concatenate(parts))
+    bps = nm._sorted_unique(np.concatenate(parts))
     return bps[bps <= span * 1.0001]
 
 
@@ -241,7 +241,7 @@ def _inversion_breakpoints(rt: float, mt: float, bulk_end: float,
         h = math.pi / max(f, 0.02)
         count = int(min(4096, max(2, math.ceil(bulk_end / h))))
         parts.append(h * np.arange(1, count + 1))
-    bulk = np.unique(np.concatenate(parts))
+    bulk = nm._sorted_unique(np.concatenate(parts))
     bulk = bulk[bulk <= bulk_end]
     h_far = math.pi / rt if rt > 0 else math.inf
     if h_far < span - bulk_end:

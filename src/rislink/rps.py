@@ -225,7 +225,7 @@ def _oscillatory_breakpoints(u_scale: float) -> np.ndarray:
     zeros = _j_zeros(1, count)
     dy = u_scale * 2.0 ** np.arange(-10.0, 5.0)
     dy = dy[(dy > 1e-9) & (dy < zeros[-1])]
-    return np.union1d(zeros, dy)
+    return nm._sorted_unique(np.concatenate([zeros, dy]))
 
 
 def _lone_path_cdf(hops: tuple, r):

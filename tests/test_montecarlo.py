@@ -58,6 +58,16 @@ def test_rng_stream_reproducible_and_validated():
         mc.RngStream(0, 1 << 64)
 
 
+def test_rng_stream_values_are_pinned():
+    # a new bit generator, seeding or numpy sampler would rewrite every
+    # simulator row; this names the cause
+    assert mc.RngStream(12345, 7).generator().random(3).tolist() == [
+        0.4683248043839253, 0.9804251396877426, 0.33989065675059305]
+    assert mc.RngStream(12345, 7).generator().standard_gamma(
+        5.761904761904762, 3).tolist() == [
+        4.102407676078991, 9.901044903296139, 4.590244836558542]
+
+
 def test_mc_estimate_validation():
     mc.McEstimate(0.1, 0.01, 100, 0)
     with pytest.raises(ValueError):

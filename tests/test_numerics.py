@@ -339,20 +339,26 @@ def test_hyp2f1_negative_axis_families():
         assert np.max(np.abs(mine - ref) / scale) < 2e-10
 
 
-@pytest.mark.parametrize("z", [-1e11, -1e13, -1e15])
+@pytest.mark.parametrize("z", [-1e11, -1e13, -1e15, -1e16, -1e17, -1e20])
 def test_hyp2f1_continuation_far_out_on_the_negative_axis(z):
     # scenario a's cascade: b - a = 5.0119 sits in the near-integer band,
     # so large negative z walks the Taylor continuation, whose terms used
-    # to overflow past |z| = 1e10.  It must match or raise, silently
+    # to overflow past |z| = 1e10 and whose step budget used to end near
+    # |z| = 1e15
     a, b = 0.75, 5.761904761904762
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            got = nm.hyp2f1(a, b, 1.0, z)
-        except nm.ConvergenceError:
-            return
+        got = nm.hyp2f1(a, b, 1.0, z)
     assert got == pytest.approx(float(mp.hyp2f1(a, b, 1.0, z)), rel=1e-10,
                                 abs=0.0)
+
+
+def test_hyp2f1_continuation_past_its_range_raises():
+    # past |z| = 1e150 the walk's step products would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(nm.ConvergenceError):
+            nm.hyp2f1(0.75, 5.761904761904762, 1.0, -1e300)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.4, 4.0])

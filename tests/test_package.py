@@ -67,20 +67,28 @@ def test_readme_quick_start_runs():
     assert abs(analytic - value) <= 3.0 * std_error
 
 
-def _run_helper(script, args, tmp_path, config=TINY, metric="op",
-                modulation="bpsk"):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
-                   encoding="utf-8")
+def _write_config(path, config):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
+                    encoding="utf-8")
+    return path
+
+
+def _run_python(argv):
+    """Run ``python argv`` on this package with one simulator thread."""
     env = dict(os.environ, RISLINK_THREADS="1")
     src = str(Path(rislink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + argv, capture_output=True,
+                          text=True, cwd=ROOT, env=env, timeout=300)
+
+
+def _run_helper(script, args, tmp_path, config=TINY, metric="op",
+                modulation="bpsk"):
+    cfg = _write_config(tmp_path / "tiny.cfg", config)
     argv = args + ["metric", "--config", str(cfg), "--metric", metric,
                    "--modulation", modulation, "--trials", "10000"]
-    return subprocess.run([sys.executable, str(PERFBENCH / script)] + argv,
-                          capture_output=True, text=True, cwd=ROOT, env=env,
-                          timeout=300)
+    return _run_python([str(PERFBENCH / script)] + argv)
 
 
 def _traced_run(tmp_path, **kwargs):
@@ -125,3 +133,29 @@ def test_benchmark_firstrow_reaches_a_row(tmp_path):
     proc = _run_helper("firstrow.py", [], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("firstrow ")
+
+
+def test_exact_rows_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma, about 18 ms of a process;
+    # the breakpoint ladders and the contour's damping levels take their
+    # sorted unique values without it
+    ops = dict(TINY, phase_design="ops", direct_link="true", m_d=1.5)
+    rows = [(TINY, "op", "bpsk"), (ops, "op", "bpsk"), (ops, "ber", "bpsk"),
+            (ops, "ber", "bdpsk")]
+    script = """if True:
+        import sys
+        from rislink.cli import main
+        args = sys.argv[1:]
+        for cfg, metric, mod in zip(args[::3], args[1::3], args[2::3]):
+            assert main(["metric", "--config", cfg, "--metric", metric,
+                         "--modulation", mod, "--method", "exact"]) == 0
+        print("numpy.ma" in sys.modules)
+    """
+    argv = ["-c", script]
+    for i, (config, metric, modulation) in enumerate(rows):
+        argv += [str(_write_config(tmp_path / f"{i}.cfg", config)), metric,
+                 modulation]
+    proc = _run_python(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(",exact,") == len(rows)
+    assert proc.stdout.splitlines()[-1] == "False"
