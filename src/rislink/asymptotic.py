@@ -42,10 +42,6 @@ class LargeNRps:
         """Model of ``n_elements`` copies of ``element`` at SNR scale rho."""
         return cls(0.5 * n_elements * rho * element.mean_power)
 
-    @property
-    def mean(self) -> float:
-        return 2.0 * self.sigma1_sq
-
 
 @dataclass(frozen=True)
 class LargeNOps:
@@ -69,10 +65,6 @@ class LargeNOps:
             raise ValueError("degenerate summand: zero variance")
         return cls(xi=n_elements * mean * mean / variance,
                    s=1.0 / (rho * n_elements * variance))
-
-    @property
-    def mean(self) -> float:
-        return (1.0 + self.xi) / self.s
 
 
 def largen_rps_cdf(model: LargeNRps, x: float) -> float:

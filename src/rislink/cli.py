@@ -129,7 +129,7 @@ def _transform(kind, element: DoubleNakagami, n: int,
                direct: Optional[NakagamiParams]):
     """One transform object per (kind, element, N, direct path).  A power
     sweep changes only rho, so its rows share one object and the
-    quantities it derives once (series, moments, probes)."""
+    quantities it derives once (moments, probes, tables)."""
     return kind(element, n, direct)
 
 
@@ -156,24 +156,14 @@ class _Link(NamedTuple):
                                   self.rho)
 
 
-def _rps_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
-    hp = link.hankel()
-    return rps.ec_taylor(rps.gamma_r_moment(hp, 1, link.rho),
-                         rps.gamma_r_moment(hp, 2, link.rho))
-
-
-def _ops_ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
-    chf = link.chf()
-    return rps.ec_taylor(link.rho * chf.amplitude_moment(2),
-                         link.rho ** 2 * chf.amplitude_moment(4))
-
-
-def _quantized_ec(link: _Link, gamma_th: float,
-                  modulation: Modulation) -> float:
-    n, bits = link.config.n_elements, link.config.phase_design.bits
-    return rps.ec_taylor(
-        rps.gamma_q_moment(link.element, n, link.rho, bits, 1),
-        rps.gamma_q_moment(link.element, n, link.rho, bits, 2))
+def _ec(link: _Link, gamma_th: float, modulation: Modulation) -> float:
+    """Two-moment capacity approximation, one rule for every design; rps
+    and ops read the moments their transform keeps."""
+    design = link.config.phase_design
+    transform = link.chf() if design.kind == "ops" else link.hankel()
+    _, mean_sq, fourth = (transform.moments if design == transform.design
+                          else rps.phasor_moments(transform.paths, design))
+    return rps.ec_taylor(link.rho * mean_sq, link.rho ** 2 * fourth)
 
 
 # (design, metric, method) -> (engine, RIS sum only).  An engine maps
@@ -186,14 +176,14 @@ _ENGINES = {
         False),
     ("rps", "ber", "exact"): (
         lambda link, th, mod: rps.ber_rps(link.hankel(), link.rho, mod), False),
-    ("rps", "ec", "exact"): (_rps_ec, False),
+    ("rps", "ec", "exact"): (_ec, False),
     ("ops", "op", "exact"): (
         lambda link, th, mod: ops.gamma_c_cdf(link.chf(), th, link.rho),
         False),
     ("ops", "ber", "exact"): (
         lambda link, th, mod: ops.ber_ops(link.chf(), link.rho, mod), False),
-    ("ops", "ec", "exact"): (_ops_ec, False),
-    ("quantized", "ec", "exact"): (_quantized_ec, True),
+    ("ops", "ec", "exact"): (_ec, False),
+    ("quantized", "ec", "exact"): (_ec, True),
     ("rps", "op", "asymptotic"): (
         lambda link, th, mod: la.largen_rps_cdf(link.largen(la.LargeNRps), th),
         True),

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .rps import (_BER_QUADRATURE, Modulation, TransformProduct,
-                  _lone_path_cdf, path_moment)
-from .scenario import DoubleNakagami, NakagamiParams
+                  _lone_path_cdf)
+from .scenario import DoubleNakagami, NakagamiParams, PhaseDesign
 
 
 def chf_direct(params: NakagamiParams, t):
@@ -136,27 +136,6 @@ def _path_chf(path, t):
     return (chf_cascade if len(path.hops) == 2 else chf_direct)(path, t)
 
 
-def _moments_to_cumulants(mom: Sequence[float]) -> List[float]:
-    # mom[0] = 1, mom[j] = raw moment of order j
-    n = len(mom) - 1
-    kap = [0.0] * (n + 1)
-    for j in range(1, n + 1):
-        acc = mom[j]
-        for i in range(1, j):
-            acc -= math.comb(j - 1, i - 1) * kap[i] * mom[j - i]
-        kap[j] = acc
-    return kap
-
-
-def _cumulants_to_moments(kap: Sequence[float]) -> List[float]:
-    n = len(kap) - 1
-    mom = [1.0] + [0.0] * n
-    for j in range(1, n + 1):
-        mom[j] = sum(math.comb(j - 1, i - 1) * kap[i] * mom[j - i]
-                     for i in range(1, j + 1))
-    return mom
-
-
 class AmplitudeChf(TransformProduct):
     """Characteristic function of the amplitude sum A = sum X_n + |h_d|.
 
@@ -166,23 +145,7 @@ class AmplitudeChf(TransformProduct):
 
     factor = staticmethod(_path_chf)
     scalar = complex
-
-    def amplitude_moment(self, k: int) -> float:
-        """Raw moment E[A^k], k <= 8, by cumulant accumulation."""
-        if k != int(k) or not 0 <= k <= 8:
-            raise ValueError(f"amplitude moment order must be in 0..8, got {k}")
-        k = int(k)
-        key = ("amplitude_moment", k)
-        got = self._derived.get(key)
-        if got is None:
-            kap = [0.0] * (k + 1)
-            for path, count in self.paths:
-                mom = [1.0] + [path_moment(path, j) for j in range(1, k + 1)]
-                for j, kj in enumerate(_moments_to_cumulants(mom)):
-                    kap[j] += count * kj
-            got = _cumulants_to_moments(kap)[k]
-            self._derived[key] = got
-        return got
+    design = PhaseDesign("ops")
 
     def value_complex(self, z: np.ndarray) -> np.ndarray:
         """Damped CHF Psi_A(z) / Psi_A(jy) on a line Im z = y > 0.
@@ -272,13 +235,14 @@ def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
     r = math.sqrt(gamma / rho)
     # Markov: P(A > r) <= E[A^4] / r^4 < 1e-12, tested as fourth roots
     # since r^4 overflows once r passes about 1e77
-    if math.sqrt(math.sqrt(chf.amplitude_moment(4))) < 1e-3 * r:
+    mean, mean_sq, fourth = chf.moments
+    if math.sqrt(math.sqrt(fourth)) < 1e-3 * r:
         return 1.0
     if chf.lone_path is not None:
         return min(max(_lone_path_cdf(chf.lone_path.hops, r), 0.0), 1.0)
-    sigma = math.sqrt(chf.amplitude_moment(2))
+    sigma = math.sqrt(mean_sq)
     rt = r / sigma
-    mt = chf.amplitude_moment(1) / sigma
+    mt = mean / sigma
     var_t = max(1.0 - mt * mt, 1e-12)
     span = min(9000.0, max(64.0, 30.0 / math.sqrt(var_t),
                            1e9 ** (1.0 / max(chf.tail_exponent, 2.0))))
@@ -370,7 +334,7 @@ def ber_ops(chf: AmplitudeChf, rho: float, modulation: Modulation) -> float:
         val = _gaussian_average(chf, math.sqrt(2.0 * rho), False)
         return min(max(0.5 * val, 0.0), 0.5)
     s = math.sqrt(2.0 * modulation.q * rho)
-    omega = s * chf.amplitude_moment(1)
+    omega = s * chf.moments[0]
     span = 16.0
     bps = _kernel_breakpoints([omega], span)
     tau0 = 1e-8 / max(1.0, omega)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import QuadratureSpec
-from .scenario import DoubleNakagami, NakagamiParams
+from .scenario import DoubleNakagami, NakagamiParams, PhaseDesign
 
 LN2 = math.log(2.0)
 # BER spans many decades across a power sweep: drive its quadrature by
@@ -91,14 +91,44 @@ def hankel_factor(path, t):
     return special(*shapes, 1.0, -0.25 * path.lambda_n * np.square(t))
 
 
-def _path_series(path, order: int) -> list:
-    # Maclaurin coefficients of E[J0(tX)] in the variable u = t^2
-    coeffs, c = [1.0], 1.0
-    for j in range(order):
-        c *= (math.prod(hop.m + j for hop in path.hops) / ((j + 1.0) ** 2)
-              * (-0.25 * path.lambda_n))
-        coeffs.append(c)
-    return coeffs
+def _phase_factors(design: PhaseDesign, path) -> tuple:
+    """(c1, c2), c_k = E[e^{jk phi}], for a path's residual phase phi.
+
+    Random phases average out; co-phased paths, and the direct path under
+    every design but rps, keep phi = 0.  A b-bit quantized element's phi
+    is the sum of two hop errors uniform on [-a, a), a = pi/2^b, so c_k is
+    a squared sinc.
+    """
+    if design.kind == "rps":
+        return 0.0, 0.0
+    if design.kind == "ops" or len(path.hops) == 1:
+        return 1.0, 1.0
+    a = math.pi / 2.0 ** design.bits
+    return tuple((math.sin(k * a) / (k * a)) ** 2 for k in (1, 2))
+
+
+def phasor_moments(paths, design: PhaseDesign) -> tuple:
+    """(E[S], E|S|^2, E|S|^4) of the received phasor S = sum X e^{j phi}
+    over ``paths``, (path, count) pairs of independent paths.
+
+    The joint cumulants K_ab of (S, conj S) add over independent paths.
+    A path's come from its moments E[Y^a conj(Y)^b] = mu_{a+b} c_{a-b},
+    mu_k = `path_moment` and c_k from `_phase_factors`, real and even in k.
+    """
+    k10 = k20 = k11 = k21 = k22 = 0.0
+    for path, count in paths:
+        c1, c2 = _phase_factors(design, path)
+        mu1, p, mu3, q = (path_moment(path, k) for k in range(1, 5))
+        m, s, r = mu1 * c1, p * c2, mu3 * c1
+        k10 += count * m
+        k20 += count * (s - m * m)
+        k11 += count * (p - m * m)
+        k21 += count * (r - s * m - 2.0 * p * m + 2.0 * m ** 3)
+        k22 += count * (q - 4.0 * r * m - s * s - 2.0 * p * p
+                        + 4.0 * s * m * m + 8.0 * p * m * m - 6.0 * m ** 4)
+    return k10, k11 + k10 * k10, (
+        k22 + 4.0 * k21 * k10 + k20 * k20 + 2.0 * k11 * k11
+        + 2.0 * k20 * k10 * k10 + 4.0 * k11 * k10 * k10 + k10 ** 4)
 
 
 class TransformProduct:
@@ -108,8 +138,9 @@ class TransformProduct:
     ``paths`` lists (path, count): (element, n) when n > 0, then
     (direct, 1) when there is a direct path.  Every derived quantity is
     one fold over it, so a surface costs one factor evaluation whatever
-    N is.  Subclasses name the factor function ``(path, t) -> values``
-    and the scalar type, ``float`` or ``complex``, of the values.
+    N is.  Subclasses name the factor function ``(path, t) -> values``,
+    the scalar type, ``float`` or ``complex``, of the values, and the
+    phase design whose moments they keep.
     """
 
     def __init__(self, element: Optional[DoubleNakagami], n: int,
@@ -123,9 +154,18 @@ class TransformProduct:
                       if count > 0 and path is not None]
         if not self.paths:
             raise ValueError("need at least one cascade element or a direct path")
-        # quantities derived from the factors (series, moments, probes,
-        # the BER lattice's H tables)
+        # quantities derived from the factors (moments, probes, the BER
+        # lattice's H tables)
         self._derived: dict = {}
+
+    @property
+    def moments(self) -> tuple:
+        """`phasor_moments` of the link under the subclass's design."""
+        got = self._derived.get("moments")
+        if got is None:
+            got = self._derived["moments"] = phasor_moments(self.paths,
+                                                            self.design)
+        return got
 
     @property
     def lone_path(self):
@@ -157,22 +197,12 @@ class HankelProduct(TransformProduct):
 
     factor = staticmethod(hankel_factor)
     scalar = float
+    design = PhaseDesign("rps")
 
     @property
     def decay_scale(self) -> float:
         """t-scale on which the fastest factor rolls off from 1."""
         return min(2.0 / math.sqrt(path.mean_power) for path, _ in self.paths)
-
-    def maclaurin_u(self, order: int) -> np.ndarray:
-        """Coefficients of H as a series in u = t^2, through u^order."""
-        key = ("maclaurin_u", order)
-        got = self._derived.get(key)
-        if got is None:
-            got = nm.taylor_coefficients_product(
-                [series for path, count in self.paths
-                 for series in [_path_series(path, order)] * count], order)
-            self._derived[key] = got
-        return got
 
     @property
     def algebraic_scale(self) -> float:
@@ -299,8 +329,8 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
         return 0.0
     r = math.sqrt(gamma / rho)
     # Markov: P(R > r) <= E[R^4] / r^4 < 1e-12, tested as fourth roots
-    # since r^4 overflows; E[R^4] = 64 h_2 from H's series in u = t^2
-    if math.sqrt(math.sqrt(64.0 * hp.maclaurin_u(2)[2])) < 1e-3 * r:
+    # since r^4 overflows
+    if math.sqrt(math.sqrt(hp.moments[2])) < 1e-3 * r:
         return 1.0
     if hp.lone_path is not None:
         return min(max(_lone_path_cdf(hp.lone_path.hops, r), 0.0), 1.0)
@@ -312,17 +342,6 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     val = nm.integrate_semi_infinite(
         lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)
     return min(max(val, 0.0), 1.0)
-
-
-def gamma_r_moment(hp: HankelProduct, k: int, rho: float) -> float:
-    """k-th raw SNR moment (k <= 4) from the exact Maclaurin data of H."""
-    if k != int(k) or not 1 <= k <= 4:
-        raise ValueError(f"moment order must be an integer in 1..4, got {k}")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    k = int(k)
-    h = hp.maclaurin_u(k)
-    return rho ** k * (-4.0) ** k * math.factorial(k) ** 2 * float(h[k])
 
 
 def _lattice_span(hp: HankelProduct, s: float, p: float) -> tuple:
@@ -432,49 +451,3 @@ def ec_taylor(mu1: float, mu2: float) -> float:
         raise ValueError(f"negative SNR variance ({var:g}): inconsistent moments")
     var = max(var, 0.0)
     return (math.log1p(mu1) - var / (2.0 * (1.0 + mu1) ** 2)) / LN2
-
-
-# --- quantized phase shifting ----------------------------------------
-
-def quantized_phase_factors(bits: int) -> tuple:
-    """(E[e^{j phi}], E[e^{2j phi}]) for the two-hop b-bit residual phase.
-
-    Each hop phase estimate leaves an independent error uniform on
-    [-pi/2^b, pi/2^b), so phi is their sum and both factors are squared
-    single-hop sinc terms.
-    """
-    if bits != int(bits) or bits < 1:
-        raise ValueError(f"quantizer bits must be a positive integer, got {bits}")
-    a = math.pi / 2.0 ** bits
-    c1 = (math.sin(a) / a) ** 2
-    c2 = (math.sin(2.0 * a) / (2.0 * a)) ** 2
-    return c1, c2
-
-
-def gamma_q_moment(dn: DoubleNakagami, n_elements: int, rho: float,
-                   bits: int, k: int) -> float:
-    """k-th raw SNR moment (k in {1, 2}) under b-bit quantized phases.
-
-    Homogeneous elements, no direct path: the moments of |sum X_n
-    e^{j phi_n}|^2 follow from the index-pattern expansion with phase
-    factors c1, c2.
-    """
-    if k not in (1, 2):
-        raise ValueError("quantized moments available for k = 1 or 2")
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    c1, c2 = quantized_phase_factors(bits)
-    mu = [path_moment(dn, j) for j in range(5)]
-    n = float(n_elements)
-    if k == 1:
-        s2 = n * mu[2] + n * (n - 1.0) * mu[1] ** 2 * c1 * c1
-        return rho * s2
-    s4 = (n * mu[4]
-          + n * (n - 1.0) * (2.0 * mu[2] ** 2 + mu[2] ** 2 * c2 * c2
-                             + 4.0 * mu[3] * mu[1] * c1 * c1)
-          + n * (n - 1.0) * (n - 2.0) * (2.0 * mu[2] * mu[1] ** 2 * c2 * c1 * c1
-                                         + 4.0 * mu[2] * mu[1] ** 2 * c1 * c1)
-          + n * (n - 1.0) * (n - 2.0) * (n - 3.0) * mu[1] ** 4 * c1 ** 4)
-    return rho * rho * s4

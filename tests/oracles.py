@@ -309,6 +309,37 @@ def gamma_c_moment_multinomial(config, k):
     return rho ** k * math.factorial(power) * expand(0, power)
 
 
+def cumulant_amplitude_moment(paths, k):
+    """E[A^k] of the co-phased amplitude A = sum of the envelopes of
+    ``paths``, (path, count) pairs: each path's raw moments to cumulants
+    by the moment recursion, cumulants summed over the paths with their
+    counts, then back to a raw moment."""
+    kap = [0.0] * (k + 1)
+    for path, count in paths:
+        mom = [1.0] + [rps.path_moment(path, j) for j in range(1, k + 1)]
+        cum = [0.0] * (k + 1)
+        for j in range(1, k + 1):
+            acc = mom[j]
+            for i in range(1, j):
+                acc -= math.comb(j - 1, i - 1) * cum[i] * mom[j - i]
+            cum[j] = acc
+        for j, kj in enumerate(cum):
+            kap[j] += count * kj
+    mom = [1.0] + [0.0] * k
+    for j in range(1, k + 1):
+        mom[j] = sum(math.comb(j - 1, i - 1) * kap[i] * mom[j - i]
+                     for i in range(1, j + 1))
+    return mom[k]
+
+
+def largen_mean(model):
+    """Mean SNR of a large-N model: 2 sigma1^2 for the exponential law,
+    (1 + xi) / s for the noncentral chi-square one."""
+    if hasattr(model, "sigma1_sq"):
+        return 2.0 * model.sigma1_sq
+    return (1.0 + model.xi) / model.s
+
+
 def largen_rps_chf(model, t):
     """E[exp(j t gamma)] of the exponential large-N model."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))

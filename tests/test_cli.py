@@ -12,10 +12,9 @@ import pytest
 
 from rislink import cli
 from rislink import montecarlo as mc
-from rislink import numerics
 from rislink import rps
 from rislink.rps import Modulation
-from rislink.scenario import config_from_mapping, link_parts
+from rislink.scenario import PhaseDesign, config_from_mapping, link_parts
 
 
 DESK = {
@@ -242,24 +241,24 @@ def test_power_sweep_shares_one_transform(direct):
     assert other.chf() is not louder.chf()
 
 
-def test_curve_computes_its_series_once(monkeypatch):
-    # the exact ec rows of one fig1 curve read H's Maclaurin series
-    # through two orders, once per curve instead of once per row
+def test_curve_computes_its_moments_once(monkeypatch):
+    # the exact ec rows of one fig1 curve read the transform's phasor
+    # moments, computed once per curve instead of once per row
     _, curves = cli._preset_curves("fig1")
     _, param, points, _, _ = curves[0]
     specs = cli._specs_for_curve(param, points, ("ec",), "exact")
     assert len(specs) == 21
-    product = numerics.taylor_coefficients_product
+    moments = rps.phasor_moments
     calls = []
 
-    def counted(series_list, order):
-        calls.append(order)
-        return product(series_list, order)
-    monkeypatch.setattr(numerics, "taylor_coefficients_product", counted)
+    def counted(paths, design):
+        calls.append(design)
+        return moments(paths, design)
+    monkeypatch.setattr(rps, "phasor_moments", counted)
     cli._transform.cache_clear()
     rows = cli.compute_rows(specs, 1e-3, Modulation.BPSK, 10_000, 1)
     assert all(row.estimate is not None for row in rows)
-    assert len(calls) == 2
+    assert calls == [PhaseDesign("rps")]
 
 
 def test_rps_ber_sweep_evaluates_the_transform_a_fixed_number_of_times(

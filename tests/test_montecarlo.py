@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k1
 
-from oracles import (link, nakagami_phase_const, op_grid,
+from oracles import (largen_mean, link, nakagami_phase_const, op_grid,
                      sample_nakagami_phase, snr_batch)
 from rislink import asymptotic as la
 from rislink import montecarlo as mc
@@ -325,7 +325,7 @@ def test_estimate_op_matches_exact_small_n():
 def test_estimate_op_matches_exponential_model():
     cfg = make_config(256, tx=10.0)
     model = link(cfg).largen(la.LargeNRps)
-    gamma_th = model.mean * math.log(2.0)
+    gamma_th = largen_mean(model) * math.log(2.0)
     want = la.largen_rps_cdf(model, gamma_th)
     est = mc.estimate_op(cfg, gamma_th, 60_000, 9)
     assert abs(est.value - want) < 3 * est.std_error

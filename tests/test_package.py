@@ -20,17 +20,18 @@ PERFBENCH = ROOT / "perfbench"
 
 # names the package exported before its library surface was cut to
 # what the CLI runs, before the phase design became the simulator's
-# only phase input, before each exact value kept a single route, and
+# only phase input, before each exact value kept a single route,
 # before the per-kind path helpers became `path_moment` and
-# `hankel_factor`
+# `hankel_factor`, and before `phasor_moments` served every phase design
 WITHDRAWN = ("EXACT_NAKAGAMI", "IntegrabilityError", "PhaseModel",
              "QuadratureSpec", "UNIFORM", "ber_ops_bdpsk",
              "ber_ops_coherent", "ber_rps_asymptotic",
              "default_phase_model", "derive", "diversity_order_ops",
              "estimate_op_grid", "gamma_c_moment",
-             "gamma_c_moment_multinomial", "gamma_r_pdf", "hankel_cascade",
-             "hankel_direct", "largen_ops_chf", "largen_ops_pdf",
-             "largen_rps_chf", "nakagami_moment", "op_ops", "op_rps",
+             "gamma_c_moment_multinomial", "gamma_q_moment", "gamma_r_moment",
+             "gamma_r_pdf", "hankel_cascade", "hankel_direct",
+             "largen_ops_chf", "largen_ops_pdf", "largen_rps_chf",
+             "nakagami_moment", "op_ops", "op_rps", "quantized_phase_factors",
              "quantized_phases", "realize_snr", "sample_nakagami_envelope",
              "sample_nakagami_phase", "x_moment")
 
@@ -135,27 +136,51 @@ def test_benchmark_firstrow_reaches_a_row(tmp_path):
     assert proc.stdout.startswith("firstrow ")
 
 
+def _loaded_after_rows(tmp_path, rows, modules):
+    """Run (config, metric, method, modulation) rows through the CLI in
+    one fresh process: (the methods of the CSV rows, the sorted subset
+    of ``modules`` in sys.modules afterwards)."""
+    script = """if True:
+        import sys
+        from rislink.cli import main
+        *args, names = sys.argv[1:]
+        for i in range(0, len(args), 4):
+            cfg, metric, method, mod = args[i:i + 4]
+            assert main(["metric", "--config", cfg, "--metric", metric,
+                         "--method", method, "--modulation", mod,
+                         "--trials", "10000"]) == 0
+        print(sorted(set(names.split(",")) & set(sys.modules)))
+    """
+    argv = ["-c", script]
+    for i, (config, *row) in enumerate(rows):
+        argv += [str(_write_config(tmp_path / f"{i}.cfg", config)), *row]
+    proc = _run_python(argv + [",".join(modules)])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    methods = [line.split(",")[3] for line in lines[:-1]
+               if not line.startswith("param,")]
+    return methods, lines[-1]
+
+
 def test_exact_rows_do_not_import_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma, about 18 ms of a process;
     # the breakpoint ladders and the contour's damping levels take their
     # sorted unique values without it
     ops = dict(TINY, phase_design="ops", direct_link="true", m_d=1.5)
-    rows = [(TINY, "op", "bpsk"), (ops, "op", "bpsk"), (ops, "ber", "bpsk"),
-            (ops, "ber", "bdpsk")]
-    script = """if True:
-        import sys
-        from rislink.cli import main
-        args = sys.argv[1:]
-        for cfg, metric, mod in zip(args[::3], args[1::3], args[2::3]):
-            assert main(["metric", "--config", cfg, "--metric", metric,
-                         "--modulation", mod, "--method", "exact"]) == 0
-        print("numpy.ma" in sys.modules)
-    """
-    argv = ["-c", script]
-    for i, (config, metric, modulation) in enumerate(rows):
-        argv += [str(_write_config(tmp_path / f"{i}.cfg", config)), metric,
-                 modulation]
-    proc = _run_python(argv)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count(",exact,") == len(rows)
-    assert proc.stdout.splitlines()[-1] == "False"
+    rows = [(TINY, "op", "exact", "bpsk"), (ops, "op", "exact", "bpsk"),
+            (ops, "ber", "exact", "bpsk"), (ops, "ber", "exact", "bdpsk")]
+    methods, loaded = _loaded_after_rows(tmp_path, rows, ["numpy.ma"])
+    assert methods == ["exact"] * len(rows)
+    assert loaded == "[]"
+
+
+def test_rows_run_on_numpy_alone(tmp_path):
+    # scipy and mpmath are test dependencies only: an exact row of every
+    # phase design and a simulator row load neither
+    ops = dict(TINY, phase_design="ops")
+    quant = dict(TINY, phase_design="quantized", quantizer_bits=2)
+    rows = [(TINY, "op", "exact", "bpsk"), (ops, "op", "exact", "bpsk"),
+            (quant, "ec", "exact", "bpsk"), (TINY, "ber", "mc", "bpsk")]
+    methods, loaded = _loaded_after_rows(tmp_path, rows, ["scipy", "mpmath"])
+    assert methods == ["exact", "exact", "exact", "mc"]
+    assert loaded == "[]"

@@ -8,6 +8,7 @@ defining densities or by frozen-seed sampling.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -19,7 +20,7 @@ from rislink import cli
 from rislink import numerics as nm
 from rislink import ops, rps
 from rislink.scenario import (LinkGeometry, NakagamiParams, PhaseDesign,
-                              ScenarioConfig)
+                              ScenarioConfig, quantized)
 
 UNIT = rps.DoubleNakagami(NakagamiParams(1.0, 1.0), NakagamiParams(1.0, 1.0))
 FIG2 = rps.DoubleNakagami(NakagamiParams(1.5, 1.0), NakagamiParams(2.5, 1.0))
@@ -160,7 +161,7 @@ def test_cdf_far_above_the_amplitude_scale_is_one(n, direct):
     # overflows it; there the fourth-moment bound puts the CDF within
     # 1e-12 of 1
     hp = rps.HankelProduct(FIG2, n, direct)
-    mean = rps.gamma_r_moment(hp, 1, 1.0)
+    mean = hp.moments[1]
     for g in (1e9 * mean, 1e20 * mean, math.inf):
         assert rps.gamma_r_cdf(hp, g, 1.0) == 1.0
 
@@ -258,7 +259,7 @@ def test_cdf_derivative_matches_pdf():
 
 
 # ---------------------------------------------------------------------
-# moments of gamma
+# moments of the phasor sum
 # ---------------------------------------------------------------------
 
 def test_first_moment_is_power_sum():
@@ -272,19 +273,18 @@ def test_first_moment_is_power_sum():
                                 NakagamiParams(1.0, 1.0)), 5)):
         want = rho * (n * el.hop_h.omega * el.hop_g.omega + direct.omega)
         hp = rps.HankelProduct(el, n, direct)
-        assert rps.gamma_r_moment(hp, 1, rho) == pytest.approx(want,
-                                                               rel=1e-9)
+        assert rho * hp.moments[1] == pytest.approx(want, rel=1e-9)
 
 
 def test_second_moment_closed_forms():
     rho = 2.0
     mu2, mu4 = rps.path_moment(UNIT, 2), rps.path_moment(UNIT, 4)
     hp1 = rps.HankelProduct(UNIT, 1)
-    assert rps.gamma_r_moment(hp1, 2, rho) == pytest.approx(rho ** 2 * mu4,
-                                                            rel=1e-12)
+    assert rho ** 2 * hp1.moments[2] == pytest.approx(rho ** 2 * mu4,
+                                                      rel=1e-12)
     hp2 = rps.HankelProduct(UNIT, 2)
     want = rho ** 2 * (2.0 * mu4 + 4.0 * mu2 ** 2)
-    assert rps.gamma_r_moment(hp2, 2, rho) == pytest.approx(want, rel=1e-12)
+    assert rho ** 2 * hp2.moments[2] == pytest.approx(want, rel=1e-12)
 
 
 def test_second_moment_with_direct_path():
@@ -298,16 +298,33 @@ def test_second_moment_with_direct_path():
     m2 = [mu2c, mu2c, mu2d]
     m4 = [mu4c, mu4c, mu4d]
     want = sum(m4) + 2.0 * (sum(m2) ** 2 - sum(x * x for x in m2))
-    assert rps.gamma_r_moment(hp, 2, 1.0) == pytest.approx(want, rel=1e-12)
+    assert hp.moments[0] == 0.0
+    assert hp.moments[2] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1.0, 5.76])
+def test_fourth_moment_at_4096_elements_against_mpmath(m):
+    # without a direct path E|S|^4 = N mu4 + 2 N (N - 1) mu2^2; the summed
+    # cumulants hold it to a few ulps at the largest surface
+    n = 4096
+    dn = rps.DoubleNakagami(NakagamiParams(m, 1.0), NakagamiParams(m, 1.0))
+    with mp.workdps(40):
+        lam = mp.mpf(dn.lambda_n)
+
+        def mu(k):
+            return lam ** (k / 2) * (mp.gamma(m + mp.mpf(k) / 2)
+                                     / mp.gamma(m)) ** 2
+        want = float(n * mu(4) + 2 * n * (n - 1) * mu(2) ** 2)
+    got = rps.HankelProduct(dn, n).moments[2]
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_moment_validation():
-    hp = rps.HankelProduct(UNIT, 1)
-    for bad in (0, 5):
-        with pytest.raises(ValueError):
-            rps.gamma_r_moment(hp, bad, 1.0)
-    with pytest.raises(ValueError):
-        rps.gamma_r_moment(hp, 1, 0.0)
+    # the path moments behind every design's phasor moments take
+    # nonnegative integer orders only
+    for bad in (-2, 1.5):
+        with pytest.raises(ValueError, match="moment order"):
+            rps.path_moment(UNIT, bad)
 
 
 # ---------------------------------------------------------------------
@@ -495,13 +512,19 @@ def test_ec_taylor():
 # ---------------------------------------------------------------------
 
 def test_quantized_phase_factors():
-    c1, c2 = rps.quantized_phase_factors(1)
+    q1 = quantized(1)
+    c1, c2 = rps._phase_factors(q1, UNIT)
     assert c1 == pytest.approx((2.0 / math.pi) ** 2, rel=1e-14)
     assert c2 == pytest.approx(0.0, abs=1e-30)
-    c1b, _ = rps.quantized_phase_factors(6)
+    c1b, _ = rps._phase_factors(quantized(6), UNIT)
     assert c1 < c1b < 1.0
-    with pytest.raises(ValueError):
-        rps.quantized_phase_factors(0)
+    # random phases average out; the direct path is co-phased otherwise
+    direct = NakagamiParams(1.5, 0.7)
+    assert rps._phase_factors(PhaseDesign("rps"), direct) == (0.0, 0.0)
+    assert rps._phase_factors(PhaseDesign("ops"), UNIT) == (1.0, 1.0)
+    assert rps._phase_factors(q1, direct) == (1.0, 1.0)
+    with pytest.raises(ValueError, match="bits >= 1"):
+        quantized(0)
 
 
 def test_quantized_moments_converge_to_coherent_sum():
@@ -513,31 +536,31 @@ def test_quantized_moments_converge_to_coherent_sum():
              + 3 * n * (n - 1) * mu[2] ** 2
              + 6 * n * (n - 1) * (n - 2) * mu[2] * mu[1] ** 2
              + n * (n - 1) * (n - 2) * (n - 3) * mu[1] ** 4)
-    assert rps.gamma_q_moment(dn, n, 1.0, 30, 1) == pytest.approx(want1,
-                                                                  rel=1e-12)
-    assert rps.gamma_q_moment(dn, n, 1.0, 30, 2) == pytest.approx(want2,
-                                                                  rel=1e-12)
+    _, got1, got2 = rps.phasor_moments(rps.HankelProduct(dn, n).paths,
+                                       quantized(30))
+    assert got1 == pytest.approx(want1, rel=1e-12)
+    assert got2 == pytest.approx(want2, rel=1e-12)
 
 
 def test_quantized_moments_against_sampling():
     dn = rps.DoubleNakagami(NakagamiParams(1.2, 1.0), NakagamiParams(0.8, 0.7))
     n, bits, rho = 3, 2, 2.0
-    rng = np.random.default_rng(42)
-    size = (400_000, n)
-    xh = np.sqrt(rng.gamma(1.2, 1.0 / 1.2, size))
-    xg = np.sqrt(rng.gamma(0.8, 0.7 / 0.8, size))
     a = math.pi / 2 ** bits
-    phi = rng.uniform(-a, a, size) + rng.uniform(-a, a, size)
-    s = np.abs(np.sum(xh * xg * np.exp(1j * phi), axis=1))
-    snr = rho * s ** 2
-    assert rps.gamma_q_moment(dn, n, rho, bits, 1) == pytest.approx(
-        np.mean(snr), rel=0.01)
-    assert rps.gamma_q_moment(dn, n, rho, bits, 2) == pytest.approx(
-        np.mean(snr ** 2), rel=0.04)
-
-
-def test_quantized_moment_validation():
-    with pytest.raises(ValueError):
-        rps.gamma_q_moment(UNIT, 4, 1.0, 2, 3)
-    with pytest.raises(ValueError):
-        rps.gamma_q_moment(UNIT, 4, 1.0, 0, 1)
+    size = (400_000, n)
+    for direct in (None, NakagamiParams(1.5, 0.9)):
+        rng = np.random.default_rng(42)
+        xh = np.sqrt(rng.gamma(1.2, 1.0 / 1.2, size))
+        xg = np.sqrt(rng.gamma(0.8, 0.7 / 0.8, size))
+        phi = rng.uniform(-a, a, size) + rng.uniform(-a, a, size)
+        s = np.sum(xh * xg * np.exp(1j * phi), axis=1)
+        if direct is not None:
+            # the quantized design co-phases the direct path
+            s += np.sqrt(rng.gamma(direct.m, direct.omega / direct.m,
+                                   size[0]))
+        snr = rho * np.abs(s) ** 2
+        paths = rps.HankelProduct(dn, n, direct).paths
+        mean, mean_sq, fourth = rps.phasor_moments(paths, quantized(bits))
+        assert mean == pytest.approx(np.mean(s.real), rel=0.01)
+        assert rho * mean_sq == pytest.approx(np.mean(snr), rel=0.01)
+        assert rho ** 2 * fourth == pytest.approx(np.mean(snr ** 2),
+                                                  rel=0.04)
