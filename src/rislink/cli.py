@@ -525,23 +525,20 @@ def cmd_validate(args) -> int:
 
     _check_writable(args.out)
 
-    # the three simulator estimates share one sample set
-    x = config.tx_power_dbm
-    sims = compute_rows(
-        [RowSpec("tx_power_dbm", x, config, metric, "mc")
-         for metric in _METRICS],
-        gamma_th, modulation, args.trials, args.seed)
-    # then the analytic rows of each metric whose simulator row succeeded
-    analytic = compute_rows(
-        [RowSpec("tx_power_dbm", x, config, sim.metric, method)
-         for sim in sims if sim.estimate is not None
-         for method in supported_methods(config, sim.metric)[:-1]],
+    # one compute_rows call, so the three simulator estimates share one
+    # sample set
+    rows = compute_rows(
+        [RowSpec("tx_power_dbm", config.tx_power_dbm, config, metric, method)
+         for metric in _METRICS
+         for method in supported_methods(config, metric)],
         gamma_th, modulation, args.trials, args.seed,
         lam_scale=args.lambda_scale)
     lines = ["metric,method,estimate,std_error,z_score,status"]
     any_numeric = False
     any_fail = False
-    for metric, sim in zip(_METRICS, sims):
+    for metric in _METRICS:
+        # mc comes last in method order
+        *analytic, sim = (row for row in rows if row.metric == metric)
         if sim.estimate is None:
             any_numeric = True
             lines.append(f"{metric},mc,error,,,error")
@@ -553,7 +550,7 @@ def cmd_validate(args) -> int:
             se_floor = math.sqrt(q * (1.0 - q) / args.trials)
         lines.append(f"{metric},mc,{_g17(sim.estimate)},"
                      f"{_g17(sim.std_error)},,ok")
-        for row in (row for row in analytic if row.metric == metric):
+        for row in analytic:
             if row.estimate is None:
                 any_numeric = True
                 lines.append(f"{metric},{row.method},error,,,error")

@@ -3,7 +3,9 @@
 With co-phased elements the received amplitude is the plain sum of the
 link's path envelopes, A = sum_n X_n + |h_d|, handled through its
 characteristic function Psi_A(t) = Psi_e(t)^N Psi_d(t) and Fourier
-(Gil-Pelaez style) inversion of the distribution.
+(Gil-Pelaez style) inversion of the distribution, behind the outage cuts
+it shares with the random-phase design (`rps._outage`) and a Chernoff
+cut of its own from the closed-form E[e^{-cA}].
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .rps import (_BER_QUADRATURE, Modulation, TransformProduct,
-                  _lone_path_cdf)
+from .rps import _BER_QUADRATURE, Modulation, TransformProduct, _outage
 from .scenario import DoubleNakagami, NakagamiParams, PhaseDesign
 
 
@@ -47,11 +48,21 @@ def _cascade_closed_form(dn: DoubleNakagami, circle) -> np.ndarray:
         mh, mg = mg, mh
     c0 = 2.0 / math.sqrt(dn.lambda_n)
     z_circ, zden = circle(c0)
-    gauss = nm.hyp2f1(2.0 * mh, mh - mg + 0.5, mh + mg + 0.5, z_circ)
-    log_pref = (math.lgamma(mh + 0.5) + math.lgamma(mg + 0.5)
-                - math.lgamma(mh + mg + 0.5) - 0.5 * math.log(math.pi))
+    pref = math.exp(math.lgamma(mh + 0.5) + math.lgamma(mg + 0.5)
+                    - math.lgamma(mh + mg + 0.5) - 0.5 * math.log(math.pi))
+    # once |1 - Z| = 2 c0 / |zden| is below 1e-8, 1 - Z has lost half its
+    # digits to cancellation and the 2F1, divergent at Z = 1 for equal
+    # shapes, with it; the Pfaff transform of the same closed form, which
+    # has no circle variable, stays accurate there
+    far = np.abs(1.0 - z_circ) < 1e-8
+    gauss = nm.hyp2f1(2.0 * mh, mh - mg + 0.5, mh + mg + 0.5,
+                      np.where(far, 0.0, z_circ))
     power = np.exp(2.0 * mh * (math.log(2.0 * c0) - np.log(zden)))
-    return math.exp(log_pref) * power * gauss
+    out = np.asarray(pref * power * gauss)
+    if np.any(far):
+        out[far] = pref * nm.hyp2f1(2.0 * mh, 2.0 * mg, mh + mg + 0.5,
+                                    1.0 - np.asarray(zden)[far] / (2.0 * c0))
+    return out
 
 
 def chf_cascade(dn: DoubleNakagami, t):
@@ -168,25 +179,6 @@ def _kernel_breakpoints(freqs: Sequence[float], span: float) -> np.ndarray:
     return bps[bps <= span * 1.0001]
 
 
-def _envelope_end(chf: "AmplitudeChf", sigma: float, var_t: float,
-                  span: float) -> float:
-    """First tau where |Psi_A(tau/sigma)| has decayed below 1e-3.
-
-    One coarse vectorized probe.  Its arguments are functions of the CHF
-    alone, so the result is kept with the CHF's derived quantities and
-    every later CDF on the same CHF reuses it.
-    """
-    key = ("envelope_end", sigma, var_t, span)
-    got = chf._derived.get(key)
-    if got is None:
-        cap = min(span, 40.0 * max(1.0, 1.0 / math.sqrt(var_t)))
-        taus = np.geomspace(1.0, cap, 96)
-        small = np.flatnonzero(np.abs(chf(taus / sigma)) < 1e-3)
-        got = max(8.0, taus[small[0]] if small.size else cap)
-        chf._derived[key] = got
-    return got
-
-
 def _inversion_breakpoints(rt: float, mt: float, bulk_end: float,
                            span: float) -> np.ndarray:
     """Panel edges for the CDF inversion integrand.
@@ -216,46 +208,63 @@ def _inversion_breakpoints(rt: float, mt: float, bulk_end: float,
     return np.concatenate([bulk, far])
 
 
+def _inversion_scales(chf: AmplitudeChf) -> tuple:
+    """(sigma, mt, span, bulk_end) of the CDF inversion, kept per CHF:
+    sigma = sqrt(E[A^2]), mt = E[A] / sigma, the span in tau = t sigma,
+    and where the CHF envelope has decayed, the first tau of a coarse
+    vectorized probe with |Psi_A(tau / sigma)| < 1e-3."""
+    got = chf._derived.get("inversion_scales")
+    if got is None:
+        mean, mean_sq, _ = chf.moments
+        sigma = math.sqrt(mean_sq)
+        mt = mean / sigma
+        var_t = max(1.0 - mt * mt, 1e-12)
+        span = min(9000.0, max(64.0, 30.0 / math.sqrt(var_t),
+                               1e9 ** (1.0 / max(chf.tail_exponent, 2.0))))
+        cap = min(span, 40.0 * max(1.0, 1.0 / math.sqrt(var_t)))
+        taus = np.geomspace(1.0, cap, 96)
+        small = np.flatnonzero(np.abs(chf(taus / sigma)) < 1e-3)
+        got = chf._derived["inversion_scales"] = (
+            sigma, mt, span, max(8.0, taus[small[0]] if small.size else cap))
+    return got
+
+
+def _log_chernoff(chf: AmplitudeChf, r: float) -> float:
+    """ln min_c e^{cr} E[e^{-cA}], a bound on ln P(A <= r), over
+    c r = 2^0 ... 2^30.  Any c > 0 gives a bound; c stops at 1e14 c0,
+    c0 = 2/sqrt(Lambda) of an element, inside the closed forms' tested
+    range."""
+    c = np.minimum(2.0 ** np.arange(31.0) / r,
+                   2e14 / math.sqrt(chf.element.lambda_n))
+    return float(np.min(c * r + _log_damped_mean(chf, c)))
+
+
 def gamma_c_cdf(chf: AmplitudeChf, gamma: float, rho: float) -> float:
-    """CDF of the coherent-combining SNR by CHF inversion.
+    """CDF of the coherent-combining SNR by CHF inversion, behind the cuts
+    of `rps._outage`.
 
-    The inversion integral is evaluated in the normalized variable
-    tau = t * sqrt(E[A^2]) so that both the oscillation frequencies and
-    the decay length are O(1)-scaled regardless of the physical units;
-    the 0/0 at the origin is removed by an analytic patch below tau0.  A
-    link of one path in total has no sum to invert and takes that path's
-    envelope law, as under random phases.
+    Below the mean amplitude a Chernoff bound (`_log_chernoff`) under the
+    quadrature's absolute tolerance gives 0, as the disk cut does.  The
+    inversion runs in tau = t sqrt(E[A^2]), so the oscillation frequencies
+    and the decay length are O(1) whatever the units; an analytic patch
+    below tau0 removes the 0/0 at the origin.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    if gamma == 0.0:
-        return 0.0
-    r = math.sqrt(gamma / rho)
-    # Markov: P(A > r) <= E[A^4] / r^4 < 1e-12, tested as fourth roots
-    # since r^4 overflows once r passes about 1e77
-    mean, mean_sq, fourth = chf.moments
-    if math.sqrt(math.sqrt(fourth)) < 1e-3 * r:
-        return 1.0
-    if chf.lone_path is not None:
-        return min(max(_lone_path_cdf(chf.lone_path.hops, r), 0.0), 1.0)
-    sigma = math.sqrt(mean_sq)
-    rt = r / sigma
-    mt = mean / sigma
-    var_t = max(1.0 - mt * mt, 1e-12)
-    span = min(9000.0, max(64.0, 30.0 / math.sqrt(var_t),
-                           1e9 ** (1.0 / max(chf.tail_exponent, 2.0))))
-    bulk_end = _envelope_end(chf, sigma, var_t, span)
-    bps = _inversion_breakpoints(rt, mt, bulk_end, span)
-    tau0 = 1e-6
+    def invert(r):
+        if (r < chf.moments[0] and _log_chernoff(chf, r)
+                < math.log(nm.DEFAULT_QUADRATURE.abs_tol)):
+            return 0.0
+        sigma, mt, span, bulk_end = _inversion_scales(chf)
+        rt, tau0 = r / sigma, 1e-6
 
-    def integrand(tau):
-        return np.imag(np.exp(-1j * rt * tau) * chf(tau / sigma)) / tau
+        def integrand(tau):
+            return np.imag(np.exp(-1j * rt * tau) * chf(tau / sigma)) / tau
 
-    val = nm.integrate_semi_infinite(integrand, breakpoints=bps, lower=tau0)
-    cdf = 0.5 - (tau0 * (mt - rt) + val) / math.pi
-    return min(max(cdf, 0.0), 1.0)
+        val = nm.integrate_semi_infinite(
+            integrand, lower=tau0,
+            breakpoints=_inversion_breakpoints(rt, mt, bulk_end, span))
+        return 0.5 - (tau0 * (mt - rt) + val) / math.pi
+
+    return _outage(chf, gamma, rho, invert)
 
 
 # contour shifts searched for the saddle point: 0.25 * 2^(k/4), k = 0..30.
@@ -268,8 +277,10 @@ def _log_damped_mean(chf: AmplitudeChf, t: np.ndarray) -> np.ndarray:
     """ln E[e^{-tA}] = ln Psi_A(jt) at each t > 0, summed over the
     factors, since their product underflows at large N."""
     out = np.zeros(t.shape)
-    for path, count in chf.paths:
-        out += count * np.log(np.real(_path_chf(path, 1j * t)))
+    # a factor that underflows gives -inf, a bound on a zero row
+    with np.errstate(divide="ignore"):
+        for path, count in chf.paths:
+            out += count * np.log(np.real(_path_chf(path, 1j * t)))
     return out
 
 

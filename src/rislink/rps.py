@@ -5,7 +5,9 @@ planar random walk whose steps are the link's paths: N double-Nakagami
 element envelopes and an optional Nakagami direct one.  Every
 distribution result below is an inversion of the product of the
 per-path envelope transforms H(t) = Phi_e(t)^N Phi_d(t), where
-Phi(t) = E[J0(t X)].
+Phi(t) = E[J0(t X)].  The outage of both phase designs passes through one
+front end, `_outage`, which settles every row a bound or a path law can
+before the design's own inversion runs.
 """
 
 from __future__ import annotations
@@ -313,13 +315,14 @@ def _phasor_disk_bound(dn: DoubleNakagami, r: float) -> float:
     return hops + 0.5 * kappa
 
 
-def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
-    """CDF of the e2e SNR under random phases.
-
-    Genuine phasor sums go through Hankel inversion of the transform
-    product.  A link of one path in total has a phase-free magnitude, so
-    it uses that path's envelope law instead (`_lone_path_cdf`), which
-    stays accurate for shapes far too sharp for the oscillatory route.
+def _outage(transform: TransformProduct, gamma: float, rho: float,
+            invert) -> float:
+    """P(rho |S|^2 <= gamma) under either design, ``invert(r)`` being its
+    inversion for P(|S| <= r), after the cuts: a fourth-moment Markov bound
+    gives 1, a link of one path in total its phase-free envelope law
+    (`_lone_path_cdf`), and `_phasor_disk_bound` under the quadrature's
+    absolute tolerance 0.  The disk bound holds for the co-phased amplitude
+    too: A = sum X + D >= |sum X e^{j phi} + D e^{j phi_d}| path by path.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -328,20 +331,27 @@ def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
     if gamma == 0.0:
         return 0.0
     r = math.sqrt(gamma / rho)
-    # Markov: P(R > r) <= E[R^4] / r^4 < 1e-12, tested as fourth roots
+    # Markov: P(|S| > r) <= E|S|^4 / r^4 < 1e-12, tested as fourth roots
     # since r^4 overflows
-    if math.sqrt(math.sqrt(hp.moments[2])) < 1e-3 * r:
+    if math.sqrt(math.sqrt(transform.moments[2])) < 1e-3 * r:
         return 1.0
-    if hp.lone_path is not None:
-        return min(max(_lone_path_cdf(hp.lone_path.hops, r), 0.0), 1.0)
-    # far below the amplitude scale the CDF is below the quadrature's
-    # absolute tolerance, and u / r would overflow the transform argument
-    if _phasor_disk_bound(hp.element, r) < nm.DEFAULT_QUADRATURE.abs_tol:
+    lone = transform.lone_path
+    if lone is None and (_phasor_disk_bound(transform.element, r)
+                         < nm.DEFAULT_QUADRATURE.abs_tol):
         return 0.0
-    bps = _oscillatory_breakpoints(r * hp.decay_scale)
-    val = nm.integrate_semi_infinite(
-        lambda u: nm.bessel_j(1, u) * hp(u / r), breakpoints=bps)
+    val = invert(r) if lone is None else _lone_path_cdf(lone.hops, r)
     return min(max(val, 0.0), 1.0)
+
+
+def gamma_r_cdf(hp: HankelProduct, gamma: float, rho: float) -> float:
+    """CDF of the e2e SNR under random phases: Hankel inversion of the
+    transform product, P(|S| <= r) = r int_0^inf J1(r t) H(t) dt, behind
+    the shared cuts of `_outage`."""
+    # u / r would overflow the transform argument far below the amplitude
+    # scale, where the disk cut has already settled the row
+    return _outage(hp, gamma, rho, lambda r: nm.integrate_semi_infinite(
+        lambda u: nm.bessel_j(1, u) * hp(u / r),
+        breakpoints=_oscillatory_breakpoints(r * hp.decay_scale)))
 
 
 def _lattice_span(hp: HankelProduct, s: float, p: float) -> tuple:

@@ -94,6 +94,25 @@ def test_chf_cascade_against_quadrature(hops):
         assert ops.chf_cascade(dn, t) == pytest.approx(re + 1j * im, abs=2e-9)
 
 
+@pytest.mark.parametrize("m", [0.75, 5.761904761904762])
+def test_damped_cascade_far_past_its_scale(m):
+    # the circle variable Z = (c - c0)/(c + c0) nears 1, where the circle
+    # form's 2F1(2m, 1/2; 2m + 1/2; Z) diverges: it was 1.7e-2 off at
+    # c = 1e16 c0 (m = 5.76) and raised from about 2e16 c0 on.  The Pfaff
+    # form Gamma(m + 1/2)^2 / (Gamma(2m + 1/2) sqrt(pi))
+    # 2F1(2m, 2m; 2m + 1/2; 1/2 - c / (2 c0)) takes those points
+    dn = DoubleNakagami(NakagamiParams(m, 0.4), NakagamiParams(m, 1.7))
+    c0 = 2.0 / math.sqrt(dn.lambda_n)
+    ratios = [1e9, 1e12, 1e16, 1e18, 1e20]
+    got = ops._chf_cascade_complex(dn, 1j * c0 * np.array(ratios))
+    with mp.workdps(40):
+        pref = mp.gamma(m + 0.5) ** 2 / (mp.gamma(2 * m + 0.5) * mp.sqrt(mp.pi))
+        want = [float(pref * mp.hyp2f1(2 * m, 2 * m, 2 * m + 0.5,
+                                       0.5 - mp.mpf(x) / 2)) for x in ratios]
+    np.testing.assert_allclose(got.real, want, rtol=1e-13, atol=0.0)
+    assert not np.any(got.imag)
+
+
 def test_chf_cascade_hop_order_irrelevant():
     a = DoubleNakagami(NakagamiParams(2.5, 1.7), NakagamiParams(1.5, 0.4))
     ts = np.linspace(-8.0, 8.0, 33)
@@ -290,6 +309,64 @@ def test_validate_ops_outage_matches_the_contour(over, want):
         want, rel=1e-7, abs=0.0)
 
 
+def d_config(**over):
+    """Scenario d of the benchmark's validate set, with ``over`` applied."""
+    m = 5.761904761904762
+    mapping = dict(n_elements=128, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85,
+                   tx_power_dbm=20, m_h=m, m_g=m, r_h=20, r_g=20, psi_deg=86,
+                   direct_link="false", phase_design="ops")
+    mapping.update(over)
+    return config_from_mapping(mapping)
+
+
+@pytest.mark.parametrize("gamma_th_db", [-60.0, -100.0, -200.0, -300.0,
+                                         -1000.0, -2500.0])
+def test_gamma_c_cdf_deep_left_tail_is_zero(gamma_th_db):
+    # four elements and a direct path: the real-line inversion read 4.6e-12
+    # at -60 dB and 2.6e-12 below, where the Chernoff bound is under 1e-66
+    scene = link(d_config(n_elements=4, direct_link="true", m_d=1.5))
+    got = ops.gamma_c_cdf(scene.chf(), 10.0 ** (gamma_th_db / 10.0),
+                          scene.rho)
+    assert got == 0.0
+
+
+def outage_and_chernoff_bound(n, m_h, m_g, direct, tx_dbm):
+    """The exact ops outage at a 0 dB threshold in scenario e's geometry,
+    and its Chernoff bound min_c e^{cr} E[e^{-cA}] over 400 shifts with
+    c r from 1e-3 to 1e13."""
+    scene = link(ScenarioConfig(
+        n_elements=n, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+        tx_power_dbm=tx_dbm, m_h=m_h, m_g=m_g,
+        geometry=LinkGeometry(20.0, 20.0, 86.0, direct_link=direct),
+        phase_design=OPS, m_d=1.5 if direct else None))
+    chf, r = scene.chf(), math.sqrt(1.0 / scene.rho)
+    cr = np.geomspace(1e-3, 1e13, 400)
+    log_bound = float(np.min(cr + ops._log_damped_mean(chf, cr / r)))
+    return ops.gamma_c_cdf(chf, 1.0, scene.rho), math.exp(min(log_bound, 0.0))
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("m_h, m_g", [(0.75, 0.75), (1.5, 2.5), (3.0, 3.0),
+                                      (5.76, 5.76)])
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_gamma_c_cdf_is_below_its_chernoff_bound(n, m_h, m_g, direct):
+    # a slice of ROADMAP item 19's invariant grid, at its slack
+    for tx_dbm in range(-10, 101, 15):
+        op, bound = outage_and_chernoff_bound(n, m_h, m_g, direct, tx_dbm)
+        assert op <= bound + 1e-12 + 1e-9 * bound
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the real-line "
+                   "inversion lies above the Chernoff bound")
+@pytest.mark.parametrize("n, m_h, m_g, direct, tx_dbm", [
+    (16, 0.75, 0.75, True, 45.0), (64, 1.5, 2.5, False, 30.0)])
+def test_gamma_c_cdf_chernoff_breaches_left(n, m_h, m_g, direct, tx_dbm):
+    # the two breaches of item 19's grid that no cut reaches: 6.3e-11
+    # against a bound of 1.5e-12, and 5.77e-11 against 5.14e-11
+    op, bound = outage_and_chernoff_bound(n, m_h, m_g, direct, tx_dbm)
+    assert op <= bound + 1e-12 + 1e-9 * bound
+
+
 # ---------------------------------------------------------------------
 # error rates
 # ---------------------------------------------------------------------
@@ -391,6 +468,15 @@ def test_ber_ops_coherent_against_monte_carlo():
     se = float(kern.std()) / math.sqrt(n)
     got = ops.ber_ops(chf, rho, Modulation.BPSK)
     assert abs(got - float(kern.mean())) < 4.0 * se
+
+
+@pytest.mark.parametrize("mod", list(Modulation))
+def test_ber_ops_reads_zero_at_extreme_power(mod):
+    # scenario d from 330 to 700 dBm: past 360 dBm the damped CHF's
+    # circle variable rounded to 1 and the row raised
+    for tx_dbm in np.linspace(330.0, 700.0, 8):
+        config = d_config(tx_power_dbm=tx_dbm)
+        assert cli.exact_value(config, "ber", 1.0, mod) == 0.0
 
 
 # ---------------------------------------------------------------------

@@ -195,6 +195,32 @@ def test_cdf_far_below_the_amplitude_scale_is_zero_without_warnings(
     assert got == 0.0
 
 
+@pytest.mark.parametrize("kind, outage", [
+    (rps.HankelProduct, rps.gamma_r_cdf), (ops.AmplitudeChf, ops.gamma_c_cdf)],
+    ids=["rps", "ops"])
+def test_outage_cuts_are_shared_by_both_designs(kind, outage):
+    # rps._outage settles these rows for either engine before any inversion
+    tr = kind(FIG2, 4, NakagamiParams(1.5, 0.7))
+    assert outage(tr, 0.0, 1.0) == 0.0
+    # the fourth-moment Markov cut: r is 3e4 times E|S|^4 ** (1/4)
+    assert outage(tr, 1e9 * math.sqrt(tr.moments[2]), 1.0) == 1.0
+    assert outage(tr, math.inf, 1.0) == 1.0
+    # the disk cut: far below the amplitude scale the row is exactly 0
+    for g in (1e-60, 1e-300):
+        assert rps._phasor_disk_bound(FIG2, math.sqrt(g)) < 1e-12
+        assert outage(tr, g, 1.0) == 0.0
+    # one path in total: the envelope law of the gain product
+    lone = kind(FIG2, 1)
+    for g in (0.05, 1.0, 20.0):
+        assert outage(lone, g, 2.0) == pytest.approx(
+            gamma_product_cdf(FIG2, g / 2.0), rel=1e-12)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            outage(tr, bad, 1.0)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        outage(tr, 1.0, 0.0)
+
+
 ONE_PATH_CELLS = [
     (0.75, 20.0), (0.75, 40.0), (0.75, 60.0), (0.75, 80.0), (0.75, 100.0),
     (1.0, 40.0), (1.0, 60.0), (1.5, 20.0), (3.0, 20.0), (3.0, 100.0),
