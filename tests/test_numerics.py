@@ -361,6 +361,97 @@ def test_hyp2f1_continuation_past_its_range_raises():
             nm.hyp2f1(0.75, 5.761904761904762, 1.0, -1e300)
 
 
+# Past the Pfaff disk (z < -9) integer b - a takes Pfaff and the 1 - z log
+# form, noninteger b - a the two-branch 1/z form
+NEGATIVE_AXIS_SHAPES = [
+    (0.5, 0.5), (0.75, 0.75), (1.5, 2.5), (5.761904761904762,) * 2,
+    (10.756097560975602,) * 2, (15.5, 15.5), (1.21, 2.47), (0.7, 4.7),
+    (5.76, 10.76)]
+
+
+def _check_far_negative_axis(a, b, count):
+    # the absolute 1e-17 is for 2F1(10.76, 10.76; 1; z), which changes sign
+    # near z = -18
+    z = -np.geomspace(9.05, 1e150, count)
+    got = nm.hyp2f1(a, b, 1.0, z)
+    with mp.workdps(30):
+        ref = np.array([float(mp.hyp2f1(a, b, 1, mp.mpf(x))) for x in z])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-17)
+
+
+@pytest.mark.parametrize("a, b", NEGATIVE_AXIS_SHAPES)
+def test_hyp2f1_far_negative_axis(a, b):
+    # the 1/z log form gave -1.268e-15 for 2F1(15.5, 15.5; 1; -9.05) =
+    # 4.356e-17
+    _check_far_negative_axis(a, b, 40)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a, b", NEGATIVE_AXIS_SHAPES)
+def test_hyp2f1_far_negative_axis_full_grid(a, b):
+    _check_far_negative_axis(a, b, 300)
+
+
+@pytest.mark.parametrize("z", [-20.0, -30.0])
+def test_hyp2f1_strongly_los_far_tail(z):
+    # the 1/z log form gave -1.17e-20 and -2.29e-24 here
+    with mp.workdps(30):
+        ref = float(mp.hyp2f1(20.75, 20.75, 1.0, z))
+    assert nm.hyp2f1(20.75, 20.75, 1.0, z) == pytest.approx(ref, rel=1e-12,
+                                                            abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the log form trips "
+                   "the cancellation check and the continuation's anchor "
+                   "series cancels")
+def test_hyp2f1_strongly_los_at_minus_ten():
+    # returns 4.9e-15 against 5.67e-23
+    with mp.workdps(30):
+        ref = float(mp.hyp2f1(20.75, 20.75, 1.0, -10.0))
+    assert nm.hyp2f1(20.75, 20.75, 1.0, -10.0) == pytest.approx(
+        ref, rel=1e-12, abs=0.0)
+
+
+# (11.52, 11.52; 12.02) is the element CHF's far Pfaff family
+FAR_FIELD_FAMILIES = [
+    (5.76, 5.76, 1.0), (0.75, 0.75, 1.0), (1.5, 2.5, 1.0), (1.5, 1.5, 2.5),
+    (3.0, 5.0, 4.5), (11.52, 11.52, 12.02)]
+
+
+def _check_complex_far_field(a, b, c, radii, angles):
+    z = np.outer(radii, np.exp(1j * np.asarray(angles))).ravel()
+    got = nm.hyp2f1(a, b, c, z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.hyp2f1(a, b, c, mp.mpc(x))) for x in z])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+@pytest.mark.parametrize("a, b, c", FAR_FIELD_FAMILIES)
+def test_hyp2f1_complex_far_field(a, b, c):
+    # integer b - a: the Taylor continuation used to take these and was
+    # 0.28 off at 2F1(5.76, 5.76; 1; 10 e^0.1j) and 1.8e-5 at 1e4 e^0.5j
+    _check_complex_far_field(a, b, c, [3.5, 10.0, 1e2, 1e4, 1e8, 1e12],
+                             [0.1, 0.5, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a, b, c", FAR_FIELD_FAMILIES)
+def test_hyp2f1_complex_far_field_full_grid(a, b, c):
+    _check_complex_far_field(a, b, c, np.geomspace(3.5, 1e12, 40),
+                             np.linspace(0.05, 3.1, 12))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: b - a inside the "
+                   "near-integer band walks the Taylor continuation")
+@pytest.mark.parametrize("z", [10.0 * np.exp(0.1j), 1e4 * np.exp(0.5j),
+                               -50.0])
+def test_hyp2f1_near_integer_difference_far_out(z):
+    # off by 0.46, 2.1e-5 and 1.9e-10 relative
+    with mp.workdps(30):
+        ref = complex(mp.hyp2f1(5.76, 5.77, 1.0, z))
+    assert abs(nm.hyp2f1(5.76, 5.77, 1.0, z) - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.4, 4.0])
 def test_gauss_jacobi_rule_against_mpmath(beta):
     # exact for polynomials of degree up to 39 against (1 + x)^beta;
@@ -474,26 +565,20 @@ def test_series_refuses_an_overflowed_sum():
 
 
 def test_log_connection_forms_raise_instead_of_truncating():
-    # both used to return a wrong sum: 6.19e9 against 2F1(1.5, 2.5; 5;
-    # 0.001) = 1.00075 (3000-term budget), and 0.1588 against 2F1(1.5,
-    # 1.5; 1; -1.02) = 0.1858 (factorials overflow, ending on a zero term)
+    # the 1 - z log form used to return a wrong sum: 6.19e9 against
+    # 2F1(1.5, 2.5; 5; 0.001) = 1.00075 (3000-term budget)
     assert float(mp.hyp2f1(1.5, 2.5, 5.0, 0.001)) == pytest.approx(1.00075,
                                                                   rel=1e-5)
-    assert float(mp.hyp2f1(1.5, 1.5, 1.0, -1.02)) == pytest.approx(0.1858,
-                                                                  rel=1e-3)
     with pytest.raises(nm.ConvergenceError) as err:
         nm._one_minus_z_log(1.5, 2.5, 1, np.array([0.999]))
     assert err.value.best_estimate is not None
-    with pytest.raises(nm.ConvergenceError) as err:
-        nm._inv_z_log(1.5, 0, 1.0, np.array([1.02]))
-    assert err.value.best_estimate is not None
-    # where they converge, they still agree with mpmath
+    # where it converges, it still agrees with mpmath
     got, _ = nm._one_minus_z_log(1.5, 2.5, 1, np.array([0.3]))
     assert got[0] == pytest.approx(float(mp.hyp2f1(1.5, 2.5, 5.0, 0.7)),
                                    rel=1e-12)
-    got, _ = nm._inv_z_log(1.5, 0, 1.0, np.array([12.0]))
-    assert got[0] == pytest.approx(float(mp.hyp2f1(1.5, 1.5, 1.0, -12.0)),
-                                   rel=1e-12)
+    # and through Pfaff it serves the far negative axis
+    assert nm.hyp2f1(1.5, 1.5, 1.0, -12.0) == pytest.approx(
+        float(mp.hyp2f1(1.5, 1.5, 1.0, -12.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("radius, last_term", [
