@@ -27,13 +27,13 @@ large negative reals (Hankel-transform factors) or on the unit circle
   ``|z/(z-1)|``;
 * connection formulas in ``1 - z`` (generic two-term, and the logarithmic
   form when ``c - a - b`` is an integer) near ``z = 1``;
-* for ``|z| >= 3``, the two-branch connection formula in ``1/z`` when
-  ``b - a`` is not an integer, and when it is, the Pfaff transform, whose
-  ``c`` minus its numerators is ``b - a``, into the logarithmic ``1 - z``
-  form at ``1/(1 - z)``;
+* for ``|z| >= 3``, the Pfaff transform, whose ``c`` minus its numerators
+  is ``b - a``, into the same ``1 - z`` connection formulas at
+  ``1/(1 - z)``, and the two-branch form in ``1/z`` for noninteger
+  ``b - a`` where that value cancels;
 * a vectorized Taylor-step analytic continuation of the hypergeometric ODE
-  for the remaining exceptional annulus and for nearly-degenerate parameter
-  differences where the connection formulas lose precision.
+  for the remaining exceptional annulus, for ``c - a - b`` within 0.02 of
+  an integer near ``z = 1``, and for any value still lost to cancellation.
 
 One term recurrence, ``_series``, is the series engine for 1F1 and 2F1:
 it sums the convergent and terminating 1F1 series, the Gauss, Pfaff and
@@ -717,7 +717,7 @@ def hyp1f1(a, b, x):
 # =====================================================================
 
 _INT_TOL = 1e-9          # distance below which integer connection forms apply
-_DEGENERATE_BAND = 0.02  # nearly-integer band routed to continuation instead
+_DEGENERATE_BAND = 0.02  # nearly-integer d near z = 1 walks the continuation
 _CANCEL_LIMIT = 1e3      # peak-term / result ratio tolerated before rerouting
 
 
@@ -811,6 +811,23 @@ def _one_minus_z_log(a, b, m, w):
     return head + pre_t * (w ** m) * total, peak
 
 
+def _connection(a, b, c, w):
+    """2F1(a, b; c; 1 - w) as (values, peak) by a 1 - w connection formula.
+
+    Integer d = c - a - b takes the log form (after Euler's flip if d < 0),
+    other d the two-term form; `peak` is for the cancellation check.
+    """
+    d = c - a - b
+    m = round(d)
+    if abs(d - m) >= _INT_TOL:
+        return _one_minus_z_two_term(a, b, c, w)
+    if m >= 0:
+        return _one_minus_z_log(a, b, m, w)
+    flip, peak = _one_minus_z_log(c - a, c - b, -m, w)
+    wd = np.exp(d * np.log(w))
+    return wd * flip, np.abs(wd) * peak
+
+
 def _continuation_vec(a, b, c, targets):
     """Taylor-step continuation of the hypergeometric ODE toward `targets`.
 
@@ -879,11 +896,10 @@ def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z), scalar or ndarray z.
 
     Real z must satisfy z <= 1 (z = 1 requires c - a - b > 0); complex z
-    may sit anywhere off the cut (1, inf).  The exception is a b - a within
-    0.02 of an integer but not an integer: there points with |z| >= 3 walk
-    the Taylor continuation, which loses digits far out (0.46 relative at
-    2F1(5.76, 5.77; 1; 10 e^0.1j)).  Real input gives float output, complex
-    input gives complex output.
+    may sit anywhere off the cut (1, inf).  For |z| >= 3 and b - a within
+    about 1e-4 of an integer but not one, a value can be wrong without
+    raising (0.19 relative at 2F1(5.76, 5.7601; 1; 10 e^0.1j)).  Real input
+    gives float output, complex input gives complex output.
     """
     a = float(a)
     b = float(b)
@@ -942,12 +958,12 @@ def hyp2f1(a, b, c, z):
         done |= pfaff
 
     d = c - a - b
-    d_round = round(d)
-    d_is_int = abs(d - d_round) < _INT_TOL
-    d_near_int = abs(d - d_round) < _DEGENERATE_BAND
-
     near_one = (~done) & (np.abs(1.0 - zc) <= 0.95)
-    if near_one.any() and (d_is_int or not d_near_int):
+    # near z = 1 a noninteger d inside the band walks the continuation: on
+    # the cascade CHF's families it is within 7e-15 there, where the
+    # two-term form's Gamma(d) and Gamma(-d) terms cancel to 6e-14 .. 8e-5
+    in_band = _INT_TOL <= abs(d - round(d)) < _DEGENERATE_BAND
+    if near_one.any() and not in_band:
         w = 1.0 - zc[near_one]
         vals = np.empty_like(w)
         peak = np.zeros(w.shape)
@@ -959,35 +975,23 @@ def hyp2f1(a, b, c, z):
                             / (math.gamma(c - a) * math.gamma(c - b)))
         off = ~at_one
         if off.any():
-            if d_is_int:
-                m = int(d_round)
-                if m >= 0:
-                    vals[off], peak[off] = _one_minus_z_log(a, b, m, w[off])
-                else:
-                    flip, fpeak = _one_minus_z_log(c - a, c - b, -m, w[off])
-                    wd = np.exp(d * np.log(w[off]))
-                    vals[off] = wd * flip
-                    peak[off] = np.abs(wd) * fpeak
-            else:
-                vals[off], peak[off] = _one_minus_z_two_term(a, b, c, w[off])
+            vals[off], peak[off] = _connection(a, b, c, w[off])
         _accept(near_one, vals, peak)
 
-    e = b - a
-    e_round = round(e)
-    e_is_int = abs(e - e_round) < _INT_TOL
-    e_near_int = abs(e - e_round) < _DEGENERATE_BAND
-
     far = (~done) & (absz >= 3.0)
-    if far.any() and e_is_int:
+    if far.any():
         # Pfaff, F = (1 - z)^-a 2F1(a, c - b; c; z / (z - 1)), whose c minus
-        # its numerators is b - a = m: the 1 - z log form at v = 1 / (1 - z)
+        # its numerators is b - a: the 1 - z connection at v = 1 / (1 - z)
         zf = zc[far].real if real_in else zc[far]
         v = 1.0 / (1.0 - zf)
-        vals, peak = _one_minus_z_log(a, c - b, int(e_round), v)
+        vals, peak = _connection(a, c - b, c, v)
         _accept(far, v ** a * vals, np.abs(v) ** a * peak)
-    elif far.any() and not e_near_int:
-        vals, peak = _inv_z_two_branch(a, b, c, zc[far])
-        _accept(far, vals, peak)
+        retry = far & lossy
+        if retry.any() and abs(b - a - round(b - a)) >= _INT_TOL:
+            # the continuation can be 1e8 relative off here at large shapes
+            # (2F1(20.3, 21.1; 1; -10)), so the 1/z form is tried first
+            lossy[retry] = False
+            _accept(retry, *_inv_z_two_branch(a, b, c, zc[retry]))
 
     rest = (~done) | lossy
     if rest.any():

@@ -329,7 +329,8 @@ def test_hyp2f1_pfaff_consistency():
 
 
 def test_hyp2f1_negative_axis_families():
-    # integer and noninteger parameter difference, spanning the 1/z switch
+    # integer and noninteger parameter difference, spanning the switch
+    # from Pfaff to the far route at z = -9
     x = -np.geomspace(1e-2, 9.5e3, 41)
     for a, b, c in [(5.7619, 5.7619, 1.0), (1.5, 2.5, 1.0),
                     (1.21, 2.47, 1.0), (0.7, 4.7, 1.0), (0.5, 3.0, 1.0)]:
@@ -341,32 +342,39 @@ def test_hyp2f1_negative_axis_families():
 
 @pytest.mark.parametrize("z", [-1e11, -1e13, -1e15, -1e16, -1e17, -1e20])
 def test_hyp2f1_continuation_far_out_on_the_negative_axis(z):
-    # scenario a's cascade: b - a = 5.0119 sits in the near-integer band,
-    # so large negative z walks the Taylor continuation, whose terms used
-    # to overflow past |z| = 1e10 and whose step budget used to end near
-    # |z| = 1e15
+    # scenario a's cascade, b - a = 5.0119: hyp2f1 takes these by the far
+    # connection, and the Taylor continuation, checked on its own, must
+    # neither overflow past |z| = 1e10 nor run out of steps before 1e20
     a, b = 0.75, 5.761904761904762
+    ref = float(mp.hyp2f1(a, b, 1.0, z))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = nm.hyp2f1(a, b, 1.0, z)
-    assert got == pytest.approx(float(mp.hyp2f1(a, b, 1.0, z)), rel=1e-10,
-                                abs=0.0)
+        walk = nm._continuation_vec(a, b, 1.0, np.array([complex(z)]))
+    assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert walk[0].real == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_hyp2f1_continuation_past_its_range_raises():
-    # past |z| = 1e150 the walk's step products would overflow
+    # past |z| = 1e150 the walk's step products would overflow; the far
+    # connection has no such limit (mpmath: 8.38679927565711237e-227)
+    a, b = 0.75, 5.761904761904762
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(nm.ConvergenceError):
-            nm.hyp2f1(0.75, 5.761904761904762, 1.0, -1e300)
+            nm._continuation_vec(a, b, 1.0, np.array([-1e300 + 0j]))
+        got = nm.hyp2f1(a, b, 1.0, -1e300)
+    assert got == pytest.approx(8.38679927565711237e-227, rel=1e-13, abs=0.0)
 
 
-# Past the Pfaff disk (z < -9) integer b - a takes Pfaff and the 1 - z log
-# form, noninteger b - a the two-branch 1/z form
+# Past the Pfaff disk (z < -9) every b - a takes Pfaff into the 1 - z
+# connection at 1/(1 - z): the log form for integer b - a, the two-term
+# form otherwise, b - a within 0.02 of an integer ((5.76, 5.77) and
+# (0.75, 0.76)) included; the last two shapes are large and unequal
 NEGATIVE_AXIS_SHAPES = [
     (0.5, 0.5), (0.75, 0.75), (1.5, 2.5), (5.761904761904762,) * 2,
     (10.756097560975602,) * 2, (15.5, 15.5), (1.21, 2.47), (0.7, 4.7),
-    (5.76, 10.76)]
+    (5.76, 10.76), (5.76, 5.77), (0.75, 0.76), (20.3, 21.1), (12.3, 14.1)]
 
 
 def _check_far_negative_axis(a, b, count):
@@ -412,10 +420,13 @@ def test_hyp2f1_strongly_los_at_minus_ten():
         ref, rel=1e-12, abs=0.0)
 
 
-# (11.52, 11.52; 12.02) is the element CHF's far Pfaff family
+# (11.52, 11.52; 12.02) is the element CHF's far Pfaff family and
+# (0.75, 5.7619; 1) scenario a's cascade; the last four have b - a within
+# 0.02 of an integer but not one
 FAR_FIELD_FAMILIES = [
     (5.76, 5.76, 1.0), (0.75, 0.75, 1.0), (1.5, 2.5, 1.0), (1.5, 1.5, 2.5),
-    (3.0, 5.0, 4.5), (11.52, 11.52, 12.02)]
+    (3.0, 5.0, 4.5), (11.52, 11.52, 12.02), (5.76, 5.77, 1.0),
+    (1.5, 2.51, 1.0), (0.75, 0.76, 1.0), (0.75, 5.761904761904762, 1.0)]
 
 
 def _check_complex_far_field(a, b, c, radii, angles):
@@ -428,8 +439,6 @@ def _check_complex_far_field(a, b, c, radii, angles):
 
 @pytest.mark.parametrize("a, b, c", FAR_FIELD_FAMILIES)
 def test_hyp2f1_complex_far_field(a, b, c):
-    # integer b - a: the Taylor continuation used to take these and was
-    # 0.28 off at 2F1(5.76, 5.76; 1; 10 e^0.1j) and 1.8e-5 at 1e4 e^0.5j
     _check_complex_far_field(a, b, c, [3.5, 10.0, 1e2, 1e4, 1e8, 1e12],
                              [0.1, 0.5, 1.0, 2.0, 3.0])
 
@@ -441,15 +450,75 @@ def test_hyp2f1_complex_far_field_full_grid(a, b, c):
                              np.linspace(0.05, 3.1, 12))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: b - a inside the "
-                   "near-integer band walks the Taylor continuation")
-@pytest.mark.parametrize("z", [10.0 * np.exp(0.1j), 1e4 * np.exp(0.5j),
-                               -50.0])
-def test_hyp2f1_near_integer_difference_far_out(z):
-    # off by 0.46, 2.1e-5 and 1.9e-10 relative
+def test_hyp2f1_near_integer_difference_far_out():
+    # b - a = 0.01, between the points of the negative-axis grid
     with mp.workdps(30):
-        ref = complex(mp.hyp2f1(5.76, 5.77, 1.0, z))
-    assert abs(nm.hyp2f1(5.76, 5.77, 1.0, z) - ref) <= 1e-12 * abs(ref)
+        ref = float(mp.hyp2f1(5.76, 5.77, 1.0, -50.0))
+    assert nm.hyp2f1(5.76, 5.77, 1.0, -50.0) == pytest.approx(
+        ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: b - a within 1e-4 "
+                   "of an integer fails the cancellation check in both far "
+                   "forms and the continuation is 0.19 off")
+def test_hyp2f1_nearer_integer_difference_far_out():
+    z = 10.0 * np.exp(0.1j)
+    with mp.workdps(30):
+        ref = complex(mp.hyp2f1(5.76, 5.7601, 1.0, z))
+    assert abs(nm.hyp2f1(5.76, 5.7601, 1.0, z) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b, z, rel", [
+    (20.3, 21.1, np.linspace(-11.0, -9.05, 40), 1e-8),
+    (12.3, 14.1, np.linspace(-18.5, -17.5, 41), 1e-9)])
+def test_hyp2f1_large_unequal_shapes_past_the_pfaff_disk(a, b, z, rel):
+    # the Pfaff value fails the cancellation check on these windows and the
+    # continuation would be 1e8 and 3e2 relative off; the 1/z form takes
+    # them, 1.7e-9 and 4.7e-11 off (the latter at the sign change near -18)
+    got = nm.hyp2f1(a, b, 1.0, z)
+    with mp.workdps(30):
+        ref = np.array([float(mp.hyp2f1(a, b, 1, mp.mpf(x))) for x in z])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < rel
+
+
+@pytest.mark.parametrize("a, b", [(10.76, 15.3), (5.76, 10.3)])
+def test_hyp2f1_far_branch_polar_grid(a, b):
+    # noninteger b - a outside the band, on the points the far branch
+    # takes: |z| >= 3 outside the Pfaff and 1 - z disks
+    z = np.outer(np.geomspace(3.5, 1e12, 30),
+                 np.exp(1j * np.linspace(0.05, 3.1, 24))).ravel()
+    z = z[(np.abs(z) >= 3.0) & (np.abs(z / (z - 1.0)) > 0.9)
+          & (np.abs(1.0 - z) > 0.95)]
+    got = nm.hyp2f1(a, b, 1.0, z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.hyp2f1(a, b, 1, mp.mpc(x))) for x in z])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+@pytest.mark.parametrize("mh, mg", [(0.75, 1.755), (1.5, 1.509),
+                                    (0.5, 0.505)])
+def test_hyp2f1_near_one_inside_the_band(mh, mg):
+    # the cascade CHF's 2F1(2 mh, mh - mg + 1/2; mh + mg + 1/2; Z) near
+    # Z = 1, with d = c - a - b = 2.01, 0.018 and 0.01 inside the band:
+    # the continuation holds 3e-15 where the two-term form gives 6e-14 to
+    # 2e-13
+    a, b, c = 2.0 * mh, mh - mg + 0.5, mh + mg + 0.5
+    z = -np.exp(2j * np.linspace(1.1, math.pi / 2 - 1e-3, 30))
+    z = z[np.abs(1.0 - z) <= 0.95]
+    got = nm.hyp2f1(a, b, c, z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.hyp2f1(a, b, c, mp.mpc(x))) for x in z])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 3e-15
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the far Pfaff value "
+                   "trips the cancellation check and the 1/z form that "
+                   "replaces it is 2.2e-12 off")
+def test_hyp2f1_lossy_reroute_near_the_pfaff_disk():
+    with mp.workdps(30):
+        ref = float(mp.hyp2f1(10.76, 10.77, 1.0, -9.05))
+    assert nm.hyp2f1(10.76, 10.77, 1.0, -9.05) == pytest.approx(
+        ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.4, 4.0])
