@@ -29,21 +29,22 @@ large negative reals (Hankel-transform factors) or on the unit circle
   form when ``c - a - b`` is an integer) near ``z = 1``;
 * for ``|z| >= 3``, the Pfaff transform, whose ``c`` minus its numerators
   is ``b - a``, into the same ``1 - z`` connection formulas at
-  ``1/(1 - z)``, and the two-branch form in ``1/z`` for noninteger
-  ``b - a`` where that value cancels;
+  ``1/(1 - z)``;
 * a vectorized Taylor-step analytic continuation of the hypergeometric ODE
-  for the remaining exceptional annulus, for ``c - a - b`` within 0.02 of
-  an integer near ``z = 1``, and for any value still lost to cancellation.
+  for the remaining annulus, for ``c - a - b`` within 0.02 of an integer
+  near ``z = 1``, and for every value of the four series routes above
+  whose largest term exceeds it by more than 1e3 (the cancellation check).
 
 One term recurrence, ``_series``, is the series engine for 1F1 and 2F1:
 it sums the convergent and terminating 1F1 series, the Gauss, Pfaff and
 terminating 2F1 series, the power series of the non-logarithmic
-connection formulas (with their largest term, for the cancellation
-check) and of the logarithmic 1 - z form's head, and the continuation
-anchor (with its z-derivative).  It tests for convergence every 4th
-term.  A series that reaches its term budget, or whose partial sum is no
-longer finite at a stop test, raises `ConvergenceError`; `_series` never
-returns a truncated or overflowed sum.  Its term loop, and that of the
+connection formulas and of the logarithmic 1 - z form's head, and the
+continuation anchor (with its z-derivative).  It tests for convergence
+every 4th term, and reads the largest term for the cancellation check
+off those tests.  A series that reaches its term budget, or whose
+partial sum is no longer finite at a stop test, raises
+`ConvergenceError`; `_series` never returns a truncated or overflowed
+sum.  Its term loop, and that of the
 1F1 asymptotic expansion, update the term, sum and peak arrays in place
 with the operands of the allocating form in the same order, so the sums
 are the same to the bit.  The digamma log-sum of the logarithmic 1 - z
@@ -549,10 +550,12 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
     at the first step k = 3 (mod 4) whose newest term's largest magnitude
     is at most 1e-17 of the partial sum's, and `ConvergenceError` is
     raised if ``budget`` steps are not enough or a stop test finds the
-    partial sum not finite.  ``peak`` adds the
-    elementwise largest term magnitude and ``deriv`` the z-derivative to
-    the return value, in that order.
+    partial sum not finite.  ``peak`` adds the largest magnitude of term 0
+    and of the terms the stop tests read (so not with ``count``), and
+    ``deriv`` the z-derivative, to the return value, in that order.
     """
+    if peak and count is not None:
+        raise ValueError("a terminating series has no stop test for peak")
     total = np.ones_like(z)
     term = np.ones_like(z)
     top = np.ones(z.shape) if peak else None
@@ -569,8 +572,6 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
         np.multiply(term, num / den, out=term)
         np.multiply(term, z, out=term)
         np.add(total, term, out=total)
-        if peak:
-            np.maximum(top, np.abs(term, out=size), out=top)
         if deriv:
             np.multiply(k + 1.0, term, out=step)
             np.divide(step, z, out=step)
@@ -582,8 +583,10 @@ def _series(nums, dens, z, *, count=None, budget=4000, peak=False,
             big = np.maximum.reduce(np.abs(total, out=size), axis=None)
             if not math.isfinite(big):
                 raise _not_converged(total)
-            if np.maximum.reduce(np.abs(term, out=size), axis=None) \
-                    <= 1e-17 * max(big, 1e-300):
+            np.abs(term, out=size)
+            if peak:
+                np.maximum(top, size, out=top)
+            if np.maximum.reduce(size, axis=None) <= 1e-17 * max(big, 1e-300):
                 break
     else:
         if count is None:
@@ -735,24 +738,9 @@ def _terminating_series(a, b, c, z):
     return _series((a, b), (c,), z, count=degree)
 
 
-def _inv_z_two_branch(a, b, c, z):
-    """Connection in 1/z for noninteger b - a, valid off [0, inf).
-
-    Returns (values, peak) where `peak` is the elementwise magnitude of the
-    largest intermediate contribution - a cancellation diagnostic used by
-    the router to fall back to continuation when precision was lost.
-    """
-    total = np.zeros_like(z)
-    peak = np.zeros(z.shape)
-    inv_z = 1.0 / z
-    for (p, q) in ((a, b), (b, a)):
-        pref = (math.gamma(c) * math.gamma(q - p)
-                / (math.gamma(q) * math.gamma(c - p)))
-        s = _series((p, 1.0 - c + p), (1.0 - q + p,), inv_z, budget=200)
-        branch = pref * np.exp(-p * np.log(-z)) * s
-        total = total + branch
-        peak = np.maximum(peak, np.abs(branch))
-    return total, peak
+def _cancels(vals, peak):
+    """Where the peak term exceeds the value by more than `_CANCEL_LIMIT`."""
+    return peak > _CANCEL_LIMIT * (np.abs(vals) + 1e-300)
 
 
 def _one_minus_z_two_term(a, b, c, w):
@@ -831,22 +819,34 @@ def _connection(a, b, c, w):
 def _continuation_vec(a, b, c, targets):
     """Taylor-step continuation of the hypergeometric ODE toward `targets`.
 
-    Vectorized over targets; each element walks from its |z| = 0.5 anchor
-    along its own ray with steps bounded by 0.35x the distance to the
-    singular points {0, 1}, carrying (F, F') through the second-order
-    recurrence for the local Taylor terms d_n = c_n h^n.  The terms
-    shrink like 0.35^n at any |z|, where c_n and h^n alone under- and
-    overflow once |z| passes about 1e10.  Far from z = 1 a step grows |z|
-    by 1.35x, so the step budget grows with the farthest target.  Past
-    |z| = 1e150 the step products would overflow.
+    Vectorized over targets; each element walks along its own ray from
+    its anchor, at |z| = 0.5 or, where the Gauss series cancels there,
+    moved in by 4x until it does not (down to 1e-6), with steps bounded
+    by 0.35x the distance to the singular points {0, 1}, carrying (F, F')
+    through the second-order recurrence for the local Taylor terms
+    d_n = c_n h^n.  The terms shrink like 0.35^n at any |z|, where c_n
+    and h^n alone under- and overflow once |z| passes about 1e10.  A step
+    grows |z| by up to 1.35x, so the step budget grows with the farthest
+    target over the nearest anchor.  Past |z| = 1e150 the step products
+    would overflow.  Each Taylor sum more than 1e3 below the batch's
+    largest stops on its own terms, the others on the largest.
     """
     far = float(np.maximum.reduce(np.abs(targets), axis=None))
     if not far <= 1e150:
         raise ConvergenceError("2F1 continuation target out of range")
     direction = targets / np.abs(targets)
+    anchor = np.full(targets.shape, 0.5)
     z0 = 0.5 * direction
-    f, fp = _series((a, b), (c,), z0, deriv=True)
-    for _ in range(120 + int(math.log(max(far, 0.5) / 0.5) / math.log(1.35))):
+    f, peak, fp = _series((a, b), (c,), z0, peak=True, deriv=True)
+    move = np.flatnonzero(_cancels(f, peak))
+    while move.size:
+        anchor[move] = np.maximum(0.25 * anchor[move], 1e-6)
+        z0[move] = anchor[move] * direction[move]
+        f[move], peak, fp[move] = _series((a, b), (c,), z0[move], peak=True,
+                                          deriv=True)
+        move = move[_cancels(f[move], peak) & (anchor[move] > 1e-6)]
+    near = float(np.minimum.reduce(anchor, axis=None))
+    for _ in range(120 + int(math.log(max(far, 0.5) / near) / math.log(1.35))):
         rem = targets - z0
         dist_rem = np.abs(rem)
         if np.maximum.reduce(dist_rem, axis=None) <= 1e-15:
@@ -861,17 +861,21 @@ def _continuation_vec(a, b, c, targets):
         slope = dn1
         hh = h * h
         denom_base = z0 * (1.0 - z0)
+        tilt, shift = 1.0 - 2.0 * z0, (a + b + 1.0) * z0
         ok = False
         for n in range(160):
             dn2 = ((n + a) * (n + b) * hh * dn
-                   - (n + 1.0) * ((1.0 - 2.0 * z0) * n + c
-                                  - (a + b + 1.0) * z0) * h * dn1) \
+                   - (n + 1.0) * (tilt * n + c - shift) * h * dn1) \
                 / (denom_base * (n + 2.0) * (n + 1.0))
             slope = slope + (n + 2.0) * dn2
             total = total + dn2
             dn, dn1 = dn1, dn2
-            if np.maximum.reduce(np.abs(dn2), axis=None) <= 1e-17 * max(
-                    np.maximum.reduce(np.abs(total), axis=None), 1e-300):
+            # the batch-wide test, which every per-element pass implies
+            size, mag = np.abs(total), np.abs(dn2)
+            big = max(np.maximum.reduce(size, axis=None), 1e-300)
+            if np.maximum.reduce(mag, axis=None) <= 1e-17 * big and np.all(
+                    mag <= 1e-17 * np.where(size * 1e3 < big,
+                                            np.maximum(size, 1e-300), big)):
                 ok = True
                 break
         if not ok:
@@ -896,10 +900,13 @@ def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z), scalar or ndarray z.
 
     Real z must satisfy z <= 1 (z = 1 requires c - a - b > 0); complex z
-    may sit anywhere off the cut (1, inf).  For |z| >= 3 and b - a within
-    about 1e-4 of an integer but not one, a value can be wrong without
-    raising (0.19 relative at 2F1(5.76, 5.7601; 1; 10 e^0.1j)).  Real input
-    gives float output, complex input gives complex output.
+    may sit anywhere off the cut (1, inf).  Real input gives float output,
+    complex input gives complex output.  Values the cancellation check
+    sends to the continuation carry its rounding, worst next to sign
+    changes, without raising: 2F1(m, m; 1; z) on [-1e4, -0.3] is up to
+    4e-12 off at m = 5.76, 1.5e-10 at 10.76, 3.3e-9 at 20.75 and 7.5e-4
+    at 30.5, and 2F1(5.76, 5.7601; 1; 1e4 e^0.5j) 1.3e-5; the unchecked
+    Euler polynomial cancels from shapes of about 40.
     """
     a = float(a)
     b = float(b)
@@ -931,12 +938,12 @@ def hyp2f1(a, b, c, z):
     out = np.empty_like(zc)
     absz = np.abs(zc)
     done = np.zeros(zc.shape, dtype=bool)
-    # elements where a connection formula lost precision to cancellation
-    # (peak intermediate term >> result) are rerouted to continuation
+    # elements where a series route lost precision to cancellation (peak
+    # term >> result) are rerouted to the continuation
     lossy = np.zeros(zc.shape, dtype=bool)
 
     def _accept(mask, vals, peak):
-        bad = peak > _CANCEL_LIMIT * (np.abs(vals) + 1e-300)
+        bad = _cancels(vals, peak)
         out[mask] = vals
         done[mask] = True
         if bad.any():
@@ -944,18 +951,16 @@ def hyp2f1(a, b, c, z):
 
     direct = absz <= 0.75
     if direct.any():
-        out[direct] = _series((a, b), (c,), zc[direct])
-        done |= direct
+        _accept(direct, *_series((a, b), (c,), zc[direct], peak=True))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         w_pfaff = zc / (zc - 1.0)
         pfaff_ok = np.abs(w_pfaff) <= 0.90
     pfaff = (~done) & np.where(np.isfinite(np.abs(w_pfaff)), pfaff_ok, False)
     if pfaff.any():
-        zp = zc[pfaff]
-        out[pfaff] = np.exp(-a * np.log(1.0 - zp)) \
-            * _series((a, c - b), (c,), w_pfaff[pfaff])
-        done |= pfaff
+        pre = np.exp(-a * np.log(1.0 - zc[pfaff]))
+        vals, peak = _series((a, c - b), (c,), w_pfaff[pfaff], peak=True)
+        _accept(pfaff, pre * vals, np.abs(pre) * peak)
 
     d = c - a - b
     near_one = (~done) & (np.abs(1.0 - zc) <= 0.95)
@@ -986,12 +991,6 @@ def hyp2f1(a, b, c, z):
         v = 1.0 / (1.0 - zf)
         vals, peak = _connection(a, c - b, c, v)
         _accept(far, v ** a * vals, np.abs(v) ** a * peak)
-        retry = far & lossy
-        if retry.any() and abs(b - a - round(b - a)) >= _INT_TOL:
-            # the continuation can be 1e8 relative off here at large shapes
-            # (2F1(20.3, 21.1; 1; -10)), so the 1/z form is tried first
-            lossy[retry] = False
-            _accept(retry, *_inv_z_two_branch(a, b, c, zc[retry]))
 
     rest = (~done) | lossy
     if rest.any():

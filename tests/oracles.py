@@ -387,8 +387,6 @@ def series_loop(nums, dens, z, *, count=None, budget=4000, peak=False,
             den *= q + k
         term = term * (num / den) * z
         total = total + term
-        if peak:
-            top = np.maximum(top, np.abs(term))
         if deriv:
             slope = slope + (k + 1.0) * term / z
         # the stop test runs every 4th term; np.maximum.reduce is the
@@ -398,6 +396,8 @@ def series_loop(nums, dens, z, *, count=None, budget=4000, peak=False,
             size = np.maximum.reduce(np.abs(total), axis=None)
             if not math.isfinite(size):
                 raise nm._not_converged(total)
+            if peak:
+                top = np.maximum(top, np.abs(term))
             if np.maximum.reduce(np.abs(term), axis=None) \
                     <= 1e-17 * max(size, 1e-300):
                 break

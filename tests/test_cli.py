@@ -683,6 +683,17 @@ def test_validate_clean_config_passes(tmp_path, capsys):
             assert c[5] == "ok" and abs(float(c[4])) <= 4.0
 
 
+def test_validate_strongly_los_one_path_passes(tmp_path, capsys):
+    # scenario e (perfbench/scenarios/e.cfg): K = 20 on both hops, whose
+    # exact BER row was an error
+    m = 10.756097560975602
+    path = write_cfg(tmp_path, n_elements=1, m_h=m, m_g=m)
+    code, out, _ = run(["validate", "--config", path, "--seed", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert all(line.split(",")[5] in ("ok", "info")
+               for line in out.splitlines()[1:])
+
+
 def _count_generators(monkeypatch):
     calls = []
     make = mc.RngStream.generator

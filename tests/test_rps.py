@@ -517,6 +517,24 @@ def test_one_path_ber_matches_the_gain_product_reference_or_raises(mod):
     assert set(raised) <= {(5.76, 80.0), (5.76, 100.0)}
 
 
+@pytest.mark.parametrize("mod", list(rps.Modulation),
+                         ids=lambda mod: mod.label)
+def test_strongly_los_one_path_ber_matches_the_gain_product_reference(mod):
+    # scenario e, K = 20 on both hops: the element factor's Gauss and Pfaff
+    # series cancel, so the coherent rows raised before they went through
+    # the cancellation check
+    m = 10.756097560975602
+    for tx in (0.0, 20.0, 40.0, 60.0):
+        cfg = ScenarioConfig(
+            n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+            tx_power_dbm=tx, m_h=m, m_g=m,
+            geometry=LinkGeometry(20.0, 20.0, 86.0))
+        lk = link(cfg)
+        got = rps.ber_rps(lk.hankel(), lk.rho, mod)
+        want = gamma_product_ber(lk.element, lk.rho, mod)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), tx
+
+
 # ---------------------------------------------------------------------
 # ergodic capacity
 # ---------------------------------------------------------------------
