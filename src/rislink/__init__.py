@@ -4,30 +4,45 @@ Exact transform-domain statistics (Hankel and characteristic-function
 inversions), closed-form large-N models, and a seedable Monte-Carlo
 oracle for outage probability, average BER, and ergodic capacity under
 random, optimal, and quantized RIS phase configurations.
+
+The exports resolve on first use (PEP 562), so ``import rislink`` loads
+neither numpy nor any submodule, and ``python -m rislink.cli`` runs the
+CLI's set-up before numpy loads.
 """
 
-from .asymptotic import (LargeNOps, LargeNRps, largen_ops_cdf, largen_rps_ber,
-                         largen_rps_cdf, largen_rps_ec, zt_stats)
-from .montecarlo import (McEstimate, McQuery, RngStream, estimate_ber,
-                         estimate_ec, estimate_group, estimate_op)
-from .numerics import ConvergenceError
-from .ops import AmplitudeChf, ber_ops, chf_cascade, chf_direct, gamma_c_cdf
-from .rps import (HankelProduct, Modulation, ber_rps, ec_taylor, gamma_r_cdf,
-                  hankel_factor, path_moment, phasor_moments)
-from .scenario import (DoubleNakagami, LinkGeometry, NakagamiParams,
-                       PhaseDesign, ScenarioConfig, config_from_mapping,
-                       pathloss_omega, quantized, ricean_k_to_m)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeChf", "ConvergenceError", "DoubleNakagami", "HankelProduct",
-    "LargeNOps", "LargeNRps", "LinkGeometry", "McEstimate", "McQuery",
-    "Modulation", "NakagamiParams", "PhaseDesign", "RngStream",
-    "ScenarioConfig", "ber_ops", "ber_rps", "chf_cascade", "chf_direct",
-    "config_from_mapping", "ec_taylor", "estimate_ber", "estimate_ec",
-    "estimate_group", "estimate_op", "gamma_c_cdf", "gamma_r_cdf",
-    "hankel_factor", "largen_ops_cdf", "largen_rps_ber", "largen_rps_cdf",
-    "largen_rps_ec", "path_moment", "pathloss_omega", "phasor_moments",
-    "quantized", "ricean_k_to_m", "zt_stats",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("LargeNOps", "LargeNRps", "largen_ops_cdf",
+                     "largen_rps_ber", "largen_rps_cdf", "largen_rps_ec",
+                     "zt_stats"), "asymptotic"),
+    **dict.fromkeys(("McEstimate", "McQuery", "RngStream", "estimate_ber",
+                     "estimate_ec", "estimate_group", "estimate_op"),
+                    "montecarlo"),
+    "ConvergenceError": "numerics",
+    **dict.fromkeys(("AmplitudeChf", "ber_ops", "chf_cascade", "chf_direct",
+                     "gamma_c_cdf"), "ops"),
+    **dict.fromkeys(("HankelProduct", "Modulation", "ber_rps", "ec_taylor",
+                     "gamma_r_cdf", "hankel_factor", "path_moment",
+                     "phasor_moments"), "rps"),
+    **dict.fromkeys(("DoubleNakagami", "LinkGeometry", "NakagamiParams",
+                     "PhaseDesign", "ScenarioConfig", "config_from_mapping",
+                     "pathloss_omega", "quantized", "ricean_k_to_m"),
+                    "scenario"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

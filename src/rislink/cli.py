@@ -12,9 +12,19 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, TextIO
+
+# The simulator's RISLINK_THREADS pool is the only parallel work the
+# program does, and no matrix product it runs is large enough to gain
+# from more BLAS threads; but OpenBLAS starts a worker per extra CPU when
+# numpy loads, and the worker spins before it sleeps.  So BLAS runs on
+# the calling thread unless the caller's environment says otherwise.
+# This must run before the first numpy import: the package's exports load
+# lazily, so `python -m rislink.cli` reaches it first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

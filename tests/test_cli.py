@@ -1,12 +1,14 @@
 """Command-line behavior: parsing, schemas, exit codes, determinism."""
 
 import math
+import os
 import re
 import subprocess
 import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -487,6 +489,36 @@ def test_metric_byte_identical_across_thread_counts(tmp_path, capsys,
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert ",mc," in outputs[0]
+
+
+def test_metric_byte_identical_across_blas_thread_counts(tmp_path):
+    # every matrix product the engines run: the ops rows with a direct
+    # path reach the direct-path CHF's product, the Gauss-Jacobi eigh and
+    # the Gauss-Legendre panels, and the rps BER row its t-lattice sum
+    ops = write_cfg(tmp_path, "ops.cfg", phase_design="ops",
+                    direct_link="true", m_d=1.5)
+    rows = [ops, "op", ops, "ber", write_cfg(tmp_path), "ber"]
+    script = """if True:
+        import sys
+        from rislink.cli import main
+        args = sys.argv[1:]
+        for cfg, metric in zip(args[::2], args[1::2]):
+            assert main(["metric", "--config", cfg, "--metric", metric,
+                         "--method", "exact", "--modulation", "bpsk",
+                         "--sweep", "tx_power_dbm=0:20:3"]) == 0
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script] + rows,
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b",exact,") == 9
 
 
 def test_analytic_rows_run_on_calling_thread(tmp_path, capsys, monkeypatch):

@@ -74,9 +74,16 @@ def _write_config(path, config):
     return path
 
 
-def _run_python(argv):
-    """Run ``python argv`` on this package with one simulator thread."""
+def _run_python(argv, **overrides):
+    """Run ``python argv`` on this package with one simulator thread and
+    the environment ``overrides`` (None removes a variable).  The child's
+    environment is always built here: once ``cli`` is imported, this
+    process's own environment carries the CLI's BLAS setting."""
     env = dict(os.environ, RISLINK_THREADS="1")
+    for key, value in overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
     src = str(Path(rislink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -184,3 +191,53 @@ def test_rows_run_on_numpy_alone(tmp_path):
     methods, loaded = _loaded_after_rows(tmp_path, rows, ["scipy", "mpmath"])
     assert methods == ["exact", "exact", "exact", "mc"]
     assert loaded == "[]"
+
+
+def _after_import(statement, **overrides):
+    """Run ``statement`` in one fresh process: (its OS threads, or None
+    without /proc, its OPENBLAS_NUM_THREADS, whether numpy is loaded)."""
+    script = """if True:
+        import json, os, sys
+        %s
+        tasks = "/proc/self/task"
+        print(json.dumps([
+            len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+            os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
+    """ % statement
+    proc = _run_python(["-c", script], **overrides)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_process_starts_no_blas_threads():
+    # OpenBLAS would start a worker per extra CPU as numpy loads; the
+    # simulator's pool is the only one the CLI starts, and only for rows
+    threads, blas, numpy_loaded = _after_import(
+        "from rislink.cli import main", OPENBLAS_NUM_THREADS=None)
+    assert (blas, numpy_loaded) == ("1", True)
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    _, blas, _ = _after_import("from rislink.cli import main",
+                               OPENBLAS_NUM_THREADS="2")
+    assert blas == "2"
+
+
+def test_package_import_loads_no_numpy():
+    # the exports resolve on first use, so a library user's BLAS
+    # settings are theirs until a name is used
+    _, blas, numpy_loaded = _after_import(
+        "import rislink", OPENBLAS_NUM_THREADS=None)
+    assert (blas, numpy_loaded) == (None, False)
+    script = """if True:
+        import rislink
+        names = {}
+        exec("from rislink import *", names)
+        print(sorted(set(rislink.__all__) - set(names)))
+    """
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
