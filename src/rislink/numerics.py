@@ -1221,8 +1221,9 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
     is what makes slowly decaying oscillatory tails affordable; that stop
     test runs after every panel, on Python floats.  Raises
     `ConvergenceError` (carrying the best estimate) when the truncation cap
-    is reached first, or when the next level costs more than is left of
-    the budget of `MAX_SUBINTERVALS` GL panels (each halved panel costs 2).
+    is reached first and the last panel is not already within the target,
+    or when the next level costs more than is left of the budget of
+    `MAX_SUBINTERVALS` GL panels (each halved panel costs 2).
 
     With ``full_output=True`` returns ``(value, error_bound)``.
     """
@@ -1274,21 +1275,14 @@ def integrate_semi_infinite(f, spec=None, *, breakpoints=None, lower=0.0,
         idx = stop
 
     if result is None:
-        # edge list exhausted; accept only if the tail is already negligible
-        target = max(spec.abs_tol, spec.rel_tol * abs(total))
-        tail = contributions[max(0, n - 12):n].tolist()
-        if _alternating(tail) and _uniform_widths(widths[-len(tail):]):
-            head = float(np.add.reduce(contributions[:n - len(tail)]))
-            est, unc = _euler_accelerate(tail)
-            if unc <= 10.0 * target:
-                result, residual = head + est, unc
-        last = abs(tail[-1]) if tail else None
-        if result is None and tail and last <= target:
-            result, residual = total, last
-        if result is None:
+        # edge list spent: accept only a last panel already within target
+        last = abs(float(contributions[n - 1])) if n else None
+        if last is None or last > max(spec.abs_tol,
+                                      spec.rel_tol * abs(total)):
             raise ConvergenceError(
                 "integral truncated before reaching the tolerance",
                 best_estimate=total, error_bound=last)
+        result, residual = total, last
 
     if full_output:
         return result, residual + err_total

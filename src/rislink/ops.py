@@ -5,7 +5,10 @@ link's path envelopes, A = sum_n X_n + |h_d|, handled through its
 characteristic function Psi_A(t) = Psi_e(t)^N Psi_d(t) and Fourier
 (Gil-Pelaez style) inversion of the distribution, behind the outage cuts
 it shares with the random-phase design (`rps._outage`) and a Chernoff
-cut of its own from the closed-form E[e^{-cA}].
+cut of its own from the closed-form E[e^{-cA}].  The element factor
+Psi_e is one closed form, `chf_cascade`, at real t and at Im t > 0
+alike.  The saddle-point line integral of the BER, `_gaussian_average`,
+runs over one segment [0, span], bisected to tolerance.
 """
 
 from __future__ import annotations
@@ -34,24 +37,27 @@ def chf_direct(params: NakagamiParams, t):
     return out if np.ndim(t) else complex(out)
 
 
-def _cascade_closed_form(dn: DoubleNakagami, circle) -> np.ndarray:
-    """Closed form of the double-Nakagami CHF around its 2F1 factor.
+def chf_cascade(dn: DoubleNakagami, t):
+    """E[e^{jtX}] for a double-Nakagami envelope, at real t or Im t > 0.
 
-    ``circle(c0)`` maps c0 = 2/sqrt(Lambda) to the caller's circle
-    variable Z and the base c0 - jt of the power factor.  The hop shapes
-    are interchangeable, so they are ordered to make the hypergeometric
-    parameter difference nonnegative, the configuration with well-behaved
-    connection formulas.
+    The closed form has a Gauss-hypergeometric factor at the circle
+    variable Z = (-jt - c0)/(-jt + c0), c0 = 2/sqrt(Lambda), and a power of
+    the base c0 - jt.  Real t puts Z on the unit circle and Im t > 0 puts
+    it strictly inside.  The hop shapes are interchangeable, so they are
+    ordered to make the hypergeometric parameter difference nonnegative,
+    the configuration with well-behaved connection formulas.
     """
     mh, mg = dn.hop_h.m, dn.hop_g.m
     if mh > mg:
         mh, mg = mg, mh
     c0 = 2.0 / math.sqrt(dn.lambda_n)
-    z_circ, zden = circle(c0)
+    minus_jt = -1j * np.asarray(t)
+    zden = np.asarray(c0 + minus_jt)
+    z_circ = (minus_jt - c0) / zden
     pref = math.exp(math.lgamma(mh + 0.5) + math.lgamma(mg + 0.5)
                     - math.lgamma(mh + mg + 0.5) - 0.5 * math.log(math.pi))
-    # once |1 - Z| = 2 c0 / |zden| is below 1e-8, 1 - Z has lost half its
-    # digits to cancellation and the 2F1, divergent at Z = 1 for equal
+    # once |1 - Z| = 2 c0 / |c0 - jt| is below 1e-8, 1 - Z has lost half
+    # its digits to cancellation and the 2F1, divergent at Z = 1 for equal
     # shapes, with it; the Pfaff transform of the same closed form, which
     # has no circle variable, stays accurate there
     far = np.abs(1.0 - z_circ) < 1e-8
@@ -61,33 +67,8 @@ def _cascade_closed_form(dn: DoubleNakagami, circle) -> np.ndarray:
     out = np.asarray(pref * power * gauss)
     if np.any(far):
         out[far] = pref * nm.hyp2f1(2.0 * mh, 2.0 * mg, mh + mg + 0.5,
-                                    1.0 - np.asarray(zden)[far] / (2.0 * c0))
-    return out
-
-
-def chf_cascade(dn: DoubleNakagami, t):
-    """E[e^{jtX}] for a double-Nakagami envelope.
-
-    The closed form has a Gauss-hypergeometric factor evaluated on the
-    unit circle at Z = (-jt - c0)/(-jt + c0) with c0 = 2/sqrt(Lambda),
-    computed here as -exp(2j arctan(t/c0)).
-    """
-    arr = np.asarray(t, dtype=float)
-    out = _cascade_closed_form(dn, lambda c0: (
-        -np.exp(2j * np.arctan(arr / c0)), c0 - 1j * arr))
+                                    1.0 - zden[far] / (2.0 * c0))
     return out if np.ndim(t) else complex(out)
-
-
-def _chf_cascade_complex(dn: DoubleNakagami, z: np.ndarray) -> np.ndarray:
-    """chf_cascade continued to complex arguments with Im z > 0.
-
-    Same closed form; the circle variable is computed from its rational
-    definition (no arctan), which maps the upper half-plane strictly
-    inside the unit disk.
-    """
-    minus_jz = -1j * z
-    return _cascade_closed_form(dn, lambda c0: (
-        (minus_jz - c0) / (minus_jz + c0), c0 + minus_jz))
 
 
 def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
@@ -139,12 +120,12 @@ def _chf_direct_complex(params: NakagamiParams, z: np.ndarray) -> np.ndarray:
 
 
 def _path_chf(path, t):
-    """E[e^{jtX}] of a path's envelope: its closed form at real t, the
-    continuation at complex t with Im t > 0."""
-    if np.iscomplexobj(t):
-        return (_chf_cascade_complex if len(path.hops) == 2
-                else _chf_direct_complex)(path, t)
-    return (chf_cascade if len(path.hops) == 2 else chf_direct)(path, t)
+    """E[e^{jtX}] of a path's envelope at real t or Im t > 0: the cascade
+    closed form, or the direct factor's closed form at real t and its
+    continuation at complex t."""
+    if len(path.hops) == 2:
+        return chf_cascade(path, t)
+    return (_chf_direct_complex if np.iscomplexobj(t) else chf_direct)(path, t)
 
 
 class AmplitudeChf(TransformProduct):
@@ -309,19 +290,20 @@ def _gaussian_average(chf: AmplitudeChf, s: float, q_kernel: bool) -> float:
     span = math.sqrt(2.0 * math.log(1.0 / _BER_QUADRATURE.rel_tol) + 20.0)
 
     def integrand(u):
-        live = u < span
-        out = np.zeros(u.shape)
-        if live.any():
-            w = u[live] + 1j * c
-            vals = (np.exp(-0.5 * u[live] ** 2 - 1j * c * u[live])
-                    * chf.value_complex(s * w))
-            out[live] = np.real(1j * vals / w if q_kernel else vals)
-        return out
+        w = u + 1j * c
+        vals = np.exp(-0.5 * u ** 2 - 1j * c * u) * chf.value_complex(s * w)
+        return np.real(1j * vals / w if q_kernel else vals)
 
     # [0, span] is one panel, bisected to tolerance: on a ladder of panels
     # the stop test can accept at a zero crossing of the decaying lobes
-    val = nm.integrate_semi_infinite(integrand, _BER_QUADRATURE,
-                                     breakpoints=[span])
+    spec, los, his = _BER_QUADRATURE, np.zeros(1), np.array([span])
+    mids, left, right, disc = nm._halve(integrand, los, his)
+    val = float(left[0] + right[0])
+    tol = max(spec.abs_tol, spec.rel_tol * abs(val)) / 8.0
+    if disc[0] > tol:
+        val, _, _ = nm._refine(integrand, los, mids, his, left, right,
+                               0.5 * tol, nm.MAX_SUBINTERVALS, 0.0,
+                               float(disc[0]))
     scale = 1.0 / math.pi if q_kernel else math.sqrt(2.0 / math.pi)
     return scale * math.exp(log_bound[k]) * val
 

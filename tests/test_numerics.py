@@ -524,6 +524,47 @@ def test_hyp2f1_large_unequal_shapes_past_the_pfaff_disk(a, b, z, rel):
     assert np.max(np.abs(got - ref) / np.abs(ref)) < rel
 
 
+def _check_cascade_family_near_one(m_h, offsets, angles, radii, spread):
+    # the element CHF's family 2F1(2m_h, m_h - m_g + 1/2; m_h + m_g + 1/2; Z)
+    # has c - a - b = 2(m_g - m_h).  Within 0.02 of an integer, but not
+    # within 1e-9, the near-one band sends Z to the continuation: the
+    # two-term 1 - z connection loses up to 2.8e-5 there (2.7e-7 at
+    # (1.5, 2.5000005), Z = e^{0.02j}) and passes the cancellation check.
+    # Z runs over the unit circle near 1 and over 1 - r e^{j phi} inside
+    # the disk, with phi a fraction ``spread`` of arccos(r / 2)
+    radii = np.asarray(radii)
+    phi = np.outer(np.arccos(0.5 * radii), spread)
+    z = np.concatenate([np.exp(1j * np.asarray(angles)),
+                        (1.0 - radii[:, None] * np.exp(1j * phi)).ravel()])
+    for n in (1, 2, 4):
+        for delta in offsets:
+            m_g = m_h + 0.5 * (n + delta)
+            a, b, c = 2.0 * m_h, m_h - m_g + 0.5, m_h + m_g + 0.5
+            got = nm.hyp2f1(a, b, c, z)
+            with mp.workdps(40):
+                ref = np.array([complex(mp.hyp2f1(a, b, c, mp.mpc(x)))
+                                for x in z])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13, (m_h, m_g)
+
+
+@pytest.mark.parametrize("m_h", [0.75, 1.5])
+def test_hyp2f1_cascade_family_near_one(m_h):
+    _check_cascade_family_near_one(
+        m_h, [1e-8, 1e-6, -1e-4, 1.9e-2], [-0.6, -1e-3, 1e-3, 0.02, 0.3, 0.6],
+        [0.1, 0.5, 0.9], [-1.0, 0.0, 0.5])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m_h", [0.5, 0.75, 1.5, 3.0, 5.76, 10.76])
+def test_hyp2f1_cascade_family_near_one_full_grid(m_h):
+    angles = np.geomspace(1e-3, 0.6, 10)
+    _check_cascade_family_near_one(
+        m_h, [s * x for x in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1.9e-2)
+              for s in (1.0, -1.0)],
+        np.concatenate([angles, -angles, [0.02]]),
+        [0.02, 0.1, 0.3, 0.5, 0.7, 0.9], np.linspace(-1.0, 1.0, 7))
+
+
 @pytest.mark.parametrize("a, b", [(10.76, 15.3), (5.76, 10.3)])
 def test_hyp2f1_far_branch_polar_grid(a, b):
     # noninteger b - a outside the band, on the points the far branch
@@ -1015,6 +1056,25 @@ def test_integrate_reports_truncation():
     with pytest.raises(nm.ConvergenceError) as info:
         nm.integrate_semi_infinite(lambda t: 1.0 / (1.0 + t) ** 1.01)
     assert info.value.best_estimate is not None
+
+
+def test_integrate_spent_edges_accept_only_within_target(monkeypatch):
+    # 100 panels of width 100 out to the cap: a head of 1, then an
+    # alternating tail whose Euler estimate is uncertain by 2.7e-9.  That
+    # is above the 1e-9 target, so the spent edge list raises, even though
+    # the uncertainty is within 10x of the target
+    k = np.arange(100)
+    panels = 6e-6 * (-1.0) ** k * (1.0 + 0.5 * np.sin(k))
+    panels[0] = 1.0
+    _, unc = nm._euler_accelerate(panels[-12:].tolist())
+    target = 1e-9 * float(np.sum(panels))
+    assert target < unc <= 10.0 * target < abs(panels[-1])
+    monkeypatch.setattr(nm, "_termination_check", lambda *args: (None, None))
+    with pytest.raises(nm.ConvergenceError, match="truncated") as info:
+        nm.integrate_semi_infinite(
+            lambda t: panels[np.minimum(t // 100.0, 99).astype(int)] / 100.0,
+            breakpoints=100.0 * np.arange(1, 101))
+    assert info.value.error_bound == pytest.approx(abs(panels[-1]))
 
 
 def test_integrate_rejects_negative_lower():

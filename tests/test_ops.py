@@ -12,6 +12,7 @@ from scipy import special as ss
 from oracles import (cumulant_amplitude_moment, gamma_c_moment_multinomial,
                      link)
 from rislink import cli, ops
+from rislink import numerics as nm
 from rislink.numerics import ConvergenceError
 from rislink.rps import (DoubleNakagami, HankelProduct, Modulation,
                          gamma_r_cdf, path_moment)
@@ -105,13 +106,35 @@ def test_damped_cascade_far_past_its_scale(m):
     dn = DoubleNakagami(NakagamiParams(m, 0.4), NakagamiParams(m, 1.7))
     c0 = 2.0 / math.sqrt(dn.lambda_n)
     ratios = [1e9, 1e12, 1e16, 1e18, 1e20]
-    got = ops._chf_cascade_complex(dn, 1j * c0 * np.array(ratios))
+    got = ops.chf_cascade(dn, 1j * c0 * np.array(ratios))
     with mp.workdps(40):
         pref = mp.gamma(m + 0.5) ** 2 / (mp.gamma(2 * m + 0.5) * mp.sqrt(mp.pi))
         want = [float(pref * mp.hyp2f1(2 * m, 2 * m, 2 * m + 0.5,
                                        0.5 - mp.mpf(x) / 2)) for x in ratios]
     np.testing.assert_allclose(got.real, want, rtol=1e-13, atol=0.0)
     assert not np.any(got.imag)
+
+
+@pytest.mark.parametrize("m_h, m_g", [(1.5, 2.5), (0.75, 5.76), (5.76, 5.76),
+                                      (10.76, 10.76)])
+def test_chf_cascade_real_line_against_the_closed_form(m_h, m_g):
+    # real t takes the rational circle variable Z = (-jt - c0)/(-jt + c0)
+    # that Im t > 0 takes; mpmath's closed form at 40 digits is the reference
+    dn = DoubleNakagami(NakagamiParams(m_h, 0.4), NakagamiParams(m_g, 1.7))
+    c0 = 2.0 / math.sqrt(dn.lambda_n)
+    t = c0 * np.geomspace(1e-3, 1e4, 57)
+    got = ops.chf_cascade(dn, t)
+    with mp.workdps(40):
+        a, b = mp.mpf(m_h), mp.mpf(m_g)
+        pref = (mp.gamma(a + 0.5) * mp.gamma(b + 0.5)
+                / (mp.gamma(a + b + 0.5) * mp.sqrt(mp.pi)))
+        c, want = mp.mpf(c0), []
+        for x in t.tolist():
+            base = c - 1j * mp.mpf(x)
+            z = (-1j * mp.mpf(x) - c) / (-1j * mp.mpf(x) + c)
+            want.append(complex(pref * (2 * c / base) ** (2 * a)
+                                * mp.hyp2f1(2 * a, a - b + 0.5, a + b + 0.5, z)))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
 def test_chf_cascade_hop_order_irrelevant():
@@ -631,6 +654,27 @@ def chf_direct_pcfd(params, z):
             out[i] = complex(pref * mp.exp(-zi ** 2 / (8 * b))
                              * mp.pcfd(-2 * m, -1j * zi / mp.sqrt(2 * b)))
     return out
+
+
+def test_contour_evaluates_no_node_past_its_span(monkeypatch):
+    # past span the Gaussian factor leaves nothing to integrate, so the
+    # contour is one bisected segment [0, span] and evaluates nothing
+    # beyond it (a semi-infinite walk would go on out to 1e4)
+    nodes = []
+    gl_batch = nm._gl_batch
+
+    def recording(f, los, his):
+        def g(x):
+            nodes.append(np.max(x))
+            return f(x)
+        return gl_batch(g, los, his)
+
+    monkeypatch.setattr(nm, "_gl_batch", recording)
+    chf = ops.AmplitudeChf(FIG2, 4, NakagamiParams(1.2, 0.8))
+    for q_kernel in (True, False):
+        assert ops._gaussian_average(chf, 30.0, q_kernel) > 0.0
+    span = math.sqrt(2.0 * math.log(1.0 / ops._BER_QUADRATURE.rel_tol) + 20.0)
+    assert nodes and max(nodes) < span
 
 
 @pytest.mark.parametrize("tx_dbm", [8.0, 16.0, 30.0])
