@@ -402,6 +402,10 @@ def cmd_metric(args) -> int:
     if args.preset:
         if args.sweep:
             raise CliError("--sweep does not apply to presets")
+        if args.metric:
+            raise CliError("--metric does not apply to presets")
+        if args.method != "all":
+            raise CliError("--method does not apply to presets")
         if not args.out:
             raise CliError("presets need --out as a file prefix")
         return _run_preset(args, modulation)

@@ -13,7 +13,9 @@ element's unit-scale amplitude once, whatever the phase design or direct
 path.  Within a group, queries whose configs differ only in transmit
 power, noise or pathloss share all their draws: these reach the SNR only
 as rho and as the Gamma scales omega/m, so the elements are summed once
-at unit scale and each distinct scale multiplies the per-trial sums.
+at unit scale, each distinct set of scales forms its SNR base from the
+per-trial sums the first time a query needs it, and each query applies
+its own rho.
 Every query reads exactly the stream it reads alone, so a grouped
 estimate is bit-identical to the same query run alone.  The
 single-metric `estimate_*` functions are groups of one.
@@ -23,8 +25,8 @@ shifting draws every residual phase uniform on [0, 2pi): in Eq. (2),
 phi = theta_h + theta_g - theta_n is uniform whenever the applied
 theta_n is, whatever the hop phase laws, so the hop phases are never
 drawn.  A b-bit quantized design leaves each element the sum of two hop
-errors uniform on [-pi/2^b, pi/2^b) and co-phases the direct path;
-optimal phases draw none.
+errors uniform on [-pi/2^b, pi/2^b) and co-phases the direct path, so
+the direct path draws no phase; optimal phases draw none.
 
 BER estimators average the conditional error kernel over SNR draws
 instead of counting bit decisions, which reaches deep-tail error rates
@@ -38,13 +40,14 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .numerics import erfc
 from .rps import LN2, Modulation
-from .scenario import ScenarioConfig, link_parts
+from .scenario import (DoubleNakagami, NakagamiParams, ScenarioConfig,
+                       link_parts)
 
 _MASK64 = (1 << 64) - 1
 # RISLINK_THREADS is clamped to this, so no value of it can ask for more
@@ -190,73 +193,46 @@ def _element_sums(amp: np.ndarray, phases) -> tuple:
 
 def _direct_draws(config: ScenarioConfig, count: int,
                   rng: np.random.Generator) -> Optional[tuple]:
-    """The direct path's standard Gamma power draws (count,) and its
-    phases (None when co-phased with coherent elements), or None without
-    a direct path.  The quantized design co-phases the direct term at
-    the detector."""
+    """The direct path's unit-scale terms from its standard Gamma power
+    draws g: (sqrt(g) cos(phi), sqrt(g) sin(phi)) under random phases,
+    and (sqrt(g), None) when the design co-phases the direct path at the
+    detector (optimal and quantized phases); None without a direct
+    path."""
     if not config.geometry.direct_link:
         return None
-    gd = rng.standard_gamma(config.m_d, count)
-    kind = config.phase_design.kind
-    if kind == "ops":
-        return gd, None
-    if kind == "rps":
-        return gd, rng.uniform(0.0, 2.0 * math.pi, count)
-    return gd, np.zeros(count)
+    hd = np.sqrt(rng.standard_gamma(config.m_d, count))
+    if config.phase_design.kind != "rps":
+        return hd, None
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    return hd * np.cos(phi), hd * np.sin(phi)
 
 
-def _link_scales(config: ScenarioConfig) -> tuple:
-    """(rho, Gamma scales omega/m of the h hop, g hop and direct path)."""
-    rho, element, direct = link_parts(config)
-    return rho, (element.hop_h.lambda_n, element.hop_g.lambda_n,
-                 None if direct is None else direct.lambda_n)
+def _snr_base(element: DoubleNakagami,
+              direct_path: Optional[NakagamiParams], sums: tuple,
+              direct: Optional[tuple]) -> np.ndarray:
+    """The SNR over rho before its last multiply, from the unit-scale
+    `_element_sums` and `_direct_draws` at the Gamma scales omega/m of
+    ``element`` and ``direct_path`` (from `link_parts`): the received
+    amplitude for co-phased elements (SNR = rho * amp * amp), else the
+    received power re^2 + im^2 (SNR = rho * power).  The scales multiply
+    the per-trial sums: sqrt(s_h) * sqrt(s_g) the element sums and
+    sqrt(s_d) the direct terms."""
+    c = math.sqrt(element.hop_h.lambda_n) * math.sqrt(element.hop_g.lambda_n)
+    c_d = None if direct_path is None else math.sqrt(direct_path.lambda_n)
+    re_d, im_d = direct or (None, None)
 
-
-def _snr_bases(sums: tuple, direct: Optional[tuple],
-               scales: Sequence[tuple]) -> List[np.ndarray]:
-    """Per set of Gamma scales (s_h, s_g, s_d), the SNR over rho before
-    its last multiply, from the unit-scale `_element_sums` and
-    `_direct_draws`: the received amplitude for co-phased elements (SNR
-    = rho * amp * amp), else the received power re^2 + im^2 (SNR = rho *
-    power).  Each set of scales multiplies the per-trial sums: sqrt(s_h)
-    * sqrt(s_g) the element sums and sqrt(s_d) the direct term."""
-    re, im = sums
-    coherent = im is None
-    re_d = im_d = None
-    if direct is not None:
-        gd, phi_d = direct
-        hd = np.sqrt(gd)
-        re_d = hd if coherent else hd * np.cos(phi_d)
-        im_d = None if coherent else hd * np.sin(phi_d)
-
-    def scaled(elements, term, c, c_d):
+    def scaled(elements, term):
         out = c * elements
         if term is not None:
             out += c_d * term
         return out
 
-    bases = []
-    for s_h, s_g, s_d in scales:
-        c = math.sqrt(s_h) * math.sqrt(s_g)
-        c_d = None if s_d is None else math.sqrt(s_d)
-        r = scaled(re, re_d, c, c_d)
-        if coherent:
-            bases.append(r)
-        else:
-            i = scaled(im, im_d, c, c_d)
-            bases.append(r * r + i * i)
-    return bases
-
-
-def _draw_bases(config: ScenarioConfig, amp: np.ndarray,
-                rng: np.random.Generator,
-                scales: Sequence[tuple]) -> List[np.ndarray]:
-    """The `_snr_bases` of the variates that follow the hop draws of
-    ``amp``.  Draw order is part of the determinism contract: hop powers
-    h then g, then the design's element phases, then the direct path's
-    power and phase."""
-    sums = _element_sums(amp, _phase_draws(config, amp, rng))
-    return _snr_bases(sums, _direct_draws(config, len(amp), rng), scales)
+    re, im = sums
+    r = scaled(re, re_d)
+    if im is None:
+        return r
+    i = scaled(im, im_d)
+    return r * r + i * i
 
 
 def _snr(base: np.ndarray, rho: float, coherent: bool) -> np.ndarray:
@@ -332,27 +308,6 @@ class McQuery:
                           n_trials=n_trials, seed=seed)
 
 
-class _Subgroup(NamedTuple):
-    """Queries of one draw_key(): the config they draw with, their
-    distinct Gamma scales (each mapped to the index of its SNR base), and
-    the query indices per (base index, rho)."""
-
-    config: ScenarioConfig
-    scales: dict
-    snrs: dict
-
-
-def _subgroups(queries: Sequence[McQuery]) -> List[_Subgroup]:
-    subs: dict = {}
-    for q, query in enumerate(queries):
-        sub = subs.setdefault(query.draw_key(),
-                              _Subgroup(query.config, {}, {}))
-        rho, scale = _link_scales(query.config)
-        base = sub.scales.setdefault(scale, len(sub.scales))
-        sub.snrs.setdefault((base, rho), []).append(q)
-    return list(subs.values())
-
-
 def _in_order(pool: ThreadPoolExecutor, fn, count: int, window: int):
     """fn(0), ..., fn(count - 1) run on the pool and yielded in index
     order, with at most ``window`` of them submitted and not yet
@@ -372,9 +327,16 @@ def _reduce(queries: Sequence[McQuery], n_trials: int,
     order.  The queries share (N, m_h, m_g): each chunk draws the hops
     and forms the unit-scale amplitudes once, then every draw_key()
     subgroup rewinds the stream to just after the hop draws, draws its
-    own phases and direct path, builds one SNR base per distinct Gamma
-    scale, and applies each distinct rho once for its queries."""
-    subs = _subgroups(queries)
+    own phases and direct path, and sums its elements once.  Each query
+    applies its own rho to the SNR base of its Gamma scales, which the
+    subgroup forms the first time one of its queries asks for it.  Draw
+    order is part of the determinism contract: hop powers h then g, then
+    the design's element phases, then the direct path's power and
+    phase."""
+    links = [link_parts(query.config) for query in queries]
+    subs: dict = {}
+    for q, query in enumerate(queries):
+        subs.setdefault(query.draw_key(), []).append(q)
     first = queries[0].config
     cs = _chunk_size(first.n_elements)
     n_chunks = (n_trials + cs - 1) // cs
@@ -385,14 +347,19 @@ def _reduce(queries: Sequence[McQuery], n_trials: int,
         amp = _hop_amplitudes(first, count, rng)
         after_hops = rng.bit_generator.state
         parts = [None] * len(queries)
-        for sub in subs:
+        for members in subs.values():
             rng.bit_generator.state = after_hops
-            coherent = sub.config.phase_design.kind == "ops"
-            bases = _draw_bases(sub.config, amp, rng, list(sub.scales))
-            for (base, rho), members in sub.snrs.items():
-                g = _snr(bases[base], rho, coherent)
-                for q in members:
-                    parts[q] = queries[q].partial(g)
+            config = queries[members[0]].config
+            coherent = config.phase_design.kind == "ops"
+            sums = _element_sums(amp, _phase_draws(config, amp, rng))
+            direct = _direct_draws(config, count, rng)
+            bases: dict = {}
+            for q in members:
+                rho, element, direct_path = links[q]
+                key = element, direct_path
+                if key not in bases:
+                    bases[key] = _snr_base(element, direct_path, sums, direct)
+                parts[q] = queries[q].partial(_snr(bases[key], rho, coherent))
         return parts
 
     threads = _thread_count()

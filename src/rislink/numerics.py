@@ -686,9 +686,7 @@ def hyp1f1(a, b, x):
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
     out = np.empty_like(flat)
-    if a == 0.0:
-        out[:] = 1.0
-    elif _is_nonpos_int(a):
+    if _is_nonpos_int(a):
         out[:] = _series((a,), (b,), flat, count=round(-a))
     elif _is_nonpos_int(b - a):
         # Kummer reflection terminates: M(a,b,x) = e^x M(b-a, b, -x)

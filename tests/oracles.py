@@ -57,10 +57,12 @@ def op_grid(config, thresholds, n_trials, seed):
 
 def snr_batch(config, count, rng):
     """``count`` SNR draws of one config through the simulator's own draw
-    and SNR-base kernels."""
-    rho, scales = mc._link_scales(config)
+    and SNR kernels."""
+    rho, element, direct_path = link_parts(config)
     amp = mc._hop_amplitudes(config, count, rng)
-    base, = mc._draw_bases(config, amp, rng, [scales])
+    sums = mc._element_sums(amp, mc._phase_draws(config, amp, rng))
+    base = mc._snr_base(element, direct_path, sums,
+                        mc._direct_draws(config, count, rng))
     return mc._snr(base, rho, config.phase_design.kind == "ops")
 
 
@@ -127,14 +129,15 @@ def sample_nakagami_phase(m, rng, size=None):
     return out.reshape(size)
 
 
-def nakagami_phase_bases(config, amp, rng, scales):
-    """The simulator's `_snr_bases` for the variates that follow the hop
+def nakagami_phase_snr(config, amp, rng):
+    """The simulator's SNR draws for the variates that follow the hop
     draws of ``amp`` when Eq. (2) is drawn term by term: phi = theta_h +
     theta_g - theta_n with Nakagami hop phases and a uniform applied
     phase, and theta_hd - theta_d on the direct path.  Same draw order
-    as `montecarlo._draw_bases`: element phases, then the direct path's
-    power and phase.  The phases are drawn whole and reach the
-    simulator's blocked element sums as per-block slices."""
+    as the simulator's random-phase design: element phases, then the
+    direct path's power and phase.  The phases are drawn whole and reach
+    the simulator's blocked element sums as per-block slices; its
+    `_snr_base` and `_snr` turn the sums into SNR draws."""
     count, n = amp.shape
     theta_h = sample_nakagami_phase(config.m_h, rng, (count, n))
     theta_g = sample_nakagami_phase(config.m_g, rng, (count, n))
@@ -142,15 +145,18 @@ def nakagami_phase_bases(config, amp, rng, scales):
     sums = mc._element_sums(amp, lambda rows: phi[rows])
     direct = None
     if config.geometry.direct_link:
-        gd = rng.standard_gamma(config.m_d, count)
+        hd = np.sqrt(rng.standard_gamma(config.m_d, count))
         theta_hd = sample_nakagami_phase(config.m_d, rng, (count,))
-        direct = gd, theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
-    return mc._snr_bases(sums, direct, scales)
+        phi_d = theta_hd - rng.uniform(0.0, 2.0 * math.pi, count)
+        direct = hd * np.cos(phi_d), hd * np.sin(phi_d)
+    rho, element, direct_path = link_parts(config)
+    return mc._snr(mc._snr_base(element, direct_path, sums, direct), rho,
+                   False)
 
 
 def nakagami_phase_op_grid(config, thresholds, n_trials, seed):
     """Simulated random-phase outage at several thresholds with the
-    residual phases drawn through `nakagami_phase_bases`.
+    residual phases drawn through `nakagami_phase_snr`.
 
     Chunk i reads `RngStream(seed, i)` over `_chunk_size(N)` trials: the
     simulator's hop amplitudes, then the Eq. (2) phases, then its SNR
@@ -160,14 +166,12 @@ def nakagami_phase_op_grid(config, thresholds, n_trials, seed):
     if config.phase_design.kind != "rps":
         raise ValueError("Nakagami hop phases apply to random phase shifting")
     queries = [mc.McQuery(config, "op", float(th)) for th in thresholds]
-    rho, scales = mc._link_scales(config)
     cs = mc._chunk_size(config.n_elements)
     totals = [0] * len(queries)
     for i in range(-(-n_trials // cs)):
         rng = mc.RngStream(seed, i).generator()
         amp = mc._hop_amplitudes(config, min(cs, n_trials - i * cs), rng)
-        base, = nakagami_phase_bases(config, amp, rng, [scales])
-        g = mc._snr(base, rho, False)
+        g = nakagami_phase_snr(config, amp, rng)
         totals = [t + q.partial(g) for t, q in zip(totals, queries)]
     return [q.estimate(t, n_trials, seed) for q, t in zip(queries, totals)]
 

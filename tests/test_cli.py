@@ -573,6 +573,20 @@ def test_preset_rejects_sweep(capsys):
     assert code == cli.EXIT_USAGE and "sweep" in err
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--metric", "op"], "metric"),
+    (["--method", "asymptotic"], "method"),
+    (["--method", "mc"], "method")])
+def test_preset_rejects_metric_and_method(capsys, tmp_path, flags, word):
+    # a preset fixes its metrics and methods, so the flags would be
+    # silently ignored
+    out = str(tmp_path / "p")
+    code, _, err = run(["metric", "--preset", "fig2", "--out", out,
+                        "--trials", "10000"] + flags, capsys)
+    assert code == cli.EXIT_USAGE and f"--{word} does not apply" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_preset_curve_definitions():
     th_db, fig1 = cli._preset_curves("fig1")
     assert th_db == -30.0

@@ -83,7 +83,8 @@ def test_mc_estimate_validation():
 def cascade_envelopes(cfg, count, rng):
     """The simulator's cascade amplitudes at the config's hop scales, and
     the two hops' spreads."""
-    _, (scale_h, scale_g, _) = mc._link_scales(cfg)
+    _, element, _ = link_parts(cfg)
+    scale_h, scale_g = element.hop_h.lambda_n, element.hop_g.lambda_n
     amp = mc._hop_amplitudes(cfg, count, rng)
     x = math.sqrt(scale_h) * math.sqrt(scale_g) * amp.ravel()
     return x, scale_h * cfg.m_h, scale_g * cfg.m_g
@@ -617,6 +618,51 @@ def test_group_draws_each_chunk_once(monkeypatch):
     n_chunks32 = -(-trials // mc._chunk_size(32))
     assert sorted(calls) == sorted(list(range(n_chunks)) * 2
                                    + list(range(n_chunks32)))
+
+
+def _count_bases(monkeypatch):
+    calls = []
+    make = mc._snr_base
+
+    def counted(*args):
+        calls.append(args[:2])
+        return make(*args)
+    monkeypatch.setattr(mc, "_snr_base", counted)
+    return calls
+
+
+def test_group_forms_each_snr_base_once_per_chunk(monkeypatch):
+    # power reaches the SNR only as rho, so a power sweep and all its
+    # metrics share one SNR base per chunk; each distance is another set
+    # of Gamma scales, and another design or direct path another subgroup
+    cfg = make_config(64)
+    trials = 10_000
+    assert -(-trials // mc._chunk_size(64)) == 3
+
+    def sweep(c):
+        queries = []
+        for p in range(-10, 31, 2):
+            point = replace(c, tx_power_dbm=float(p))
+            queries += [mc.McQuery(point, "op", 1e-3),
+                        mc.McQuery(point, "ec")]
+        return queries
+
+    calls = _count_bases(monkeypatch)
+    mc.estimate_group(sweep(cfg), trials, 5)
+    assert len(calls) == 3 and len(set(calls)) == 1
+    del calls[:]
+    queries = []
+    for r_h in (10.0, 20.0, 31.0, 45.0, 60.0):
+        queries += sweep(replace(cfg, geometry=replace(cfg.geometry,
+                                                       r_h=r_h)))
+    assert len(queries) == 210
+    mc.estimate_group(queries, trials, 5)
+    assert len(calls) == 15 and len(set(calls)) == 5
+    del calls[:]
+    queries += [mc.McQuery(make_config(64, "ops"), "ec"),
+                mc.McQuery(make_config(64, direct=True), "ec")]
+    mc.estimate_group(queries, trials, 5)
+    assert len(calls) == 21
 
 
 def test_group_validation():

@@ -215,7 +215,7 @@ def test_hyp1f1_against_scipy_vector():
                         np.linspace(-599, -1e-3, 41),
                         np.linspace(0, 40, 21)])
     for a, b in [(5.7619, 1.0), (6.2619, 1.5), (1.5, 2.0), (0.5, 1.5),
-                 (-2.0, 1.5), (2.0, 2.0)]:
+                 (-2.0, 1.5), (0.0, 1.5), (2.0, 2.0)]:
         mine = nm.hyp1f1(a, b, x)
         ref = sp.hyp1f1(a, b, x)
         scale = np.maximum(np.abs(ref), 1e-280)
