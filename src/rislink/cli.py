@@ -398,7 +398,7 @@ def cmd_metric(args) -> int:
     if bool(args.config) == bool(args.preset):
         raise CliError("metric needs exactly one of --config or --preset")
     _check_run_args(args)
-    modulation = Modulation.from_label(args.modulation)
+    modulation = Modulation.from_label(args.modulation or "bpsk")
     if args.preset:
         if args.sweep:
             raise CliError("--sweep does not apply to presets")
@@ -507,6 +507,13 @@ def _run_preset(args, modulation: Modulation) -> int:
     simulator shares hop draws across them; the rows are then written
     one CSV per curve."""
     th_db, curves = _preset_curves(args.preset)
+    preset_metrics = {metric for curve in curves for metric in curve[3]}
+    for flag, given, metric in (
+            ("--gamma-th-db", args.gamma_th_db, "op"),
+            ("--modulation", args.modulation, "ber")):
+        if given is not None and metric not in preset_metrics:
+            raise CliError(f"{flag} does not apply to preset {args.preset}, "
+                           f"which has no {metric} curve")
     for curve in curves:
         _check_writable(f"{args.out}_{curve[0]}.csv")
     per_curve = [_specs_for_curve(param, points, metrics, method)
@@ -622,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--gamma-th-db", type=float, default=None,
                     help="outage threshold in dB (default 0; fig1 preset: -30)")
     pm.add_argument("--modulation", choices=_MODULATIONS,
-                    default="bpsk")
+                    help="BER modulation (default bpsk)")
     pm.add_argument("--trials", type=int, default=100_000,
                     help="Monte-Carlo trials per row")
     pm.add_argument("--seed", type=int, default=1234)

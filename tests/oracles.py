@@ -136,13 +136,15 @@ def nakagami_phase_snr(config, amp, rng):
     phase, and theta_hd - theta_d on the direct path.  Same draw order
     as the simulator's random-phase design: element phases, then the
     direct path's power and phase.  The phases are drawn whole and reach
-    the simulator's blocked element sums as per-block slices; its
-    `_snr_base` and `_snr` turn the sums into SNR draws."""
+    the simulator's blocked element sums as per-block slices of their
+    half-angles; its `_snr_base` and `_snr` turn the sums into SNR
+    draws."""
     count, n = amp.shape
     theta_h = sample_nakagami_phase(config.m_h, rng, (count, n))
     theta_g = sample_nakagami_phase(config.m_g, rng, (count, n))
     phi = theta_h + theta_g - rng.uniform(0.0, 2.0 * math.pi, (count, n))
-    sums = mc._element_sums(amp, lambda rows: phi[rows])
+    half = 0.5 * phi
+    sums = mc._element_sums(amp, lambda rows: half[rows])
     direct = None
     if config.geometry.direct_link:
         hd = np.sqrt(rng.standard_gamma(config.m_d, count))

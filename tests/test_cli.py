@@ -587,6 +587,22 @@ def test_preset_rejects_metric_and_method(capsys, tmp_path, flags, word):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("preset, flags, word", [
+    ("fig2", ["--gamma-th-db", "3"], "gamma-th-db"),
+    ("fig3", ["--gamma-th-db", "5"], "gamma-th-db"),
+    ("fig1", ["--modulation", "bdpsk"], "modulation"),
+    ("fig3", ["--modulation", "bpsk"], "modulation")])
+def test_preset_rejects_threshold_or_modulation_it_ignores(
+        capsys, tmp_path, preset, flags, word):
+    # a preset with no op curve has no use for a threshold, and one with
+    # no ber curve none for a modulation
+    out = str(tmp_path / "p")
+    code, _, err = run(["metric", "--preset", preset, "--out", out,
+                        "--trials", "10000"] + flags, capsys)
+    assert code == cli.EXIT_USAGE and f"--{word} does not apply" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_preset_curve_definitions():
     th_db, fig1 = cli._preset_curves("fig1")
     assert th_db == -30.0

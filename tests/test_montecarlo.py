@@ -217,16 +217,26 @@ def test_quantized_many_bits_approaches_coherent():
     assert np.max(np.abs(cdf1 - cdf2)) < 0.01
 
 
+def tangent_phasor(psi):
+    """(cos, sin) of the angles 2 psi through t = tan psi, as the
+    simulator forms them."""
+    t = np.tan(psi)
+    d = 2.0 / (1.0 + t * t)
+    return d - 1.0, t * d
+
+
 @pytest.mark.parametrize("direct", [False, True])
 @pytest.mark.parametrize("n", [1, 8, 320])
 @pytest.mark.parametrize("design", ["rps", "ops", "quantized"])
 def test_snr_batch_draw_order(design, n, direct):
     # the determinism contract written out with whole-array standard_gamma
-    # and uniform draws: hop powers h then g, the design's phases, then
-    # the direct path.  The simulator draws hop g and the phases in row
-    # blocks, and the count ends mid-block, so any change of draw order
-    # fails.  The elements are summed at unit scale and the Gamma scales
-    # multiply the sums
+    # and uniform draws: hop powers h then g, the design's phases as
+    # half-angles, then the direct path; each phasor comes from the
+    # tangent of its half-angle.  The simulator draws hop g and the
+    # phases in row blocks, and the count ends mid-block, so any change
+    # of draw order, or a phasor that depends on the block, fails.  The
+    # elements are summed at unit scale and the Gamma scales multiply the
+    # sums
     cfg = make_config(n, design, tx=3.0, direct=direct, m_h=1.5, m_g=2.5)
     rho, element, dpath = link_parts(cfg)
     count = mc._BASE_BLOCK // n + 904
@@ -239,26 +249,27 @@ def test_snr_batch_draw_order(design, n, direct):
     # the same draws with every element scaled before the sum
     x = np.sqrt(s_h * gh) * np.sqrt(s_g * gg)
     if design == "rps":
-        phi = rng.uniform(0.0, 2.0 * math.pi, (count, n))
+        psi = rng.uniform(0.0, math.pi, (count, n))
     elif design == "quantized":
-        # two hop errors uniform on [-pi/4, pi/4) at 2 bits
-        phi = (rng.uniform(-math.pi / 4, math.pi / 4, (count, n))
-               + rng.uniform(-math.pi / 4, math.pi / 4, (count, n)))
+        # two hop errors uniform on [-pi/4, pi/4) at 2 bits, as half-angles
+        psi = (rng.uniform(-math.pi / 8, math.pi / 8, (count, n))
+               + rng.uniform(-math.pi / 8, math.pi / 8, (count, n)))
     # the direct-path terms at unit scale times sqrt(s_d), and scaled first
     d_re = d_im = old_re = old_im = None
     if direct:
         s_d = dpath.omega / cfg.m_d
         gd = rng.standard_gamma(cfg.m_d, count)
         hd, hd_old = np.sqrt(gd), np.sqrt(s_d * gd)
-        if design == "ops":
-            d_re, old_re = math.sqrt(s_d) * hd, hd_old
+        if design == "rps":
+            psi_d = rng.uniform(0.0, math.pi, count)
+            cos_d, sin_d = tangent_phasor(psi_d)
+            d_re = math.sqrt(s_d) * (hd * cos_d)
+            d_im = math.sqrt(s_d) * (hd * sin_d)
+            old_re = hd_old * np.cos(2.0 * psi_d)
+            old_im = hd_old * np.sin(2.0 * psi_d)
         else:
-            # the quantized design co-phases the direct path
-            phi_d = (rng.uniform(0.0, 2.0 * math.pi, count)
-                     if design == "rps" else np.zeros(count))
-            d_re = math.sqrt(s_d) * (hd * np.cos(phi_d))
-            d_im = math.sqrt(s_d) * (hd * np.sin(phi_d))
-            old_re, old_im = hd_old * np.cos(phi_d), hd_old * np.sin(phi_d)
+            # optimal and quantized designs co-phase the direct path
+            d_re, old_re = math.sqrt(s_d) * hd, hd_old
 
     def plus(elements, term):
         return elements if term is None else elements + term
@@ -268,14 +279,51 @@ def test_snr_batch_draw_order(design, n, direct):
         want = rho * total * total
         old = rho * plus(np.sum(x, axis=1), old_re) ** 2
     else:
-        re = plus(c * np.sum(amp * np.cos(phi), axis=1), d_re)
-        im = plus(c * np.sum(amp * np.sin(phi), axis=1), d_im)
+        cos, sin = tangent_phasor(psi)
+        re = plus(c * np.sum(amp * cos, axis=1), d_re)
+        im = plus(c * np.sum(amp * sin, axis=1), d_im)
         want = rho * (re * re + im * im)
+        phi = 2.0 * psi
         old = rho * (plus(np.sum(x * np.cos(phi), axis=1), old_re) ** 2
                      + plus(np.sum(x * np.sin(phi), axis=1), old_im) ** 2)
     got = snr_batch(cfg, count, mc.RngStream(4, 2).generator())
     assert np.array_equal(got, want)
     np.testing.assert_allclose(got, old, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.pi),
+                                    (-math.pi / 2, math.pi / 2)])
+def test_unit_phasor_accuracy(lo, hi):
+    # the half-angle ranges of random phases and of one-bit quantized
+    # phases, with their edges and the points where t = tan(psi) peaks
+    edges = [0.0, np.nextafter(math.pi / 2, 0.0), math.pi / 2,
+             np.nextafter(math.pi / 2, 4.0), -math.pi / 2,
+             np.nextafter(math.pi, 0.0)]
+    psi = np.concatenate([mc.RngStream(8, 0).generator().uniform(
+        lo, hi, 200_000), edges])
+    cos, sin = mc._unit_phasor(psi.copy())
+    assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+    tol = 4 * 2.0 ** -52
+    assert np.max(np.abs(cos - np.cos(2.0 * psi))) <= tol
+    assert np.max(np.abs(sin - np.sin(2.0 * psi))) <= tol
+    assert np.max(np.abs(cos * cos + sin * sin - 1.0)) <= tol
+
+
+def test_simulator_takes_no_cosine_or_sine(monkeypatch):
+    # every phasor of the random-phase and quantized designs, element
+    # and direct path, comes from one tangent
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulator called np.cos or np.sin")
+
+    monkeypatch.setattr(np, "cos", refuse)
+    monkeypatch.setattr(np, "sin", refuse)
+    for design in ("rps", "quantized"):
+        for direct in (False, True):
+            cfg = make_config(8, design, direct=direct)
+            totals = mc._reduce([mc.McQuery(cfg, "op", 1.0),
+                                 mc.McQuery(cfg, "ber"),
+                                 mc.McQuery(cfg, "ec")], 10_000, 3)
+            assert all(np.all(np.isfinite(t)) for t in totals)
 
 
 @pytest.mark.parametrize("design, bound",
