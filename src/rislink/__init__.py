@@ -17,21 +17,17 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("LargeNOps", "LargeNRps", "largen_ops_cdf",
-                     "largen_rps_ber", "largen_rps_cdf", "largen_rps_ec",
-                     "zt_stats"), "asymptotic"),
-    **dict.fromkeys(("McEstimate", "McQuery", "RngStream", "estimate_ber",
-                     "estimate_ec", "estimate_group", "estimate_op"),
+                     "largen_rps_ber", "largen_rps_cdf", "largen_rps_ec"),
+                    "asymptotic"),
+    **dict.fromkeys(("McEstimate", "McQuery", "estimate_group"),
                     "montecarlo"),
     "ConvergenceError": "numerics",
-    **dict.fromkeys(("AmplitudeChf", "ber_ops", "chf_cascade", "chf_direct",
-                     "gamma_c_cdf"), "ops"),
+    **dict.fromkeys(("AmplitudeChf", "ber_ops", "gamma_c_cdf"), "ops"),
     **dict.fromkeys(("HankelProduct", "Modulation", "ber_rps", "ec_taylor",
-                     "gamma_r_cdf", "hankel_factor", "path_moment",
-                     "phasor_moments"), "rps"),
+                     "gamma_r_cdf"), "rps"),
     **dict.fromkeys(("DoubleNakagami", "LinkGeometry", "NakagamiParams",
                      "PhaseDesign", "ScenarioConfig", "config_from_mapping",
-                     "pathloss_omega", "quantized", "ricean_k_to_m"),
-                    "scenario"),
+                     "quantized"), "scenario"),
 }
 
 __all__ = sorted(_EXPORTS)

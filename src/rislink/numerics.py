@@ -86,18 +86,14 @@ __all__ = [
     "ConvergenceError",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "EULER_GAMMA",
-    "digamma",
     "erfc",
     "gauss_q",
-    "upper_incomplete_gamma",
     "regularized_lower_gamma",
     "exp_scaled_e1",
     "bessel_j",
     "bessel_zeros",
     "hyp1f1",
     "hyp2f1",
-    "taylor_coefficients_product",
     "integrate_semi_infinite",
 ]
 
@@ -430,15 +426,13 @@ def exp_scaled_e1(z):
         raise ValueError("exp_scaled_e1 requires z > 0")
     if z < 50.0:
         return math.exp(z) * upper_incomplete_gamma(0.0, z)
-    # asymptotic series (1/z) sum (-1)^k k! / z^k, cut at the smallest term
+    # asymptotic series (1/z) sum_{k<40} (-1)^k k! / z^k: for z >= 50 its
+    # terms shrink throughout, and the first one left out is below 1e-20
     total = 0.0
     term = 1.0 / z
-    for k in range(0, 40):
+    for k in range(40):
         total += term
-        nxt = term * -(k + 1) / z
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
+        term = term * -(k + 1) / z
     return total
 
 

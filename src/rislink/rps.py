@@ -219,13 +219,13 @@ class HankelProduct(TransformProduct):
                    for path, _ in self.paths)
 
     def lattice_chunk(self, index: int) -> tuple:
-        """H on panels index*_CHUNK ... of the BER's t-lattice.
+        """H on panels index*_CHUNK ... of the BER's t-lattice, with a
+        head panel [0, first edge] in front of them.
 
-        Returns (los, his, half, t, h): the panels' ends, with a head
-        panel [0, first edge] in front of them; the half-widths of each
-        whole panel and of its two halves, shape (_CHUNK + 1, 3); and the
-        20 Gauss-Legendre nodes of each of those and H there, shape
-        (_CHUNK + 1, 3, 20).  Built with one transform call and kept.
+        Returns (half, t, h): the half-widths of each whole panel and of
+        its two halves, shape (_CHUNK + 1, 3); and the 20 Gauss-Legendre
+        nodes of each of those and H there, shape (_CHUNK + 1, 3, 20).
+        Built with one transform call and kept.
         """
         key = ("lattice_chunk", index)
         got = self._derived.get(key)
@@ -239,7 +239,7 @@ class HankelProduct(TransformProduct):
             ends = np.stack([his, mids, his], axis=1)
             half = 0.5 * (ends - starts)
             t = (starts + half)[..., None] + half[..., None] * nm._GL_NODES
-            got = (los, his, half, t, self(t.ravel()).reshape(t.shape))
+            got = (half, t, self(t.ravel()).reshape(t.shape))
             self._derived[key] = got
         return got
 
@@ -394,14 +394,13 @@ def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     and a weighted sum.  A row spans the panels `_lattice_span` gives it,
     after a head panel [0, first edge].
 
-    Error control: a panel whose whole and halves differ by more than
-    1/8 of rel 1e-9 of the total is bisected with fresh H values, as
-    `integrate_semi_infinite` does, and the row raises `ConvergenceError`
-    when that bisection runs out of budget.  Past the last panel the
-    tail is bounded by the geometric decay `_lattice_span` gives; a row
-    whose last panel is larger than the one before it, or whose tail
-    bound exceeds that same tolerance, raises `ConvergenceError` with
-    its best estimate.
+    Error control: the row settles on the tabulated panels or raises.
+    Past the last panel the tail is bounded by the geometric decay
+    `_lattice_span` gives.  A row raises `ConvergenceError`, with its
+    lattice sum as the best estimate, when a panel's whole and halves
+    differ by more than 1/8 of rel 1e-9 of the total, when its last
+    panel is larger than the one before it, or when its tail bound
+    exceeds that same tolerance.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -412,9 +411,9 @@ def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     chunks = [hp.lattice_chunk(c) for c in range(first, -(-k_hi // _CHUNK))]
     # the first chunk's head panel, then every chunk's panels up to k_hi
     count = k_hi - first * _CHUNK + 1
-    los, his, half, t, h = (
+    half, t, h = (
         np.concatenate([chunks[0][i]] + [c[i][1:] for c in chunks[1:]])[:count]
-        for i in range(5))
+        for i in range(3))
 
     def kernel(x):
         return x * nm.hyp1f1(1.0 + p, 2.0, -np.square(x / s))
@@ -425,22 +424,18 @@ def ber_rps(hp: HankelProduct, rho: float, modulation: Modulation) -> float:
     spec = _BER_QUADRATURE
     tol = max(spec.abs_tol, spec.rel_tol * abs(total)) / 8.0
     to_ber = p / (s * s)
+    end, before = abs(contrib[-1]), abs(contrib[-2])
+    tail = end * ratio / (1.0 - ratio)
     disc = np.abs(contrib - whole)
     bad = disc > tol
     if bad.any():
-        try:
-            fixed, _, _ = nm._refine(
-                lambda x: kernel(x) * hp(x), los[bad],
-                0.5 * (los + his)[bad], his[bad], left[bad], right[bad],
-                0.5 * tol, nm.MAX_SUBINTERVALS,
-                total - float(np.sum(contrib[bad])), float(np.sum(disc[bad])))
-        except nm.ConvergenceError as exc:
-            raise nm.ConvergenceError(
-                str(exc), best_estimate=to_ber * exc.best_estimate,
-                error_bound=to_ber * exc.error_bound) from exc
-        total += fixed - float(np.sum(contrib[bad]))
-    end, before = abs(contrib[-1]), abs(contrib[-2])
-    tail = end * ratio / (1.0 - ratio)
+        # panel i, the head panel included, ends at edge first*_CHUNK + i
+        edge = first * _CHUNK + int(np.argmax(bad))
+        raise nm.ConvergenceError(
+            f"BER lattice panel ending at t = "
+            f"{hp.decay_scale * 2.0 ** (edge / 2.0):.6g} misses its tolerance",
+            best_estimate=to_ber * total,
+            error_bound=to_ber * (float(np.sum(disc[bad])) + tail))
     if end > before or tail > tol:
         raise nm.ConvergenceError("BER lattice does not bound its tail",
                                   best_estimate=to_ber * total,

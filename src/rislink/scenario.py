@@ -80,8 +80,9 @@ class LinkGeometry:
     direct_link: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.r_h > 0.0 and self.r_g > 0.0):
-            raise ValueError("link distances must be positive")
+        for name in ("r_h", "r_g"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.psi < 180.0:
             raise ValueError(f"psi must lie in (0, 180) degrees, got {self.psi}")
 
@@ -95,7 +96,7 @@ class PhaseDesign:
 
     def __post_init__(self) -> None:
         if self.kind not in ("rps", "ops", "quantized"):
-            raise ValueError(f"unknown phase design {self.kind!r}")
+            raise ValueError(f"unknown phase_design {self.kind!r}")
         if self.kind == "quantized":
             if not (isinstance(self.bits, int) and self.bits >= 1):
                 raise ValueError("quantized design needs an integer bits >= 1")
@@ -131,9 +132,9 @@ class ScenarioConfig:
                 and 1 <= self.n_elements <= MAX_ELEMENTS):
             raise ValueError(f"n_elements must be an integer in [1, {MAX_ELEMENTS}], got {self.n_elements}")
         if not self.carrier_hz > 0.0:
-            raise ValueError("carrier frequency must be positive")
+            raise ValueError("carrier_hz must be positive")
         if not self.alpha >= 2.0:
-            raise ValueError(f"pathloss exponent must be >= 2, got {self.alpha}")
+            raise ValueError(f"alpha (pathloss exponent) must be >= 2, got {self.alpha}")
         for name in ("m_h", "m_g"):
             if not getattr(self, name) >= 0.5:
                 raise ValueError(f"{name} must be >= 0.5")

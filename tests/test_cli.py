@@ -14,6 +14,7 @@ import pytest
 
 from rislink import cli
 from rislink import montecarlo as mc
+from rislink import numerics as nm
 from rislink import rps
 from rislink.rps import Modulation
 from rislink.scenario import PhaseDesign, config_from_mapping, link_parts
@@ -723,6 +724,97 @@ def test_preset_fig2_writes_curve_files(tmp_path, capsys):
         assert all(line.split(",")[3] in ("exact", "mc") for line in lines[1:])
 
 
+def test_preset_error_row_exits_2(tmp_path, capsys, monkeypatch):
+    exact = cli.exact_value
+
+    def fail_one(config, metric, *args):
+        if (config.n_elements, config.tx_power_dbm) == (16, 30.0) \
+                and config.geometry.direct_link \
+                and config.phase_design.kind == "rps":
+            raise nm.ConvergenceError("synthetic miss")
+        return exact(config, metric, *args)
+
+    monkeypatch.setattr(cli, "exact_value", fail_one)
+    prefix = tmp_path / "t"
+    code, out, _ = run(["metric", "--preset", "fig2", "--out", str(prefix),
+                        "--trials", "10000"], capsys)
+    assert code == cli.EXIT_NUMERIC and out == ""
+    errors = {path.name: [line for line in path.read_text().splitlines()
+                          if ",error," in line]
+              for path in tmp_path.glob("t_fig2_*.csv")}
+    assert len(errors) == 8
+    assert errors.pop("t_fig2_rps_direct_N16.csv") == [
+        "tx_power_dbm,30,ber,exact,error,"]
+    assert not any(errors.values())
+
+
+# the presets' exact/mc pairs at their default trials and a declared seed,
+# gated at 4 sigma as validate gates one config; a known breach is a
+# strict xfail naming the item that mends it
+_Z_SEED = 1
+_ITEM_3 = ("ROADMAP item 3: the two-moment rps capacity labelled exact is "
+           "off the simulator")
+_ITEM_11 = ("ROADMAP item 11: the simulator's rps direct-path BER misses "
+            "its rare-event tail")
+_Z_BREACHES = {
+    ("fig1_N256", "30", "ec"): _ITEM_3,
+    **{("fig3_rps_N320", r_h, "ec"): _ITEM_3
+       for r_h in ("25", "30", "70", "75")},
+    **{("fig2_rps_direct_N16", tx, "ber"): _ITEM_11
+       for tx in ("20", "22", "24", "26", "28", "30")},
+}
+
+
+def _preset_pairs():
+    for preset in ("fig1", "fig2", "fig3"):
+        for curve, _, points, metrics, _ in cli._preset_curves(preset)[1]:
+            for x, _ in points:
+                for metric in metrics:
+                    key = (curve, cli._g17(x), metric)
+                    reason = _Z_BREACHES.get(key)
+                    marks = ([pytest.mark.xfail(strict=True, reason=reason)]
+                             if reason else [])
+                    yield pytest.param(preset, *key, marks=marks,
+                                       id="-".join(key))
+
+
+@pytest.fixture(scope="module")
+def preset_rows(tmp_path_factory):
+    """preset -> {(curve, x, metric, method): (estimate, std_error)},
+    each preset run once through the CLI."""
+    tables = {}
+
+    def rows(preset):
+        if preset not in tables:
+            out = tmp_path_factory.mktemp(preset)
+            assert cli.main(["metric", "--preset", preset, "--out",
+                             str(out / "z"), "--seed", str(_Z_SEED)]) == 0
+            tables[preset] = {}
+            for path in out.glob("z_*.csv"):
+                curve = path.stem[2:]
+                for line in path.read_text().splitlines()[1:]:
+                    _, x, metric, method, est, se = line.split(",")
+                    tables[preset][curve, x, metric, method] = (
+                        float(est), float(se) if se else None)
+        return tables[preset]
+    return rows
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset, curve, x, metric", list(_preset_pairs()))
+def test_preset_exact_rows_agree_with_the_simulator(preset_rows, preset,
+                                                    curve, x, metric):
+    rows = preset_rows(preset)
+    trials = cli.build_parser().parse_args(["metric"]).trials
+    exact, _ = rows[curve, x, metric, "exact"]
+    sim, se = rows[curve, x, metric, "mc"]
+    if metric == "op" and se == 0.0:
+        # validate's rule-of-succession floor for a sample of all 0 or 1
+        q = (sim * trials + 1.0) / (trials + 2.0)
+        se = math.sqrt(q * (1.0 - q) / trials)
+    assert abs(exact - sim) <= 4.0 * se, (exact - sim) / se
+
+
 # ---------------------------------------------------------------------
 # validate command
 # ---------------------------------------------------------------------
@@ -797,6 +889,25 @@ def test_validate_reports_failed_simulator_rows(tmp_path, capsys,
     assert code == cli.EXIT_NUMERIC
     assert out.splitlines()[1:] == [f"{m},mc,error,,,error"
                                     for m in ("op", "ber", "ec")]
+
+
+def test_validate_reports_failed_analytic_rows(tmp_path, capsys,
+                                               monkeypatch):
+    exact = cli.exact_value
+
+    def fail_ber(config, metric, *args):
+        if metric == "ber":
+            raise nm.ConvergenceError("synthetic miss")
+        return exact(config, metric, *args)
+
+    monkeypatch.setattr(cli, "exact_value", fail_ber)
+    code, out, _ = run(["validate", "--config", write_cfg(tmp_path),
+                        "--trials", "20000", "--gamma-th-db", "-30"], capsys)
+    assert code == cli.EXIT_NUMERIC
+    cells = {tuple(line.split(",")[:2]): line for line in out.splitlines()}
+    assert cells["ber", "exact"] == "ber,exact,error,,,error"
+    assert cells["op", "exact"].endswith(",ok")
+    assert cells["ec", "exact"].endswith(",ok")
 
 
 def test_metric_sweep_draws_one_sample_set(tmp_path, capsys, monkeypatch):

@@ -511,6 +511,27 @@ def test_hyp2f1_nearer_integer_difference_far_out():
     assert abs(nm.hyp2f1(5.76, 5.7601, 1.0, z) - ref) <= 1e-12 * abs(ref)
 
 
+def test_hyp2f1_euler_flipped_log_connection_near_one(monkeypatch):
+    # c - a - b = -1: near z = 1 the log form runs on Euler's flip, the
+    # connection of 2F1(c - a, c - b; c; z) times (1 - z)^(c - a - b)
+    z = np.array([0.9, 0.6 + 0.5j, 1.3 + 0.2j, 0.95 - 0.3j, 1.0 + 0.05j,
+                  0.5 + 0.8j])
+    calls = []
+    log_form = nm._one_minus_z_log
+
+    def spy(a, b, m, w):
+        calls.append((a, b, m, w.size))
+        return log_form(a, b, m, w)
+
+    monkeypatch.setattr(nm, "_one_minus_z_log", spy)
+    got = nm.hyp2f1(1.5, 1.5, 2.0, z)
+    assert calls == [(0.5, 0.5, 1, z.size)]
+    with mp.workdps(30):
+        ref = np.array([complex(mp.hyp2f1(1.5, 1.5, 2, mp.mpc(x)))
+                        for x in z])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
+
+
 @pytest.mark.parametrize("a, b, z, rel", [
     (20.3, 21.1, np.linspace(-11.0, -9.05, 40), 1e-8),
     (12.3, 14.1, np.linspace(-18.5, -17.5, 41), 1e-9)])

@@ -20,7 +20,7 @@ from rislink import cli
 from rislink import numerics as nm
 from rislink import ops, rps
 from rislink.scenario import (LinkGeometry, NakagamiParams, PhaseDesign,
-                              ScenarioConfig, quantized)
+                              ScenarioConfig, quantized, ricean_k_to_m)
 
 UNIT = rps.DoubleNakagami(NakagamiParams(1.0, 1.0), NakagamiParams(1.0, 1.0))
 FIG2 = rps.DoubleNakagami(NakagamiParams(1.5, 1.0), NakagamiParams(2.5, 1.0))
@@ -494,9 +494,9 @@ def test_ber_lattice_cut_short_raises_instead_of_truncating(monkeypatch):
 def test_one_path_ber_matches_the_gain_product_reference_or_raises(mod):
     # N = 1 without a direct path on scenario e's geometry: a cell either
     # matches E[P_b] over the gain-product law or raises, never returns a
-    # wrong number.  The 2F1 of the m = 5.76 cascade is wrong at the top
-    # powers, where the lattice's bisection runs out of budget; those two
-    # cells may only raise until it is mended
+    # wrong number.  At the top powers of the m = 5.76 cascade a lattice
+    # panel misses its tolerance; those two cells may only raise until
+    # the one-path BER has a route of its own
     raised = []
     for m in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.76):
         for tx in (20.0, 40.0, 60.0, 80.0, 100.0):
@@ -533,6 +533,94 @@ def test_strongly_los_one_path_ber_matches_the_gain_product_reference(mod):
         got = rps.ber_rps(lk.hankel(), lk.rho, mod)
         want = gamma_product_ber(lk.element, lk.rho, mod)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), tx
+
+
+def _one_path(m, tx, design=PhaseDesign("rps")):
+    """Scenario e's geometry with N = 1, m_h = m_g = m and no direct path."""
+    return ScenarioConfig(
+        n_elements=1, carrier_hz=2.45e9, alpha=2.5, noise_dbm=-85.0,
+        tx_power_dbm=tx, m_h=m, m_g=m,
+        geometry=LinkGeometry(20.0, 20.0, 86.0), phase_design=design)
+
+
+def test_ber_lattice_settles_or_raises_without_bisecting(monkeypatch):
+    # the lattice's panels are tabulated once per transform: a row either
+    # settles on them or raises at once, with its lattice sum and its
+    # panels' disagreement in BER units, and never bisects a panel with
+    # fresh H values
+    def no_refine(*args, **kwargs):
+        raise AssertionError("ber_rps bisected a lattice panel")
+
+    monkeypatch.setattr(nm, "_refine", no_refine)
+    m = ricean_k_to_m(20.0)
+    lk = link(_one_path(m, 60.0))
+    for mod in rps.Modulation:
+        want = gamma_product_ber(lk.element, lk.rho, mod)
+        assert rps.ber_rps(lk.hankel(), lk.rho, mod) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+    lk = link(_one_path(m, 80.0))
+    want = gamma_product_ber(lk.element, lk.rho, rps.Modulation.BPSK)
+    with pytest.raises(nm.ConvergenceError, match="panel") as err:
+        rps.ber_rps(lk.hankel(), lk.rho, rps.Modulation.BPSK)
+    assert err.value.best_estimate == pytest.approx(want, rel=1e-6, abs=0.0)
+    assert 0.0 < err.value.error_bound < 1e-6 * want
+    lk = link(_one_path(m, 100.0))
+    for mod in rps.Modulation:
+        with pytest.raises(nm.ConvergenceError,
+                           match="misses its tolerance") as err:
+            rps.ber_rps(lk.hankel(), lk.rho, mod)
+        # the BER here is below 1e-24; the unscaled lattice sum is not
+        assert abs(err.value.best_estimate) < 1e-15
+        assert 0.0 < err.value.error_bound < 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_ber_rejects_nonpositive_power(rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        rps.ber_rps(rps.HankelProduct(UNIT, 4), rho, rps.Modulation.BPSK)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        ops.ber_ops(ops.AmplitudeChf(UNIT, 4), rho, rps.Modulation.BPSK)
+
+
+# one-path cells whose designs disagree, by the item that mends them
+_M10, _M40 = ricean_k_to_m(10.0), ricean_k_to_m(40.0)
+_RPS_RAISES = {(_M10, 100.0), (_M40, 80.0), (_M40, 100.0)}
+_OPS_OFF = {(0.75, 100.0, "bpsk"), (0.75, 100.0, "bfsk"), (2.0, 80.0, "bpsk"),
+            (2.0, 100.0, "bpsk"), (2.0, 100.0, "bfsk"), (_M10, 80.0, "bpsk"),
+            (_M10, 80.0, "bfsk")}
+
+
+def _one_path_cells():
+    for m in (0.75, 2.0, _M10, _M40):
+        for tx in (0.0, 40.0, 80.0, 100.0):
+            for row in ("op", "ec", "bpsk", "bdpsk", "bfsk"):
+                marks = []
+                if row not in ("op", "ec") and (m, tx) in _RPS_RAISES:
+                    marks = [pytest.mark.xfail(strict=True, reason=(
+                        "ROADMAP item 10: a lattice panel of the rps BER "
+                        "misses its tolerance on this one-path row"))]
+                elif (m, tx, row) in _OPS_OFF:
+                    marks = [pytest.mark.xfail(strict=True, reason=(
+                        "ROADMAP item 18: the ops real-line BER is off the "
+                        "gain-product reference"))]
+                yield pytest.param(m, tx, row, marks=marks,
+                                   id=f"m{m:.4g}-{tx:g}dBm-{row}")
+
+
+@pytest.mark.parametrize("m, tx, row", list(_one_path_cells()))
+def test_one_path_exact_rows_agree_across_designs(m, tx, row):
+    # with N = 1 and no direct path the SNR does not depend on the
+    # phases, so every design's exact row is the same number
+    metric = row if row in ("op", "ec") else "ber"
+    modulation = (rps.Modulation.BPSK if metric != "ber"
+                  else rps.Modulation.from_label(row))
+    designs = [PhaseDesign("rps"), PhaseDesign("ops")]
+    if metric == "ec":
+        designs.append(quantized(2))
+    want, *others = (cli.exact_value(_one_path(m, tx, design), metric, 1.0,
+                                     modulation) for design in designs)
+    for got in others:
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------

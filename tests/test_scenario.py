@@ -166,10 +166,21 @@ def test_config_from_mapping_roundtrip():
     {"tx_power_dbm": "-4000"},                   # rho underflows to 0
     {"r_h": "1e300"},                            # the h-hop spread underflows
     {"r_g": "0.5"},                              # inside the 1 m reference
+    {"r_h": "0"},
+    {"r_g": "-20"},
+    {"carrier_hz": "0"},
+    {"carrier_hz": "-2.45e9"},
+    {"alpha": "1.9"},
+    {"m_h": "0.45"},
+    {"m_g": "0"},
+    {"direct_link": "true"},                     # m_d missing
+    {"direct_link": "true", "m_d": "0.4"},
+    {"phase_design": "random"},
 ])
 def test_config_from_mapping_rejections(mutate):
+    # the error names the field set last
     bad = dict(_GOOD, **mutate)
-    key, = mutate
+    *_, key = mutate
     with pytest.raises(ValueError, match=key):
         sc.config_from_mapping(bad)
 
